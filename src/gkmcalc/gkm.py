@@ -3,8 +3,9 @@
 The solver works one even degree at a time: homogeneity makes the congruence
 system block-diagonal by degree, and each block is an exact linear problem on
 the coefficient vectors of the fixed-point tuples.  Graded-field coefficients
-go through Gaussian elimination; integral coefficients go through Smith/Hermite
-reduction, reporting free ranks and elementary divisors.
+go through Gaussian elimination; integral coefficients go through Hermite
+reduction, which gives the solution lattice's canonical basis, its free rank
+and its elementary divisors.
 """
 
 from __future__ import annotations
@@ -22,13 +23,7 @@ from .classifying import (
     transport,
 )
 from .fgl import FormalGroupLaw, build_fgl
-from .lattice import (
-    hermite_row_basis,
-    integer_kernel,
-    invariant_factors,
-    smith_normal_form,
-    vec_mat,
-)
+from .lattice import integer_kernel, invariant_factors, vec_mat
 from .scalars import MORAVA, MULTIPLICATIVE, GradedScalar, Theory
 from .series import TruncatedSeries, monomial_key
 
@@ -305,17 +300,6 @@ class _EdgeData:
         return t
 
 
-def required_truncation(graph: GKMGraph, theory: Theory, q_max: int) -> int:
-    """Degree headroom the residue computations need for degrees up to q_max."""
-    fgl = build_fgl(theory)
-    max_order = 1
-    for e in graph.edges:
-        ideal = kernel_ideal(fgl, e.weight)
-        if ideal.order is not None:
-            max_order = max(max_order, ideal.order)
-    return q_max // 2 + max_order
-
-
 def solve_equivariant_cohomology(
     graph: GKMGraph,
     theory: Theory,
@@ -327,14 +311,15 @@ def solve_equivariant_cohomology(
         raise ValueError("invalid GKM graph: " + "; ".join(violations))
     if q_max < 0 or q_max % 2:
         raise ValueError("q_max must be an even nonnegative integer")
-    need = required_truncation(graph, theory, q_max)
+    fgl = build_fgl(theory)
+    data = [_EdgeData(e, kernel_ideal(fgl, e.weight)) for e in graph.edges]
+    # the residue computations need headroom for degrees up to q_max
+    need = q_max // 2 + max([1] + [d.ideal.order for d in data if d.ideal.order is not None])
     if need > theory.trunc:
         raise ValueError(
             f"truncation degree {theory.trunc} too small for q_max {q_max}: "
             f"residues need headroom {need}"
         )
-    fgl = build_fgl(theory)
-    data = [_EdgeData(e, kernel_ideal(fgl, e.weight)) for e in graph.edges]
     m = graph.rank
     k = len(graph.vertices)
 
@@ -383,7 +368,7 @@ def solve_equivariant_cohomology(
         primitive = GKMGraph(
             graph.rank,
             list(graph.vertices),
-            [GKMEdge(e.tail, e.head, kernel_ideal(fgl, e.weight).theta) for e in graph.edges],
+            [GKMEdge(d.edge.tail, d.edge.head, d.ideal.theta) for d in data],
         )
         variant = solve_equivariant_cohomology(
             primitive, theory, q_max, compare_primitive=False
@@ -415,70 +400,39 @@ def _solve_field(theory, graph, data, monos, k):
 def _solve_integer(theory, graph, data, monos, k, q):
     nm = len(monos)
     ncols = k * nm
-    exact_rows = []
-    mod_rows = []
-    moduli = []
+    rows = []
+    width = ncols
     for ed in data:
         ideal = ed.ideal
+        rowmap = {}
         if ideal.generator.is_zero() or ideal.leading_unit:
-            # residue is linear with integer outputs: exact rows
-            rowmap = {}
-            for j, (alpha, _v) in enumerate(monos):
-                img = ed.residue_image(alpha)
-                for beta, coeff in img.items():
-                    row = rowmap.get(beta)
-                    if row is None:
-                        row = [0] * ncols
-                        rowmap[beta] = row
-                    row[ed.edge.tail * nm + j] += coeff
-                    row[ed.edge.head * nm + j] -= coeff
-            for beta in sorted(rowmap, key=monomial_key):
-                exact_rows.append(rowmap[beta])
+            # the residue is linear with integer outputs: it must vanish
+            images = [ed.residue_image(alpha) for alpha, _v in monos]
         else:
-            # membership in the ideal is a lattice condition: present the
-            # quotient by the truncated multiples of the generator
-            ad_monos, basis = ideal_multiples_basis(ideal, q)
-            ad_index = {alpha: i for i, (alpha, _v) in enumerate(ad_monos)}
-            nad = len(ad_monos)
-            tmat = [[0] * nm for _ in range(nad)]
-            for j, (alpha, _v) in enumerate(monos):
-                t = ed.transported(alpha)
-                for beta, c in t.coeffs.items():
-                    tmat[ad_index[beta]][j] += c.coeff
-            gen_matrix = [list(b) for b in basis] if basis else [[0] * nad]
-            _u, s, v = smith_normal_form(gen_matrix)
-            grows = len(gen_matrix)
-            for i in range(nad):
-                si = s[i][i] if i < min(grows, nad) else 0
-                if si == 1:
-                    continue
-                # constraint (x . V_col_i) == 0 mod si (si == 0: exact)
-                adapted_row = [v[b][i] for b in range(nad)]
-                full = [0] * ncols
-                for jj in range(nm):
-                    coeff = sum(adapted_row[b] * tmat[b][jj] for b in range(nad))
-                    if coeff:
-                        full[ed.edge.tail * nm + jj] += coeff
-                        full[ed.edge.head * nm + jj] -= coeff
-                if not any(full):
-                    continue
-                if si == 0:
-                    exact_rows.append(full)
-                else:
-                    mod_rows.append(full)
-                    moduli.append(si)
-    t = len(mod_rows)
-    aug = [r + [0] * t for r in exact_rows]
-    for idx, (r, d) in enumerate(zip(mod_rows, moduli)):
-        aug.append(r + [d if j == idx else 0 for j in range(t)])
-    if aug:
-        kern = integer_kernel(aug, ncols + t)
-        xs = [v[:ncols] for v in kern]
-    else:
-        xs = [tuple(1 if i == j else 0 for i in range(ncols)) for j in range(ncols)]
-    basis_rows = hermite_row_basis(xs)
-    divs = invariant_factors([list(r) for r in basis_rows]) if basis_rows else []
-    return [tuple(r) for r in basis_rows], len(aug), divs
+            # membership in the ideal is a lattice condition: the transported
+            # difference must be H^T y for the truncated multiples H of the
+            # generator, with y in slack columns after the x columns
+            ad_monos, multiples = ideal_multiples_basis(ideal, q)
+            images = [
+                {beta: c.coeff for beta, c in ed.transported(alpha).coeffs.items()}
+                for alpha, _v in monos
+            ]
+            for h in multiples:
+                for (beta, _v), c in zip(ad_monos, h):
+                    if c:
+                        rowmap.setdefault(beta, {})[width] = -c
+                width += 1
+        tail, head = ed.edge.tail * nm, ed.edge.head * nm
+        for j, img in enumerate(images):
+            for beta, coeff in img.items():
+                row = rowmap.setdefault(beta, {})
+                row[tail + j] = coeff
+                row[head + j] = -coeff
+        rows.extend(rowmap.values())
+    # the kernel's Hermite rows with a pivot among the x columns come first,
+    # and their x parts are the Hermite basis of the solution lattice
+    basis_rows = [v[:ncols] for v in integer_kernel(rows, width) if any(v[:ncols])]
+    return basis_rows, len(rows), invariant_factors(basis_rows)
 
 
 def _class_from_vector(theory, graph, monos, vec, q) -> EquivariantClass:

@@ -1,9 +1,13 @@
 """Exact integer linear algebra for characters and torus subgroups.
 
-Matrices are plain lists of rows of Python ints.  Everything here is
-deterministic: pivots are chosen by smallest absolute value with index
-tie-breaks, and bases are put in a canonical Hermite form, so downstream
-golden outputs are reproducible.
+Matrices are plain lists of rows of Python ints; the elimination works on
+sparse rows {column: entry}, which is also what integer_kernel takes.  One
+routine does all the elimination: hermite_row_basis puts the lattice spanned
+by some rows into its canonical row-Hermite form.  Kernels, adapted
+coordinates and invariant factors are all read off Hermite forms of augmented
+or transposed matrices.  Hermite forms are unique, so every answer is
+independent of the elimination order and downstream golden outputs are
+reproducible.
 """
 
 from __future__ import annotations
@@ -14,159 +18,9 @@ from math import gcd
 Matrix = list
 
 
-def identity(n: int) -> Matrix:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def matmul(a: Matrix, b: Matrix) -> Matrix:
-    rows, inner, cols = len(a), len(b), len(b[0])
-    return [
-        [sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(cols)]
-        for i in range(rows)
-    ]
-
-
-def transpose(a: Matrix) -> Matrix:
-    return [list(col) for col in zip(*a)]
-
-
 def vec_mat(v, a: Matrix):
     """Row vector times matrix."""
     return tuple(sum(v[i] * a[i][j] for i in range(len(v))) for j in range(len(a[0])))
-
-
-def det(a: Matrix) -> int:
-    """Fraction-free Bareiss determinant."""
-    n = len(a)
-    if n == 0:
-        return 1
-    m = [row[:] for row in a]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
-def smith_normal_form(mat: Matrix):
-    """Return (U, S, V) with S = U*mat*V diagonal, d1 | d2 | ..., U, V unimodular.
-
-    The diagonal is nonnegative.  Pivot selection is by smallest absolute
-    value then position, so the output is deterministic.
-    """
-    rows = len(mat)
-    cols = len(mat[0]) if rows else 0
-    s = [list(r) for r in mat]
-    u = identity(rows)
-    v = identity(cols)
-
-    def swap_rows(i, j):
-        s[i], s[j] = s[j], s[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for r in s:
-            r[i], r[j] = r[j], r[i]
-        for r in v:
-            r[i], r[j] = r[j], r[i]
-
-    def addmul_row(dst, src, q):
-        s[dst] = [x - q * y for x, y in zip(s[dst], s[src])]
-        u[dst] = [x - q * y for x, y in zip(u[dst], u[src])]
-
-    def addmul_col(dst, src, q):
-        for r in s:
-            r[dst] -= q * r[src]
-        for r in v:
-            r[dst] -= q * r[src]
-
-    def negate_row(i):
-        s[i] = [-x for x in s[i]]
-        u[i] = [-x for x in u[i]]
-
-    t = 0
-    limit = min(rows, cols)
-    while t < limit:
-        # pivot: smallest nonzero absolute value in the trailing block
-        pivot = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                x = s[i][j]
-                if x != 0 and (pivot is None or abs(x) < abs(s[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        swap_rows(t, pivot[0])
-        swap_cols(t, pivot[1])
-        if s[t][t] < 0:
-            negate_row(t)
-        while True:
-            dirty = False
-            for i in range(t + 1, rows):
-                if s[i][t] != 0:
-                    q = s[i][t] // s[t][t]
-                    addmul_row(i, t, q)
-                    if s[i][t] != 0:
-                        swap_rows(t, i)
-                        if s[t][t] < 0:
-                            negate_row(t)
-                        dirty = True
-            for j in range(t + 1, cols):
-                if s[t][j] != 0:
-                    q = s[t][j] // s[t][t]
-                    addmul_col(j, t, q)
-                    if s[t][j] != 0:
-                        swap_cols(t, j)
-                        dirty = True
-            if not dirty:
-                break
-        # enforce divisibility of the trailing block by the pivot
-        offender = None
-        for i in range(t + 1, rows):
-            for j in range(t + 1, cols):
-                if s[i][j] % s[t][t] != 0:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            addmul_row(t, offender, -1)
-            continue
-        t += 1
-    return u, s, v
-
-
-def invariant_factors(mat: Matrix) -> list[int]:
-    _, s, _ = smith_normal_form(mat)
-    out = []
-    for i in range(min(len(s), len(s[0]) if s else 0)):
-        if s[i][i] != 0:
-            out.append(s[i][i])
-    return out
-
-
-def integer_kernel(mat: Matrix, cols: int | None = None) -> list[tuple[int, ...]]:
-    """Basis of the right kernel {x : mat @ x = 0} as a list of tuples."""
-    rows = len(mat)
-    if cols is None:
-        cols = len(mat[0]) if rows else 0
-    if rows == 0:
-        return [tuple(r) for r in identity(cols)]
-    _, s, v = smith_normal_form(mat)
-    rank = sum(1 for i in range(min(rows, cols)) if s[i][i] != 0)
-    return [tuple(v[i][j] for i in range(cols)) for j in range(rank, cols)]
 
 
 def hermite_row_basis(rows) -> list[tuple[int, ...]]:
@@ -175,45 +29,101 @@ def hermite_row_basis(rows) -> list[tuple[int, ...]]:
     Pivots are positive, entries above each pivot are reduced into [0, pivot),
     and rows are ordered by pivot column.
     """
-    work = [list(r) for r in rows if any(r)]
-    if not work:
+    rows = [r for r in rows if any(r)]
+    if not rows:
         return []
-    cols = len(work[0])
+    width = len(rows[0])
+    basis = _hermite([{j: x for j, x in enumerate(r) if x} for r in rows])
+    return [tuple(b.get(j, 0) for j in range(width)) for b in basis]
+
+
+def _hermite(rows: list[dict]) -> list[dict]:
+    """hermite_row_basis on sparse rows {column: nonzero entry}; consumes them.
+
+    Rows wait under their leading column.  At each column, in increasing
+    order, a Euclid loop on the rows led there leaves a single pivot row, and
+    the others move on to their new leading columns.  As soon as the pivot is
+    fixed, the entries above it in the earlier basis rows are reduced into
+    [0, pivot), as in Kannan and Bachem's algorithm, so basis entries stay
+    below their pivots instead of growing through later steps.
+    """
+    waiting: dict[int, list[dict]] = {}
+    for r in rows:
+        if r:
+            waiting.setdefault(min(r), []).append(r)
     basis = []
-    for j in range(cols):
-        live = [r for r in work if r[j] != 0]
-        if not live:
-            continue
+    while waiting:
+        j = min(waiting)
+        live = waiting.pop(j)
         while len(live) > 1:
             live.sort(key=lambda r: abs(r[j]))
-            head = live[0]
-            for r in live[1:]:
-                q = r[j] // head[j]
-                for k in range(cols):
-                    r[k] -= q * head[k]
-            live = [r for r in live if r[j] != 0]
-        pivot_row = live[0]
-        if pivot_row[j] < 0:
-            for k in range(cols):
-                pivot_row[k] = -pivot_row[k]
-        work = [r for r in work if r is not pivot_row and any(r[j:])]
-        for r in work:
-            if r[j] != 0:
-                q = r[j] // pivot_row[j]
-                for k in range(cols):
-                    r[k] -= q * pivot_row[k]
-        work = [r for r in work if any(r)]
-        basis.append(pivot_row)
-    # reduce entries above each pivot
-    pivots = [(next(k for k, x in enumerate(r) if x != 0), idx) for idx, r in enumerate(basis)]
-    for pcol, idx in pivots:
-        prow = basis[idx]
-        for other in basis[:idx]:
-            q = other[pcol] // prow[pcol]
+            head, *rest = live
+            live = [head]
+            for r in rest:
+                _subtract(r, head, r[j] // head[j])
+                if j in r:
+                    live.append(r)
+                elif r:
+                    waiting.setdefault(min(r), []).append(r)
+        pivot = live[0]
+        if pivot[j] < 0:
+            for k in pivot:
+                pivot[k] = -pivot[k]
+        for b in basis:
+            q = b.get(j, 0) // pivot[j]
             if q:
-                for k in range(len(prow)):
-                    other[k] -= q * prow[k]
-    return [tuple(r) for r in basis]
+                _subtract(b, pivot, q)
+        basis.append(pivot)
+    return basis
+
+
+def _subtract(row: dict, other: dict, q: int) -> None:
+    """row -= q * other on sparse rows, dropping entries that become zero."""
+    for k, x in other.items():
+        y = row.get(k, 0) - q * x
+        if y:
+            row[k] = y
+        else:
+            del row[k]
+
+
+def integer_kernel(rows: list[dict], cols: int) -> list[tuple[int, ...]]:
+    """Hermite basis of the right kernel {x in Z^cols : A @ x = 0}, where A is
+    given by sparse rows {column: entry}.
+
+    Row j of [A^T | I] is (column j of A | e_j).  The rows of its Hermite form
+    whose A^T part is zero are (0 | k) with A @ k = 0; they span the kernel,
+    and their k parts are already its Hermite basis.
+    """
+    n = len(rows)
+    aug = [{n + j: 1} for j in range(cols)]
+    for i, row in enumerate(rows):
+        for j, x in row.items():
+            if x:
+                aug[j][i] = x
+    return [
+        tuple(r.get(n + j, 0) for j in range(cols))
+        for r in _hermite(aug)
+        if min(r) >= n
+    ]
+
+
+def invariant_factors(mat: Matrix) -> list[int]:
+    """The nonzero invariant factors d1 | d2 | ... of an integer matrix.
+
+    Row Hermite forms of the matrix and of its transpose alternate until each
+    row holds a single nonzero entry; a gcd/lcm pass then turns that diagonal
+    into the Smith diagonal.
+    """
+    rows = hermite_row_basis(mat)
+    while any(sum(1 for x in r if x) > 1 for r in rows):
+        rows = hermite_row_basis(list(zip(*rows)))
+    diag = [max(r) for r in rows]  # each row's one nonzero entry: its pivot
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            g = gcd(diag[i], diag[j])
+            diag[i], diag[j] = g, diag[i] // g * diag[j]
+    return diag
 
 
 def reduce_vector_mod_lattice(vec, basis) -> tuple[int, ...]:
@@ -241,23 +151,18 @@ def primitive_part(a) -> tuple[int, tuple[int, ...]]:
 def adapted_basis(theta) -> Matrix:
     """A unimodular B with theta @ B = (0, ..., 0, 1).
 
-    Columns 1..m-1 are the canonical Hermite basis of ker(theta); the last
-    column is the Hermite-reduced solution of theta . x = 1.  Downstream
-    results must not depend on this choice, only the tests do.
+    Row i of [theta^T | I] is (theta_i | e_i).  Its Hermite form has first
+    row (1 | x) with theta . x = 1, and its other rows (0 | k) are the
+    Hermite basis of ker(theta), which also reduces x.  The columns of B are
+    those k, then x.  Downstream results must not depend on this choice,
+    only the tests do.
     """
     m = len(theta)
-    d = gcd(*theta) if m > 1 else abs(theta[0])
-    if d != 1:
+    if gcd(*theta) != 1:
         raise ValueError(f"character {tuple(theta)} is not primitive")
-    u, s, v = smith_normal_form([list(theta)])
-    # theta @ v = u^{-1} @ (1, 0, ..., 0); u is 1x1 = (+-1)
-    sign = u[0][0]
-    particular = [sign * v[i][0] for i in range(m)]
-    kernel_cols = [[v[i][j] for i in range(m)] for j in range(1, m)]
-    kernel_rows = hermite_row_basis(kernel_cols)
-    particular = list(reduce_vector_mod_lattice(particular, kernel_rows))
-    cols = [list(r) for r in kernel_rows] + [particular]
+    rows = _hermite([{0: t, i + 1: 1} if t else {i + 1: 1} for i, t in enumerate(theta)])
+    x, *kernel = [[r.get(i + 1, 0) for i in range(m)] for r in rows]
+    cols = kernel + [x]
     b = [[cols[j][i] for j in range(m)] for i in range(m)]
     assert vec_mat(theta, b) == (0,) * (m - 1) + (1,)
-    assert abs(det(b)) == 1
     return b

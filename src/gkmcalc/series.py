@@ -82,13 +82,6 @@ class TruncatedSeries:
         alpha = tuple(1 if j == i else 0 for j in range(nvars))
         return cls(theory, nvars, {alpha: theory.one})
 
-    @classmethod
-    def from_terms(cls, theory, nvars, terms):
-        s = cls(theory, nvars)
-        for alpha, c in terms:
-            s = s + cls(theory, nvars, {tuple(alpha): c})
-        return s
-
     # ---- inspection ---------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -394,13 +387,6 @@ class LaurentSeries:
     def coefficient(self, e: int) -> GradedScalar:
         return self.coeffs.get(e, self.theory.zero)
 
-    def known_exponents(self):
-        lo = self.order()
-        if lo is None:
-            return []
-        hi = max(self.coeffs) if self.prec is None else self.prec - 1
-        return range(min(lo, 0), hi + 1)
-
     def __eq__(self, other):
         if not isinstance(other, LaurentSeries):
             return NotImplemented
@@ -439,12 +425,6 @@ class LaurentSeries:
             self.theory,
             {e: c * scalar for e, c in self.coeffs.items()},
             self.prec,
-        )
-
-    def shift(self, k: int) -> "LaurentSeries":
-        prec = None if self.prec is None else self.prec + k
-        return LaurentSeries(
-            self.theory, {e + k: c for e, c in self.coeffs.items()}, prec
         )
 
     def __mul__(self, other: "LaurentSeries") -> "LaurentSeries":

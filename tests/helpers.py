@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 from gkmcalc import (
@@ -65,9 +66,44 @@ def cp1xcp1():
     )
 
 
+def _root(n, i, j):
+    """e_j - e_i in Z^n, with the last coordinate dropped."""
+    v = [0] * n
+    v[j] += 1
+    v[i] -= 1
+    return tuple(v[:-1])
+
+
+def cp3():
+    edges = [GKMEdge(i, j, _root(4, i, j)) for i, j in itertools.combinations(range(4), 2)]
+    return GKMGraph(3, [f"L{i}" for i in range(4)], edges)
+
+
+def fl3():
+    """Permutations of 012, joined by right multiplication with a transposition."""
+    perms = list(itertools.permutations(range(3)))
+    edges = []
+    for a, s in enumerate(perms):
+        for i, j in itertools.combinations(range(3), 2):
+            t = list(s)
+            t[i], t[j] = t[j], t[i]
+            b = perms.index(tuple(t))
+            if a < b:
+                edges.append(GKMEdge(a, b, _root(3, s[i], s[j])))
+    return GKMGraph(2, ["P" + "".join(map(str, s)) for s in perms], edges)
+
+
+def mapped(graph, w):
+    """The graph with every weight a replaced by a @ w (w need not be unimodular)."""
+    edges = [GKMEdge(e.tail, e.head, tuple(matmul([e.weight], w)[0])) for e in graph.edges]
+    return GKMGraph(graph.rank, list(graph.vertices), edges)
+
+
 CP1_BETTI = [(0, 1), (2, 1)]
 CP2_BETTI = [(0, 1), (2, 1), (4, 1)]
 CP1XCP1_BETTI = [(0, 1), (2, 2), (4, 1)]
+CP3_BETTI = [(0, 1), (2, 1), (4, 1), (6, 1)]
+FL3_BETTI = [(0, 1), (2, 2), (4, 2), (6, 1)]
 
 
 def random_unimodular(rng: random.Random, m: int, shears: int = 5):
@@ -84,6 +120,47 @@ def random_unimodular(rng: random.Random, m: int, shears: int = 5):
         i, j = rng.sample(range(m), 2)
         mat[i], mat[j] = mat[j], mat[i]
     return mat
+
+
+def matmul(a, b):
+    rows, inner, cols = len(a), len(b), len(b[0])
+    return [
+        [sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(cols)]
+        for i in range(rows)
+    ]
+
+
+def det(a) -> int:
+    """Fraction-free Bareiss determinant."""
+    n = len(a)
+    if n == 0:
+        return 1
+    m = [row[:] for row in a]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k] != 0:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
+def series_from_terms(theory, nvars, terms):
+    """The series with the given (exponent, scalar) terms, repeats summed."""
+    s = TruncatedSeries(theory, nvars)
+    for alpha, c in terms:
+        s = s + TruncatedSeries(theory, nvars, {tuple(alpha): c})
+    return s
 
 
 def random_series(rng: random.Random, theory, nvars, maxdeg=None, terms=4):

@@ -84,7 +84,7 @@ def test_multiplicative_inverse_geometric():
     fgl = build_fgl(th)
     u = TruncatedSeries.variable(th, 1, 0)
     inv = fgl.inverse(u)
-    expect = TruncatedSeries.from_terms(
+    expect = helpers.series_from_terms(
         th, 1, [((k,), th.scalar(-1, k - 1)) for k in range(1, 6)]
     )
     assert inv == expect

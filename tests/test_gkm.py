@@ -1,6 +1,7 @@
 """Moment-graph validation, congruence checks, the solver, and formality."""
 
 import random
+import signal
 
 import pytest
 
@@ -300,6 +301,38 @@ def test_multiplicative_lattice_path_weight_two():
     for q in sol.ranks:
         for cls in sol.bases[q][:4]:
             assert satisfies_congruences(g, fgl, cls)
+
+
+def _alarm(signum, frame):
+    raise TimeoutError("integer solve outlived its 20 s deadline")
+
+
+@pytest.mark.parametrize(
+    "graph, betti, trunc, q_max",
+    [
+        # Fl(3) with weights a -> a @ ((2, 1), (1, 2)), an index-3 sublattice
+        (helpers.mapped(helpers.fl3(), ((2, 1), (1, 2))), helpers.FL3_BETTI, 3, 4),
+        # CP^3 with doubled weights after a signed swap of two coordinates
+        (
+            helpers.mapped(helpers.cp3(), ((2, 0, 0), (0, 0, 2), (0, -2, 0))),
+            helpers.CP3_BETTI,
+            4,
+            6,
+        ),
+    ],
+    ids=["Fl3-index3", "CP3x2-swap"],
+)
+def test_multiplicative_lattice_solve_stays_bounded(graph, betti, trunc, q_max):
+    # these inputs made a Smith-form elimination that never reduced its
+    # off-pivot entries grow them to millions of bits
+    previous = signal.signal(signal.SIGALRM, _alarm)
+    signal.alarm(20)
+    try:
+        sol = solve_equivariant_cohomology(graph, helpers.mult(trunc=trunc), q_max)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert check_formality(graph, betti, sol).passed
 
 
 def test_mod_p_zero_generator_path():

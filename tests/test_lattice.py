@@ -1,65 +1,90 @@
-"""Integer linear algebra: Smith form, Hermite bases, adapted coordinates."""
+"""Integer linear algebra: Hermite bases, kernels, invariant factors and
+adapted coordinates, checked against sympy as an independent oracle."""
 
 import random
 
 import pytest
+from sympy import Matrix, ZZ
+from sympy.matrices.normalforms import hermite_normal_form
+from sympy.matrices.normalforms import invariant_factors as sympy_invariant_factors
 
 from gkmcalc.lattice import (
     adapted_basis,
-    det,
     hermite_row_basis,
     integer_kernel,
     invariant_factors,
-    matmul,
     primitive_part,
     reduce_vector_mod_lattice,
-    smith_normal_form,
     vec_mat,
 )
 
 import helpers
 
 
-def check_snf(m):
-    u, s, v = smith_normal_form(m)
-    assert matmul(matmul(u, m), v) == s
-    assert abs(det(u)) == 1
-    assert abs(det(v)) == 1
-    rows, cols = len(m), len(m[0])
-    diag = [s[i][i] for i in range(min(rows, cols))]
-    for i in range(rows):
-        for j in range(cols):
-            if i != j:
-                assert s[i][j] == 0
-    for a, b in zip(diag, diag[1:]):
-        assert a >= 0 and b >= 0
-        if a != 0:
-            assert b % a == 0
-        else:
-            assert b == 0
-    return diag
+def random_matrices(seed, count=220):
+    """Seeded random matrices up to 6x6 with small entries; some have zero
+    rows or zero columns, and a few are entirely zero."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        m = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
+        if rng.random() < 0.3:
+            m[rng.randrange(rows)] = [0] * cols
+        if rng.random() < 0.3:
+            j = rng.randrange(cols)
+            for r in m:
+                r[j] = 0
+        if rng.random() < 0.05:
+            m = [[0] * cols for _ in range(rows)]
+        yield m
 
 
-def test_snf_divisibility_example():
-    diag = check_snf([[2, 0], [0, 3]])
-    assert diag == [1, 6]
+def sparse(m):
+    return [{j: x for j, x in enumerate(r) if x} for r in m]
 
 
-def test_snf_identity():
-    assert check_snf([[1, 0], [0, 1]]) == [1, 1]
+def is_hermite(rows):
+    """Positive pivots in increasing columns, entries above them in [0, pivot)."""
+    last = -1
+    for idx, r in enumerate(rows):
+        pcol = next((k for k, x in enumerate(r) if x), None)
+        if pcol is None or pcol <= last or r[pcol] <= 0:
+            return False
+        if any(not 0 <= other[pcol] < r[pcol] for other in rows[:idx]):
+            return False
+        last = pcol
+    return True
 
 
-def test_snf_zero():
-    assert check_snf([[0]]) == [0]
+def sympy_row_lattice(rows):
+    """sympy's Hermite form of the lattice spanned by the rows (as columns of M^T)."""
+    if not any(any(r) for r in rows):
+        return None
+    return hermite_normal_form(Matrix(rows).T)
 
 
-def test_snf_random():
-    rng = random.Random(41)
-    for _ in range(60):
-        rows = rng.randrange(1, 5)
-        cols = rng.randrange(1, 5)
-        m = [[rng.randrange(-9, 10) for _ in range(cols)] for _ in range(rows)]
-        check_snf(m)
+def test_invariant_factors_match_sympy():
+    for m in random_matrices(101):
+        expected = [abs(int(d)) for d in sympy_invariant_factors(Matrix(m), domain=ZZ) if d]
+        assert invariant_factors(m) == expected, m
+
+
+def test_hermite_row_basis_matches_sympy():
+    for m in random_matrices(103):
+        basis = hermite_row_basis(m)
+        assert is_hermite(basis), m
+        assert hermite_row_basis(basis) == basis
+        assert sympy_row_lattice(basis) == sympy_row_lattice(m), m
+
+
+def test_integer_kernel_matches_sympy():
+    for m in random_matrices(107):
+        cols = len(m[0])
+        kernel = integer_kernel(sparse(m), cols)
+        for k in kernel:
+            assert all(sum(a * b for a, b in zip(r, k)) == 0 for r in m), m
+        assert is_hermite(kernel), m
+        assert len(kernel) == cols - Matrix(m).rank(), m
 
 
 def test_integer_kernel():
@@ -68,7 +93,7 @@ def test_integer_kernel():
         rows = rng.randrange(1, 4)
         cols = rng.randrange(1, 5)
         m = [[rng.randrange(-5, 6) for _ in range(cols)] for _ in range(rows)]
-        for vec in integer_kernel(m):
+        for vec in integer_kernel(sparse(m), cols):
             assert all(sum(m[i][j] * vec[j] for j in range(cols)) == 0 for i in range(rows))
 
 
@@ -80,7 +105,7 @@ def test_hermite_basis_canonical():
         # idempotent and invariant under unimodular recombination
         assert hermite_row_basis(basis) == basis
         w = helpers.random_unimodular(rng, 3)
-        mixed = matmul(w, rows)
+        mixed = helpers.matmul(w, rows)
         assert hermite_row_basis(mixed) == basis
 
 
@@ -105,7 +130,35 @@ def test_adapted_basis_examples():
     b3 = adapted_basis((1, 0, 0))
     assert sorted(map(tuple, b3)) == sorted(
         [(0, 0, 1), (1, 0, 0), (0, 1, 0)]
-    ) and abs(det(b3)) == 1
+    ) and abs(helpers.det(b3)) == 1
+
+
+# adapted_basis as computed by the earlier Smith-form implementation; the
+# Hermite form is unique, so the Hermite construction must reproduce it
+ADAPTED_BASES = [
+    ((1,), [[1]]),
+    ((-1,), [[-1]]),
+    ((0, 1), [[1, 0], [0, 1]]),
+    ((1, 0), [[0, 1], [1, 0]]),
+    ((1, 1), [[1, 0], [-1, 1]]),
+    ((2, 1), [[1, 0], [-2, 1]]),
+    ((1, -1), [[1, 0], [1, -1]]),
+    ((-3, 2), [[2, 1], [3, 2]]),
+    ((1, 0, 0), [[0, 0, 1], [1, 0, 0], [0, 1, 0]]),
+    ((0, 0, 1), [[1, 0, 0], [0, 1, 0], [0, 0, 1]]),
+    ((0, -1, 1), [[1, 0, 0], [0, 1, 0], [0, 1, 1]]),
+    ((2, 3, 5), [[1, 0, 0], [1, 5, 2], [-1, -3, -1]]),
+    ((-4, 6, 3), [[3, 0, 2], [0, 1, 0], [4, -2, 3]]),
+    ((1, 2, 1), [[1, 0, 0], [0, 1, 0], [-1, -2, 1]]),
+    ((3, -5, 7, 2), [[1, 0, 0, 0], [0, 1, 0, 0], [1, 1, 2, 1], [-5, -1, -7, -3]]),
+    ((0, 0, 0, 1), [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]),
+    ((-6, 10, 15, 0), [[5, 0, 0, 4], [0, 3, 0, 1], [2, -2, 0, 1], [0, 0, 1, 0]]),
+]
+
+
+@pytest.mark.parametrize("theta, expected", ADAPTED_BASES)
+def test_adapted_basis_table(theta, expected):
+    assert adapted_basis(theta) == expected
 
 
 def test_adapted_basis_random():
@@ -118,8 +171,15 @@ def test_adapted_basis_random():
         _, theta = primitive_part(theta)
         b = adapted_basis(theta)
         assert vec_mat(theta, b) == (0,) * (m - 1) + (1,)
-        assert abs(det(b)) == 1
+        assert abs(helpers.det(b)) == 1
+
+
+def test_adapted_basis_rejects_imprimitive():
+    with pytest.raises(ValueError):
+        adapted_basis((2, 4))
 
 
 def test_invariant_factors():
     assert invariant_factors([[1, 1], [0, 2]]) == [1, 2]
+    assert invariant_factors([[2, 0], [0, 3]]) == [1, 6]
+    assert invariant_factors([[0]]) == []

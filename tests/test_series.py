@@ -44,7 +44,7 @@ def test_substitute_example():
     f = u(th) * u(th)
     g = u(th) + u(th) * u(th)
     out = f.substitute([g])
-    assert out == TruncatedSeries.from_terms(
+    assert out == helpers.series_from_terms(
         th, 1, [((2,), th.one), ((3,), th.scalar(2))]
     )
 
@@ -85,7 +85,7 @@ def test_invert_geometric():
     th = helpers.ordinary(trunc=4)
     f = TruncatedSeries.one(th, 1) + u(th)
     inv = f.invert()
-    expect = TruncatedSeries.from_terms(
+    expect = helpers.series_from_terms(
         th, 1, [((k,), th.scalar((-1) ** k)) for k in range(5)]
     )
     assert inv == expect
@@ -135,7 +135,7 @@ def test_homogeneity_propagates():
 
 def test_format_series_order():
     th = helpers.ordinary()
-    f = TruncatedSeries.from_terms(
+    f = helpers.series_from_terms(
         th,
         2,
         [((0, 1), th.scalar(1)), ((1, 0), th.scalar(1)), ((1, 1), th.scalar(-2))],
