@@ -47,11 +47,15 @@ def transport(fgl: FormalGroupLaw, f: TruncatedSeries, basis_change) -> Truncate
     Row i of the matrix is the character whose class replaces the i-th
     variable, matching how characters pull back: a -> a @ B.
     """
-    m = f.nvars
-    if len(basis_change) != m:
+    if len(basis_change) != f.nvars:
         raise ValueError("basis change size does not match the variable count")
-    images = [character_class(fgl, tuple(basis_change[i]), m) for i in range(m)]
-    return f.substitute(images)
+    return f.substitute(_transport_images(fgl, basis_change))
+
+
+def _transport_images(fgl: FormalGroupLaw, basis_change) -> list[TruncatedSeries]:
+    """The classes of the characters in the rows of the basis change."""
+    m = len(basis_change)
+    return [character_class(fgl, tuple(row), m) for row in basis_change]
 
 
 @dataclass
@@ -111,7 +115,9 @@ class RestrictionIdeal:
 
     The generator is the d-series of the adapted last variable, where the
     character factors as d times a primitive one; basis_change moves the
-    ambient ring into the adapted coordinates.
+    ambient ring into the adapted coordinates, where the variables become the
+    classes in adapted_classes.  The ideal memoizes what the solver asks of
+    it per monomial and per degree.
     """
 
     fgl: FormalGroupLaw
@@ -119,14 +125,36 @@ class RestrictionIdeal:
     d: int
     theta: tuple[int, ...]
     basis_change: list
+    adapted_classes: list[TruncatedSeries]
     generator: TruncatedSeries
     order: int | None = None
     leading_unit: bool = False
+    _monomial_cache: dict = field(default_factory=dict, repr=False)
     _hermite_cache: dict = field(default_factory=dict, repr=False)
 
     @property
     def nvars(self) -> int:
         return len(self.weight)
+
+    @property
+    def residue_is_linear(self) -> bool:
+        """True when the generator is zero or has a unit leading coefficient,
+        as every nonzero one has over a graded field."""
+        return self.generator.is_zero() or self.leading_unit
+
+    def monomial_image(self, alpha) -> dict:
+        """Coefficients, by adapted monomial, of the residue of u^alpha when
+        the residue is linear, else of u^alpha in the adapted coordinates."""
+        img = self._monomial_cache.get(alpha)
+        if img is None:
+            th = self.fgl.theory
+            mono = TruncatedSeries(th, self.nvars, {alpha: th.one})
+            if self.residue_is_linear:
+                out = ideal_residue(mono, self)
+            else:
+                out = mono.substitute(self.adapted_classes)
+            img = self._monomial_cache[alpha] = {b: c.coeff for b, c in out.coeffs.items()}
+        return img
 
 
 def kernel_ideal(fgl: FormalGroupLaw, weight) -> RestrictionIdeal:
@@ -143,7 +171,8 @@ def kernel_ideal(fgl: FormalGroupLaw, weight) -> RestrictionIdeal:
     if order is not None:
         lead = gen.coefficient(tuple(0 if i < m - 1 else order for i in range(m)))
         leading_unit = lead.is_unit()
-    return RestrictionIdeal(fgl, weight, d, theta, b, gen, order, leading_unit)
+    classes = _transport_images(fgl, b)
+    return RestrictionIdeal(fgl, weight, d, theta, b, classes, gen, order, leading_unit)
 
 
 def weierstrass_remainder(f: TruncatedSeries, ideal: RestrictionIdeal) -> TruncatedSeries:
@@ -254,7 +283,7 @@ def ideal_residue(f: TruncatedSeries, ideal: RestrictionIdeal) -> TruncatedSerie
     in the ideal up to truncation."""
     if f.nvars != ideal.nvars:
         raise ValueError("series and ideal live over different tori")
-    adapted = transport(ideal.fgl, f, ideal.basis_change)
+    adapted = f.substitute(ideal.adapted_classes)
     if ideal.generator.is_zero():
         return adapted
     if ideal.leading_unit:

@@ -18,7 +18,7 @@ from .gkm import (
     validate_graph,
 )
 from .graphio import GraphFileError, build_class, load_graph_document
-from .localization import LocalizationError, integrate
+from .localization import LocalizationError, integrate, work_theory
 from .scalars import (
     MOD_P,
     MORAVA,
@@ -148,9 +148,7 @@ def cmd_integrate(args, out, err) -> int:
     theory = _theory_from_args(args)
     doc = _load_valid_graph(args, err)
     _banner_and_warnings(theory, doc.graph, out, err)
-    work = theory.rationalized() if theory.kind == ORDINARY else theory
-    fgl = build_fgl(work)
-    cls = build_class(doc, args.class_name, fgl)
+    cls = build_class(doc, args.class_name, build_fgl(work_theory(theory)))
     report = integrate(doc.graph, theory, cls)
     print(f"slope: {report.slope.vector}", file=out)
     if not report.slope.mod_p_generic:

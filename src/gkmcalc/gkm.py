@@ -2,30 +2,28 @@
 
 The solver works one even degree at a time: homogeneity makes the congruence
 system block-diagonal by degree, and each block is an exact linear problem on
-the coefficient vectors of the fixed-point tuples.  Graded-field coefficients
-go through Gaussian elimination; integral coefficients go through Hermite
-reduction, which gives the solution lattice's canonical basis, its free rank
-and its elementary divisors.
+the coefficient vectors of the fixed-point tuples.  One routine assembles that
+block as sparse rows for every coefficient ring; the elimination lives in the
+lattice module.  Over a graded field the block's kernel is read off its
+reduced row-echelon form; over Z and Z[b, b^-1] Hermite reduction gives the
+solution lattice's canonical basis, its free rank and its elementary divisors.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .classifying import (
-    RestrictionIdeal,
     _slice_monomials,
     ideal_multiples_basis,
     ideal_residue,
     kernel_ideal,
-    transport,
 )
 from .fgl import FormalGroupLaw, build_fgl
-from .lattice import integer_kernel, invariant_factors, vec_mat
-from .scalars import MORAVA, MULTIPLICATIVE, GradedScalar, Theory
-from .series import TruncatedSeries, monomial_key
+from .lattice import field_kernel, integer_kernel, invariant_factors, vec_mat
+from .scalars import GradedScalar, Theory
+from .series import TruncatedSeries
 
 
 @dataclass(frozen=True)
@@ -209,54 +207,6 @@ def satisfies_congruences(graph: GKMGraph, fgl: FormalGroupLaw, cls: Equivariant
 
 
 # ---------------------------------------------------------------------------
-# linear algebra over the graded fields
-
-
-def _field_kernel(rows, ncols, p):
-    """Canonical kernel basis of the row system; p=None means rationals."""
-    mat = [list(r) for r in rows]
-    if p:
-        mat = [[x % p for x in r] for r in mat]
-    else:
-        mat = [[Fraction(x) for x in r] for r in mat]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = None
-        for i in range(r, len(mat)):
-            if mat[i][c] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = pow(mat[r][c], -1, p) if p else 1 / mat[r][c]
-        mat[r] = [(x * inv) % p if p else x * inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                if p:
-                    mat[i] = [(x - f * y) % p for x, y in zip(mat[i], mat[r])]
-                else:
-                    mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        vec = [Fraction(0)] * ncols if not p else [0] * ncols
-        vec[free] = 1 if p else Fraction(1)
-        for prow, pcol in enumerate(pivots):
-            x = mat[prow][free]
-            if x != 0:
-                vec[pcol] = (-x) % p if p else -x
-        basis.append(tuple(vec))
-    return basis, len(pivots)
-
-
-# ---------------------------------------------------------------------------
 # the solver
 
 
@@ -272,34 +222,6 @@ class SolutionModule:
     primitive_variant_ranks: dict[int, int] | None = None
 
 
-class _EdgeData:
-    def __init__(self, edge: GKMEdge, ideal: RestrictionIdeal):
-        self.edge = edge
-        self.ideal = ideal
-        self.residue_cache: dict[tuple, dict] = {}
-        self.transport_cache: dict[tuple, TruncatedSeries] = {}
-
-    def residue_image(self, alpha) -> dict:
-        """Coefficients (by adapted monomial) of the residue of u^alpha."""
-        img = self.residue_cache.get(alpha)
-        if img is None:
-            th = self.ideal.fgl.theory
-            mono = TruncatedSeries(th, self.ideal.nvars, {alpha: th.one})
-            res = ideal_residue(mono, self.ideal)
-            img = {beta: c.coeff for beta, c in res.coeffs.items()}
-            self.residue_cache[alpha] = img
-        return img
-
-    def transported(self, alpha) -> TruncatedSeries:
-        t = self.transport_cache.get(alpha)
-        if t is None:
-            th = self.ideal.fgl.theory
-            mono = TruncatedSeries(th, self.ideal.nvars, {alpha: th.one})
-            t = transport(self.ideal.fgl, mono, self.ideal.basis_change)
-            self.transport_cache[alpha] = t
-        return t
-
-
 def solve_equivariant_cohomology(
     graph: GKMGraph,
     theory: Theory,
@@ -312,9 +234,9 @@ def solve_equivariant_cohomology(
     if q_max < 0 or q_max % 2:
         raise ValueError("q_max must be an even nonnegative integer")
     fgl = build_fgl(theory)
-    data = [_EdgeData(e, kernel_ideal(fgl, e.weight)) for e in graph.edges]
+    ideals = [kernel_ideal(fgl, e.weight) for e in graph.edges]
     # the residue computations need headroom for degrees up to q_max
-    need = q_max // 2 + max([1] + [d.ideal.order for d in data if d.ideal.order is not None])
+    need = q_max // 2 + max([1] + [i.order for i in ideals if i.order is not None])
     if need > theory.trunc:
         raise ValueError(
             f"truncation degree {theory.trunc} too small for q_max {q_max}: "
@@ -328,47 +250,30 @@ def solve_equivariant_cohomology(
     divisors: dict[int, list[int]] = {}
     provenance: dict[int, tuple[int, int]] = {}
 
-    # for periodic theories the constraint system only depends on q through
-    # the residue class of q/2 mod the periodicity step, so cache kernels
-    period_step = None
-    if theory.kind == MORAVA:
-        period_step = theory.p ** theory.n - 1
-    elif theory.kind == MULTIPLICATIVE:
-        period_step = 1
-    kernel_cache: dict[int, tuple] = {}
+    # multiplying by the periodicity unit maps the degree-q system onto the
+    # degree-(q + period_degree) one, so periodic theories solve each class
+    # of q/2 modulo the step once
+    step = theory.period_degree // 2
+    kernels: dict[int, tuple] = {}
 
     for q in range(0, q_max + 1, 2):
         monos = _slice_monomials(theory, m, q)
-        ncols = k * len(monos)
-        if ncols == 0:
-            ranks[q] = 0
-            bases[q] = []
-            divisors[q] = []
-            provenance[q] = (0, 0)
-            continue
-        cache_key = (q // 2) % period_step if period_step else None
-        cached = kernel_cache.get(cache_key) if period_step else None
-        if cached is None:
-            if theory.is_graded_field:
-                vecs, nrows, divs = _solve_field(theory, graph, data, monos, k)
-            else:
-                vecs, nrows, divs = _solve_integer(theory, graph, data, monos, k, q)
-            if period_step:
-                kernel_cache[cache_key] = (vecs, nrows, divs)
-        else:
-            vecs, nrows, divs = cached
+        key = (q // 2) % step if step else q
+        if key not in kernels:
+            kernels[key] = _solve_degree(theory, graph, ideals, monos, q)
+        vecs, nrows, divs = kernels[key]
         ranks[q] = len(vecs)
         divisors[q] = divs
-        provenance[q] = (ncols, nrows)
+        provenance[q] = (k * len(monos), nrows)
         bases[q] = [_class_from_vector(theory, graph, monos, vec, q) for vec in vecs]
 
     solution = SolutionModule(theory, graph, q_max, ranks, bases, divisors, provenance)
 
-    if compare_primitive and any(d.ideal.d > 1 for d in data):
+    if compare_primitive and any(i.d > 1 for i in ideals):
         primitive = GKMGraph(
             graph.rank,
             list(graph.vertices),
-            [GKMEdge(d.edge.tail, d.edge.head, d.ideal.theta) for d in data],
+            [GKMEdge(e.tail, e.head, i.theta) for e, i in zip(graph.edges, ideals)],
         )
         variant = solve_equivariant_cohomology(
             primitive, theory, q_max, compare_primitive=False
@@ -377,58 +282,36 @@ def solve_equivariant_cohomology(
     return solution
 
 
-def _solve_field(theory, graph, data, monos, k):
-    nm = len(monos)
-    ncols = k * nm
-    p = theory.char or None
-    rows = {}
-    for e_idx, ed in enumerate(data):
-        for j, (alpha, _vexp) in enumerate(monos):
-            img = ed.residue_image(alpha)
-            for beta, coeff in img.items():
-                row = rows.get((e_idx, beta))
-                if row is None:
-                    row = [0] * ncols
-                    rows[(e_idx, beta)] = row
-                row[ed.edge.tail * nm + j] += coeff
-                row[ed.edge.head * nm + j] -= coeff
-    ordered = [rows[key] for key in sorted(rows, key=lambda t: (t[0], monomial_key(t[1])))]
-    vecs, _rank = _field_kernel(ordered, ncols, p)
-    return vecs, len(ordered), []
-
-
-def _solve_integer(theory, graph, data, monos, k, q):
-    nm = len(monos)
-    ncols = k * nm
+def _solve_degree(theory, graph, ideals, monos, q):
+    """Kernel basis, constraint row count and elementary divisors of the
+    degree-q congruence system."""
+    ncols = len(graph.vertices) * len(monos)
     rows = []
     width = ncols
-    for ed in data:
-        ideal = ed.ideal
+    for edge, ideal in zip(graph.edges, ideals):
         rowmap = {}
-        if ideal.generator.is_zero() or ideal.leading_unit:
-            # the residue is linear with integer outputs: it must vanish
-            images = [ed.residue_image(alpha) for alpha, _v in monos]
-        else:
+        # a linear residue must vanish; otherwise the transported monomials
+        # come back and membership needs the slack columns below
+        images = [ideal.monomial_image(alpha) for alpha, _v in monos]
+        if not ideal.residue_is_linear:
             # membership in the ideal is a lattice condition: the transported
             # difference must be H^T y for the truncated multiples H of the
             # generator, with y in slack columns after the x columns
             ad_monos, multiples = ideal_multiples_basis(ideal, q)
-            images = [
-                {beta: c.coeff for beta, c in ed.transported(alpha).coeffs.items()}
-                for alpha, _v in monos
-            ]
             for h in multiples:
                 for (beta, _v), c in zip(ad_monos, h):
                     if c:
                         rowmap.setdefault(beta, {})[width] = -c
                 width += 1
-        tail, head = ed.edge.tail * nm, ed.edge.head * nm
+        tail, head = edge.tail * len(monos), edge.head * len(monos)
         for j, img in enumerate(images):
             for beta, coeff in img.items():
                 row = rowmap.setdefault(beta, {})
                 row[tail + j] = coeff
                 row[head + j] = -coeff
         rows.extend(rowmap.values())
+    if theory.is_graded_field:
+        return field_kernel(rows, ncols, theory.char), len(rows), []
     # the kernel's Hermite rows with a pivot among the x columns come first,
     # and their x parts are the Hermite basis of the solution lattice
     basis_rows = [v[:ncols] for v in integer_kernel(rows, width) if any(v[:ncols])]

@@ -1,17 +1,20 @@
-"""Exact integer linear algebra for characters and torus subgroups.
+"""Exact linear algebra: the solver's two eliminations and the integer
+lattice answers for characters and torus subgroups.
 
-Matrices are plain lists of rows of Python ints; the elimination works on
-sparse rows {column: entry}, which is also what integer_kernel takes.  One
-routine does all the elimination: hermite_row_basis puts the lattice spanned
-by some rows into its canonical row-Hermite form.  Kernels, adapted
-coordinates and invariant factors are all read off Hermite forms of augmented
-or transposed matrices.  Hermite forms are unique, so every answer is
-independent of the elimination order and downstream golden outputs are
-reproducible.
+Matrices are plain lists of rows; both eliminations work on sparse rows
+{column: entry}, which is also what the two kernel routines take.  Over the
+integers, hermite_row_basis puts the lattice spanned by some rows into its
+canonical row-Hermite form, and kernels, adapted coordinates and invariant
+factors are all read off Hermite forms of augmented or transposed matrices.
+Over the graded fields' degree-0 parts, F_p and Q, field_kernel reads the
+kernel off the reduced row-echelon form.  Both normal forms are unique, so
+every answer is independent of the elimination order and downstream golden
+outputs are reproducible.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import gcd
 
 
@@ -77,10 +80,13 @@ def _hermite(rows: list[dict]) -> list[dict]:
     return basis
 
 
-def _subtract(row: dict, other: dict, q: int) -> None:
-    """row -= q * other on sparse rows, dropping entries that become zero."""
+def _subtract(row: dict, other: dict, q, p: int = 0) -> None:
+    """row -= q * other on sparse rows, reduced mod p when p is nonzero,
+    dropping entries that become zero."""
     for k, x in other.items():
         y = row.get(k, 0) - q * x
+        if p:
+            y %= p
         if y:
             row[k] = y
         else:
@@ -106,6 +112,62 @@ def integer_kernel(rows: list[dict], cols: int) -> list[tuple[int, ...]]:
         for r in _hermite(aug)
         if min(r) >= n
     ]
+
+
+def field_kernel(rows: list[dict], cols: int, p: int) -> list[tuple]:
+    """Basis of the right kernel {x : A @ x = 0} over F_p, or over Q when
+    p = 0, where A is given by sparse rows {column: entry}.
+
+    There is one basis vector per free (non-pivot) column f of the reduced
+    row-echelon form R, in increasing f: 1 at f and -R[i][f] at the pivot
+    column of row i.  R is unique, so the basis does not depend on the row
+    order.
+    """
+    scalar = (lambda x: x % p) if p else Fraction
+    echelon = _reduced_echelon(
+        [{j: y for j, x in r.items() if (y := scalar(x))} for r in rows], p
+    )
+    vecs = {f: [0] * cols for f in range(cols) if f not in echelon}
+    for f, v in vecs.items():
+        v[f] = 1
+    for j, row in echelon.items():
+        for f, x in row.items():
+            if f != j:
+                vecs[f][j] = p - x if p else -x
+    return [tuple(v) for v in vecs.values()]
+
+
+def _reduced_echelon(rows: list[dict], p: int) -> dict[int, dict]:
+    """Reduced row-echelon form of sparse rows over F_p (over Q when p = 0),
+    as {pivot column: row with pivot entry 1}; consumes the rows.
+
+    Rows wait under their leading column, as in _hermite.  At each column the
+    shortest row led there becomes the pivot row, and the others lose that
+    column and move on.  A last pass clears the entries above the pivots,
+    from the last pivot back, so each row is reduced only against rows that
+    are already final.
+    """
+    waiting: dict[int, list[dict]] = {}
+    for r in rows:
+        if r:
+            waiting.setdefault(min(r), []).append(r)
+    echelon = {}
+    while waiting:
+        j = min(waiting)
+        pivot, *rest = sorted(waiting.pop(j), key=len)
+        inv = pow(pivot[j], -1, p) if p else 1 / pivot[j]
+        for k in pivot:
+            pivot[k] = pivot[k] * inv % p if p else pivot[k] * inv
+        for r in rest:
+            _subtract(r, pivot, r[j], p)
+            if r:
+                waiting.setdefault(min(r), []).append(r)
+        echelon[j] = pivot
+    for j in sorted(echelon, reverse=True):
+        row = echelon[j]
+        for c in [c for c in row if c != j and c in echelon]:
+            _subtract(row, echelon[c], row[c], p)
+    return echelon
 
 
 def invariant_factors(mat: Matrix) -> list[int]:

@@ -10,7 +10,7 @@ tracked precision.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import count
+from itertools import count, product
 
 from .fgl import FormalGroupLaw, build_fgl
 from .gkm import EquivariantClass, GKMGraph, validate_graph
@@ -50,10 +50,7 @@ def _box_points(m: int):
     """Positive integer vectors in growing boxes [1..s]^m, new points of each
     box in lexicographic order.  Every vector appears exactly once."""
     for s in count(1):
-        box = [()]
-        for _ in range(m):
-            box = [v + (e,) for v in box for e in range(1, s + 1)]
-        yield from sorted(v for v in box if max(v) == s)
+        yield from (v for v in product(range(1, s + 1), repeat=m) if max(v) == s)
 
 
 def iterate_generic_slopes(graph: GKMGraph, theory: Theory):
@@ -71,9 +68,7 @@ def iterate_generic_slopes(graph: GKMGraph, theory: Theory):
     p = theory.char or None
     mod_p_possible = False
     if p is not None:
-        box = [()]
-        for _ in range(m):
-            box = [v + (e,) for v in box for e in range(1, p + 1)]
+        box = product(range(1, p + 1), repeat=m)  # lazy: p^m points
         mod_p_possible = any(_slope_ok(graph, lam, p) for lam in box)
     if p is not None and mod_p_possible:
         for lam in _box_points(m):
@@ -146,6 +141,12 @@ class IntegrationReport:
     integral_is_integer: bool | None = None
 
 
+def work_theory(theory: Theory) -> Theory:
+    """The theory localization computes in: the integral theory extends its
+    scalars to the rationals, every other theory stays as it is."""
+    return theory.rationalized() if theory.kind == ORDINARY else theory
+
+
 def _rationalize_class(cls: EquivariantClass, qtheory: Theory) -> EquivariantClass:
     def conv(series: TruncatedSeries) -> TruncatedSeries:
         out = TruncatedSeries(qtheory, series.nvars)
@@ -168,11 +169,10 @@ def integrate(
         raise ValueError("invalid GKM graph: " + "; ".join(violations))
     if len(cls.restrictions) != len(graph.vertices):
         raise ValueError("class has the wrong number of fixed-point restrictions")
-    rationalized = theory.kind == ORDINARY
-    work_theory = theory.rationalized() if rationalized else theory
-    fgl = build_fgl(work_theory)
-    if rationalized:
-        cls = _rationalize_class(cls, work_theory)
+    work = work_theory(theory)
+    fgl = build_fgl(work)
+    if work != theory and all(f.theory == theory for f in cls.restrictions):
+        cls = _rationalize_class(cls, work)
     if slope is None:
         slope = find_generic_slope(graph, theory)
     elif not _slope_ok(graph, slope.vector, None):
@@ -183,13 +183,13 @@ def integrate(
     max_order = max(e.order for e in eulers)
     if degree is not None:
         need = degree // 2 + max_order + 2
-        if work_theory.trunc < need:
+        if work.trunc < need:
             raise LocalizationError(
-                f"truncation degree {work_theory.trunc} below the precision "
+                f"truncation degree {work.trunc} below the precision "
                 f"budget {need} for a degree-{degree} class"
             )
     localized = localize_class(fgl, cls, slope)
-    total = LaurentSeries.zero(work_theory)
+    total = LaurentSeries.zero(work)
     for f, eu in zip(localized, eulers):
         try:
             term = LaurentSeries.from_truncated(f).divide(eu.series)
@@ -203,7 +203,7 @@ def integrate(
         if total.prec is not None and total.prec <= 0:
             raise LocalizationError("precision exhausted before exponent 0")
         integral = total.coefficient(0)
-        if rationalized:
+        if work != theory:
             is_integer = integral.coeff.denominator == 1
     return IntegrationReport(
         slope, eulers, total, negative_clean, degree, top_degree, integral, is_integer

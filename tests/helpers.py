@@ -74,9 +74,15 @@ def _root(n, i, j):
     return tuple(v[:-1])
 
 
+def cpn(n):
+    """CP^n: n + 1 coordinate lines, joined by the roots e_j - e_i."""
+    pairs = itertools.combinations(range(n + 1), 2)
+    edges = [GKMEdge(i, j, _root(n + 1, i, j)) for i, j in pairs]
+    return GKMGraph(n, [f"L{i}" for i in range(n + 1)], edges)
+
+
 def cp3():
-    edges = [GKMEdge(i, j, _root(4, i, j)) for i, j in itertools.combinations(range(4), 2)]
-    return GKMGraph(3, [f"L{i}" for i in range(4)], edges)
+    return cpn(3)
 
 
 def fl3():

@@ -84,6 +84,33 @@ def test_build_class_checks_degree(tmp_path):
 
 # ---- CLI goldens -----------------------------------------------------------
 
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+
+# golden file stem -> (argv with graph file names, exit code); the README's
+# four commands first, then one solve per coefficient-ring path
+GOLDEN_COMMANDS = {
+    "readme-fgl": ("fgl --theory morava --p 2 --n 1 --trunc 8 --ell 2", 0),
+    "readme-solve": ("solve cp2.json --theory morava --p 2 --n 1 --trunc 6 --qmax 6", 0),
+    "readme-integrate": ("integrate cp2.json --theory ordinary --trunc 8 --class H2", 0),
+    "readme-check-formality": (
+        "check-formality cp1xcp1.json --theory morava --p 3 --n 1 --trunc 6", 0,
+    ),
+    "solve-cp1xcp1-mod3": ("solve cp1xcp1.json --theory mod-p --p 3", 0),
+    "solve-cp2-ordinary": ("solve cp2.json --theory ordinary --qmax 6", 0),
+    "solve-cp1xcp1-mult": ("solve cp1xcp1.json --theory mult --trunc 6 --qmax 6", 0),
+}
+
+
+@pytest.mark.parametrize("stem", sorted(GOLDEN_COMMANDS))
+def test_cli_stdout_matches_golden(stem):
+    command, expected_code = GOLDEN_COMMANDS[stem]
+    argv = [graph_path(a) if a.endswith(".json") else a for a in command.split()]
+    code, out, _ = run_cli(*argv)
+    with open(os.path.join(GOLDEN, stem + ".txt"), encoding="utf-8", newline="") as fh:
+        expected = fh.read()
+    assert code == expected_code
+    assert out == expected
+
 
 def test_cli_fgl_morava_two_series():
     code, out, _ = run_cli(

@@ -354,3 +354,22 @@ def test_mod_p_unit_weights_match_rational_ranks():
             solve_equivariant_cohomology(g, tp, 6).ranks
             == solve_equivariant_cohomology(g, tq, 6).ranks
         )
+
+
+def test_character_classes_built_once_per_edge(monkeypatch):
+    # each kernel ideal builds the classes of its m adapted characters once;
+    # the residues of every monomial in every degree substitute those
+    import gkmcalc.classifying as classifying
+
+    calls = []
+    original = classifying.character_class
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(classifying, "character_class", counting)
+    g = helpers.cp2()
+    sol = solve_equivariant_cohomology(g, helpers.morava(2, 1, trunc=6), 6)
+    assert check_formality(g, helpers.CP2_BETTI, sol).passed
+    assert len(calls) == g.rank * len(g.edges)

@@ -1,15 +1,19 @@
-"""Integer linear algebra: Hermite bases, kernels, invariant factors and
-adapted coordinates, checked against sympy as an independent oracle."""
+"""Exact linear algebra: Hermite bases, kernels over Z and over fields,
+invariant factors and adapted coordinates, checked against sympy as an
+independent oracle."""
 
 import random
+from fractions import Fraction
 
 import pytest
-from sympy import Matrix, ZZ
+from sympy import GF, QQ, Matrix, ZZ
+from sympy.polys.matrices import DomainMatrix
 from sympy.matrices.normalforms import hermite_normal_form
 from sympy.matrices.normalforms import invariant_factors as sympy_invariant_factors
 
 from gkmcalc.lattice import (
     adapted_basis,
+    field_kernel,
     hermite_row_basis,
     integer_kernel,
     invariant_factors,
@@ -21,12 +25,12 @@ from gkmcalc.lattice import (
 import helpers
 
 
-def random_matrices(seed, count=220):
-    """Seeded random matrices up to 6x6 with small entries; some have zero
-    rows or zero columns, and a few are entirely zero."""
+def random_matrices(seed, count=220, max_cols=6):
+    """Seeded random matrices up to 6 x max_cols with small entries; some have
+    zero rows or zero columns, and a few are entirely zero."""
     rng = random.Random(seed)
     for _ in range(count):
-        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        rows, cols = rng.randint(1, 6), rng.randint(1, max_cols)
         m = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
         if rng.random() < 0.3:
             m[rng.randrange(rows)] = [0] * cols
@@ -85,6 +89,54 @@ def test_integer_kernel_matches_sympy():
             assert all(sum(a * b for a, b in zip(r, k)) == 0 for r in m), m
         assert is_hermite(kernel), m
         assert len(kernel) == cols - Matrix(m).rank(), m
+
+
+def sympy_free_column_basis(m, p):
+    """The kernel basis read off sympy's reduced row-echelon form over GF(p)
+    (QQ when p = 0): per free column f, 1 at f and -R[i][f] at pivot i."""
+    field = GF(p) if p else QQ
+    cols = len(m[0])
+    rref, pivots = DomainMatrix([[field(x) for x in r] for r in m], (len(m), cols), field).rref()
+    rref = rref.to_list()
+
+    def plain(x):
+        return int(x) % p if p else Fraction(int(x.numerator), int(x.denominator))
+
+    basis = []
+    for f in range(cols):
+        if f in pivots:
+            continue
+        v = [0] * cols
+        v[f] = 1
+        for i, pc in enumerate(pivots):
+            v[pc] = plain(-rref[i][f])
+        basis.append(tuple(v))
+    return basis
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 0])
+def test_field_kernel_matches_sympy(p):
+    rng = random.Random(200 + p)
+    for m in random_matrices(211 + p, max_cols=7):
+        cols = len(m[0])
+        kernel = field_kernel(sparse(m), cols, p)
+        for k in kernel:
+            dots = [sum(a * b for a, b in zip(r, k)) for r in m]
+            assert all((d % p if p else d) == 0 for d in dots), m
+        field = GF(p) if p else QQ
+        nullity = cols - DomainMatrix([[field(x) for x in r] for r in m], (len(m), cols), field).rank()
+        assert len(kernel) == nullity, m
+        assert kernel == sympy_free_column_basis(m, p), m
+        shuffled = list(m)
+        rng.shuffle(shuffled)
+        assert field_kernel(sparse(shuffled), cols, p) == kernel, m
+
+
+def test_field_kernel_reduces_entries_mod_p():
+    # 4 = 1 and 6 = 0 mod 3, so the one condition reads x0 = 0
+    assert field_kernel([{0: 4, 1: 6}], 2, 3) == [(0, 1)]
+    assert field_kernel([{0: 4, 1: 6}], 2, 0) == [(Fraction(-3, 2), 1)]
+    assert field_kernel([], 2, 2) == [(1, 0), (0, 1)]
 
 
 def test_integer_kernel():

@@ -1,8 +1,9 @@
 """Generic slopes, Euler classes, and the localization integral."""
 
 import random
+import tracemalloc
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, product
 
 import pytest
 
@@ -19,7 +20,7 @@ from gkmcalc import (
     localize_class,
     solve_equivariant_cohomology,
 )
-from gkmcalc.localization import GenericSlope, pairing
+from gkmcalc.localization import GenericSlope, _box_points, pairing, work_theory
 
 import helpers
 
@@ -51,6 +52,30 @@ def test_slope_cp2_mod3_exists():
     assert slope.mod_p_generic
     for w in ((1, 0), (0, 1), (-1, 1)):
         assert pairing(w, slope.vector) % 3 != 0
+
+
+def test_box_points_order():
+    # each box's new points, lexicographically, box after box
+    expected = [
+        v
+        for s in range(1, 5)
+        for v in sorted(product(range(1, s + 1), repeat=3))
+        if max(v) == s
+    ]
+    assert list(islice(_box_points(3), len(expected))) == expected
+
+
+def test_slope_search_is_lazy():
+    # the mod-31 period box of CP^4 holds 31^4 slopes; the search stops at
+    # the first good one instead of building the box
+    tracemalloc.start()
+    try:
+        slope = find_generic_slope(helpers.cpn(4), helpers.modp(31))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert slope == GenericSlope((1, 2, 3, 4), True)
+    assert peak < 5_000_000
 
 
 def test_localize_character_class_additivity():
@@ -108,7 +133,7 @@ def test_cp1_euler_integral_every_theory():
         helpers.morava(2, 1),
         helpers.morava(3, 1),
     ):
-        work = th.rationalized() if th.kind == "ordinary-integral" else th
+        work = work_theory(th)
         fgl = build_fgl(work)
         cls = EquivariantClass(
             (character_class(fgl, (1,)), TruncatedSeries.zero(work, 1)), 2
@@ -139,6 +164,17 @@ def test_cp2_hyperplane_squared_integral():
     assert report.integral == tq.scalar(Fraction(1))
     assert report.integral_is_integer
     assert report.negative_clean
+
+
+def test_integral_class_is_extended_to_the_rationals():
+    th = helpers.ordinary()
+    fz = build_fgl(th)
+    zero = TruncatedSeries.zero(th, 2)
+    h1 = character_class(fz, (1, 0))
+    h2 = character_class(fz, (0, 1))
+    report = integrate(helpers.cp2(), th, EquivariantClass((zero, h1 * h1, h2 * h2), 4))
+    assert report.integral == work_theory(th).scalar(Fraction(1))
+    assert report.integral_is_integer
 
 
 def test_slope_independence():
