@@ -4,7 +4,10 @@ Character classes in the torus ring, presentations of the classifying rings
 of cyclic groups, and the kernel ideal of restriction to the kernel of a
 character.  The kernel of restriction is modeled as the principal ideal
 generated by the d-series of the primitive part's class, in coordinates
-adapted to the character; see the design notes for which theories pin this
+adapted to the character: the relation of the cyclic ring E*[[u]]/([d]u)
+composed with the adapted last variable u_m.  When that relation has a unit
+leading coefficient it is u_m^nu times a unit, so the residue of a series is
+its cut at u_m-exponent nu; see the design notes for which theories pin this
 down and which are exposed as a conjectural model.
 """
 
@@ -20,7 +23,7 @@ from .lattice import (
     reduce_vector_mod_lattice,
 )
 from .scalars import MORAVA, GradedScalar, Theory
-from .series import TruncatedSeries, exponent_vectors, monomial_key
+from .series import TruncatedSeries, exponent_vectors
 
 
 def character_class(fgl: FormalGroupLaw, weight, nvars: int | None = None) -> TruncatedSeries:
@@ -36,7 +39,7 @@ def character_class(fgl: FormalGroupLaw, weight, nvars: int | None = None) -> Tr
     for i, a in enumerate(weight):
         if a == 0:
             continue
-        term = fgl.n_series(a, TruncatedSeries.variable(th, nvars, i))
+        term = fgl.n_series(a).substitute([TruncatedSeries.variable(th, nvars, i)])
         out = term if out.is_zero() else fgl.sum(out, term)
     return out
 
@@ -80,32 +83,39 @@ class CyclicRingPresentation:
         return (self.theory.kind, self.theory.p, self.theory.n, None, self.relation.coeffs == {})
 
 
+def relation_order(fgl: FormalGroupLaw, ell: int) -> int | None:
+    """The u-order of [ell]u for ell >= 1: p^{n r} at height n with
+    ell = p^r s, also beyond the truncation; otherwise the order of the
+    truncated series, None when it vanishes."""
+    th = fgl.theory
+    if th.kind != MORAVA:
+        return fgl.n_series(ell).order()
+    r = 0
+    while ell % th.p == 0:
+        ell //= th.p
+        r += 1
+    return th.p ** (r * th.n)
+
+
 def cyclic_classifying_ring(fgl: FormalGroupLaw, ell: int) -> CyclicRingPresentation:
     if ell < 1:
         raise ValueError("the group order must be a positive integer")
     th = fgl.theory
+    order = relation_order(fgl, ell)
+    if order is not None and order > th.trunc:
+        raise ValueError(
+            f"truncation degree {th.trunc} cannot present the order-{ell} "
+            f"ring: its relation has order {order}"
+        )
     rel = fgl.n_series(ell)
-    order = rel.order()
+    if rel.order() != order:
+        raise AssertionError(
+            f"[{ell}]-series of the height-{th.n} theory has order {rel.order()}, "
+            f"expected {order}"
+        )
     rank = None
     if order is not None and rel.coefficient((order,)).is_unit():
         rank = order
-    if th.kind == MORAVA:
-        r = 0
-        m = ell
-        while m % th.p == 0:
-            m //= th.p
-            r += 1
-        expected = th.p ** (r * th.n)
-        if expected > th.trunc:
-            raise ValueError(
-                f"truncation degree {th.trunc} cannot present the order-{ell} "
-                f"ring: its relation has order {expected}"
-            )
-        if order != expected or rank != expected:
-            raise AssertionError(
-                f"[{ell}]-series of the height-{th.n} theory has order {order}, "
-                f"expected {expected}"
-            )
     return CyclicRingPresentation(th, ell, rel, order, rank)
 
 
@@ -113,11 +123,13 @@ def cyclic_classifying_ring(fgl: FormalGroupLaw, ell: int) -> CyclicRingPresenta
 class RestrictionIdeal:
     """The kernel of restriction to ker(theta), as a principal ideal.
 
-    The generator is the d-series of the adapted last variable, where the
-    character factors as d times a primitive one; basis_change moves the
-    ambient ring into the adapted coordinates, where the variables become the
-    classes in adapted_classes.  The ideal memoizes what the solver asks of
-    it per monomial and per degree.
+    The generator is the d-series of the adapted last variable u_m, where the
+    character factors as d times a primitive one; order and leading_unit are
+    those of the cyclic ring E*[[u]]/([d]u).  A unit-lead generator is
+    u_m^order times a unit, so the residue modulo it is the cut below
+    u_m^order.  basis_change moves the ambient ring into the adapted
+    coordinates, where the variables become the classes in adapted_classes.
+    The ideal memoizes what the solver asks of it per monomial and per degree.
     """
 
     fgl: FormalGroupLaw
@@ -164,66 +176,12 @@ def kernel_ideal(fgl: FormalGroupLaw, weight) -> RestrictionIdeal:
     d, theta = primitive_part(weight)
     b = adapted_basis(theta)
     m = len(weight)
-    last = TruncatedSeries.variable(fgl.theory, m, m - 1)
-    gen = fgl.n_series(d, last)
-    order = gen.order()
-    leading_unit = False
-    if order is not None:
-        lead = gen.coefficient(tuple(0 if i < m - 1 else order for i in range(m)))
-        leading_unit = lead.is_unit()
+    ring = cyclic_classifying_ring(fgl, d)
+    gen = ring.relation.substitute([TruncatedSeries.variable(fgl.theory, m, m - 1)])
     classes = _transport_images(fgl, b)
-    return RestrictionIdeal(fgl, weight, d, theta, b, classes, gen, order, leading_unit)
-
-
-def weierstrass_remainder(f: TruncatedSeries, ideal: RestrictionIdeal) -> TruncatedSeries:
-    """Canonical remainder of f modulo the generator, which must have a unit
-    leading coefficient in the adapted last variable.
-
-    Terms are eliminated in increasing total degree; each elimination only
-    creates terms of strictly higher total degree, so this terminates at the
-    truncation and yields the unique remainder with last-variable order below
-    the generator's.
-    """
-    th = f.theory
-    m = f.nvars
-    nu = ideal.order
-    gen = ideal.generator
-    lead_alpha = tuple(0 if i < m - 1 else nu for i in range(m))
-    lead_inv = gen.coefficient(lead_alpha).inverse()
-    work = dict(f.coeffs)
-    remainder = {}
-    for d in range(th.trunc + 1):
-        layer = [a for a in work if sum(a) == d]
-        layer.sort(key=monomial_key)
-        for alpha in layer:
-            c = work.pop(alpha, None)
-            if c is None or c.is_zero():
-                continue
-            if alpha[-1] < nu:
-                remainder[alpha] = c
-                continue
-            # subtract (c / lead) * u^(alpha - nu e_m) * gen; popping alpha
-            # already cancelled the leading term, and every other target has
-            # strictly larger total degree and last-variable order >= nu
-            factor = c * lead_inv
-            shift = alpha[:-1] + (alpha[-1] - nu,)
-            for galpha, gc in gen.coeffs.items():
-                if galpha == lead_alpha:
-                    continue
-                target = tuple(shift[i] + galpha[i] for i in range(m))
-                if sum(target) > th.trunc:
-                    continue
-                delta = factor * gc
-                cur = work.get(target)
-                new = -delta if cur is None else cur - delta
-                if new.is_zero():
-                    work.pop(target, None)
-                else:
-                    work[target] = new
-    assert not work, "unreduced terms escaped the elimination"
-    out = TruncatedSeries(th, m)
-    out.coeffs = {a: c for a, c in remainder.items() if not c.is_zero()}
-    return out
+    return RestrictionIdeal(
+        fgl, weight, d, theta, b, classes, gen, ring.order, ring.rank is not None
+    )
 
 
 def _slice_monomials(theory: Theory, nvars: int, q: int):
@@ -284,14 +242,17 @@ def ideal_residue(f: TruncatedSeries, ideal: RestrictionIdeal) -> TruncatedSerie
     if f.nvars != ideal.nvars:
         raise ValueError("series and ideal live over different tori")
     adapted = f.substitute(ideal.adapted_classes)
-    if ideal.generator.is_zero():
-        return adapted
-    if ideal.leading_unit:
-        return weierstrass_remainder(adapted, ideal)
-    # integral coefficients with a non-unit leading term: reduce each
-    # homogeneous component against the lattice of truncated multiples
     th = f.theory
     m = f.nvars
+    if ideal.residue_is_linear:
+        # the generator is zero or u_m^order times a unit: keep the terms
+        # below u_m^order, or all of them
+        nu = ideal.order
+        out = TruncatedSeries(th, m)
+        out.coeffs = {a: c for a, c in adapted.coeffs.items() if nu is None or a[-1] < nu}
+        return out
+    # integral coefficients with a non-unit leading term: reduce each
+    # homogeneous component against the lattice of truncated multiples
     out = TruncatedSeries.zero(th, m)
     degrees = sorted({c.degree + 2 * sum(a) for a, c in adapted.coeffs.items()})
     for q in degrees:

@@ -42,37 +42,40 @@ class FormalGroupLaw:
         return self.series.substitute([a, b])
 
     def inverse(self, a: TruncatedSeries) -> TruncatedSeries:
-        """The formal inverse i(a) with F(a, i(a)) = 0, solved degree by degree."""
+        """The formal inverse i(a) = [-1](a), with F(a, i(a)) = 0."""
         if not a.constant_term().is_zero():
             raise ValueError("formal inverse needs a zero constant term")
-        inv = -a
-        for target in range(2, self.theory.trunc + 1):
-            err = self.sum(a, inv).variable_degree_component(target)
-            if not err.is_zero():
-                inv = inv - err
-        return inv
+        return self.n_series(-1).substitute([a])
 
-    def n_series(self, ell: int, s: TruncatedSeries | None = None) -> TruncatedSeries:
-        """[ell]-fold formal sum of s (default: the one-variable generator)."""
-        if s is None:
-            cached = self._nseries_cache.get(ell)
-            if cached is not None:
-                return cached
-            value = self.n_series(ell, TruncatedSeries.variable(self.theory, 1, 0))
-            self._nseries_cache[ell] = value
-            return value
+    def n_series(self, ell: int) -> TruncatedSeries:
+        """The one-variable [ell]-series, built once per ell and composed
+        wherever it is needed: [-1] is solved degree by degree from
+        F(u, [-1]u) = 0, [-ell] = [ell] o [-1], and ell >= 2 doubles."""
+        cached = self._nseries_cache.get(ell)
+        if cached is not None:
+            return cached
+        th = self.theory
+        u = TruncatedSeries.variable(th, 1, 0)
         if ell == 0:
-            return TruncatedSeries.zero(self.theory, s.nvars)
-        if ell < 0:
-            return self.inverse(self.n_series(-ell, s))
-        if ell == 1:
-            return s
-        q, r = divmod(ell, 2)
-        half = self.n_series(q, s)
-        out = self.sum(half, half)
-        if r:
-            out = self.sum(out, s)
-        return out
+            value = TruncatedSeries.zero(th, 1)
+        elif ell == 1:
+            value = u
+        elif ell == -1:
+            value = -u
+            for target in range(2, th.trunc + 1):
+                err = self.sum(u, value).variable_degree_component(target)
+                if not err.is_zero():
+                    value = value - err
+        elif ell < 0:
+            value = self.n_series(-ell).substitute([self.n_series(-1)])
+        else:
+            q, r = divmod(ell, 2)
+            half = self.n_series(q)
+            value = self.sum(half, half)
+            if r:
+                value = self.sum(value, u)
+        self._nseries_cache[ell] = value
+        return value
 
     def __str__(self):
         return format_series(self.series, ["x", "y"])

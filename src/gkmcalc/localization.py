@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import count, product
 
+from .classifying import relation_order
 from .fgl import FormalGroupLaw, build_fgl
 from .gkm import EquivariantClass, GKMGraph, validate_graph
 from .scalars import ORDINARY, GradedScalar, Theory
@@ -97,6 +98,20 @@ class VertexEuler:
     order: int
 
 
+def _euler_orders(graph: GKMGraph, fgl: FormalGroupLaw, slope: GenericSlope) -> list[int | None]:
+    """Each vertex's Euler order, read off its pairings before any series is
+    built: the sum of the orders of the cyclic rings' relations [t]u, None
+    where one of them vanishes."""
+    out = []
+    for i in range(len(graph.vertices)):
+        orders = [
+            relation_order(fgl, abs(pairing(w, slope.vector)))
+            for w in graph.outgoing_weights(i)
+        ]
+        out.append(None if None in orders else sum(orders))
+    return out
+
+
 def euler_classes(graph: GKMGraph, fgl: FormalGroupLaw, slope: GenericSlope) -> list[VertexEuler]:
     th = fgl.theory
     out = []
@@ -123,9 +138,8 @@ def euler_classes(graph: GKMGraph, fgl: FormalGroupLaw, slope: GenericSlope) -> 
 
 def localize_class(fgl: FormalGroupLaw, cls: EquivariantClass, slope: GenericSlope) -> list[TruncatedSeries]:
     """Substitute u_i -> [slope_i] s in every fixed-point restriction."""
-    th = fgl.theory
     m = cls.restrictions[0].nvars
-    images = [fgl.n_series(slope.vector[i], TruncatedSeries.variable(th, 1, 0)) for i in range(m)]
+    images = [fgl.n_series(slope.vector[i]) for i in range(m)]
     return [f.substitute(images) for f in cls.restrictions]
 
 
@@ -177,17 +191,19 @@ def integrate(
         slope = find_generic_slope(graph, theory)
     elif not _slope_ok(graph, slope.vector, None):
         raise LocalizationError(f"slope {slope.vector} is not generic for this graph")
-    eulers = euler_classes(graph, fgl, slope)
     degree = cls.degree if cls.degree is not None else cls.computed_degree()
     top_degree = 2 * graph.valence(0)
-    max_order = max(e.order for e in eulers)
-    if degree is not None:
-        need = degree // 2 + max_order + 2
+    # the budget is checked before the Euler classes are built, so that a
+    # truncation too small for them is refused as such
+    orders = _euler_orders(graph, fgl, slope)
+    if degree is not None and None not in orders:
+        need = degree // 2 + max(orders) + 2
         if work.trunc < need:
             raise LocalizationError(
                 f"truncation degree {work.trunc} below the precision "
                 f"budget {need} for a degree-{degree} class"
             )
+    eulers = euler_classes(graph, fgl, slope)
     localized = localize_class(fgl, cls, slope)
     total = LaurentSeries.zero(work)
     for f, eu in zip(localized, eulers):

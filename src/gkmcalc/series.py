@@ -228,7 +228,7 @@ class TruncatedSeries:
 
     def __pow__(self, k: int) -> "TruncatedSeries":
         if k < 0:
-            raise ValueError("negative powers are not defined; use invert()")
+            raise ValueError("negative powers of a truncated series are not defined")
         result = TruncatedSeries.one(self.theory, self.nvars)
         base = self
         while k:
@@ -293,24 +293,6 @@ class TruncatedSeries:
                 continue
             out = out + term.scale(c)
         return out
-
-    def invert(self) -> "TruncatedSeries":
-        """Multiplicative inverse; the constant term must be a unit."""
-        c0 = self.constant_term()
-        if not c0.is_unit():
-            raise LeadingUnitError("constant term is not a unit")
-        th = self.theory
-        inv0 = c0.inverse()
-        one = TruncatedSeries.one(th, self.nvars)
-        h = one - self.scale(inv0)  # order >= 1
-        acc = one
-        powh = one
-        for _ in range(th.trunc):
-            powh = powh * h
-            if powh.is_zero():
-                break
-            acc = acc + powh
-        return acc.scale(inv0)
 
     def __str__(self):
         return format_series(self)

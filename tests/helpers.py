@@ -220,3 +220,50 @@ def random_curve_element(rng: random.Random, theory, nvars, terms=4):
         c = GradedScalar(theory, rng.randrange(-4, 5), vexp)
         out = out + TruncatedSeries(theory, nvars, {alpha: c})
     return out
+
+
+def degree_by_degree_inverse(fgl, a):
+    """The formal inverse of a, solved degree by degree from F(a, i(a)) = 0."""
+    inv = -a
+    for target in range(2, fgl.theory.trunc + 1):
+        err = fgl.sum(a, inv).variable_degree_component(target)
+        if not err.is_zero():
+            inv = inv - err
+    return inv
+
+
+def reduce_in_var(f, rel, var):
+    """Weierstrass elimination of f by the one-variable relation rel, read in
+    variable var: the remainder with var-exponent below the order of rel,
+    whose leading coefficient must be a unit.  A zero relation keeps f."""
+    if rel.is_zero():
+        return f
+    th = f.theory
+    nu = rel.order()
+    lead_inv = rel.coefficient((nu,)).inverse()
+    work = dict(f.coeffs)
+    done = {}
+    for d in range(th.trunc + 1):
+        for alpha in sorted(a for a in work if sum(a) == d):
+            c = work.pop(alpha)
+            if alpha[var] < nu:
+                done[alpha] = c
+                continue
+            for (k,), gc in rel.coeffs.items():
+                if k == nu:
+                    continue  # cancelled by the pop
+                target = list(alpha)
+                target[var] += k - nu
+                target = tuple(target)
+                if sum(target) > th.trunc:
+                    continue
+                delta = c * lead_inv * gc
+                cur = work.get(target)
+                new = -delta if cur is None else cur - delta
+                if new.is_zero():
+                    work.pop(target, None)
+                else:
+                    work[target] = new
+    out = TruncatedSeries(th, f.nvars)
+    out.coeffs = done
+    return out

@@ -91,37 +91,6 @@ def test_kunneth_product_ranks():
     # ell = 12 = 4 * 3: order p^2, and the relation is not a bare monomial
     r2 = cyclic_classifying_ring(fgl, 12)
 
-    def reduce_in_var(f, rel, var):
-        # weierstrass reduction by a relation in the chosen variable
-        nu = rel.order()
-        lead_inv = rel.coefficient((nu,)).inverse()
-        work = dict(f.coeffs)
-        done = {}
-        for d in range(th.trunc + 1):
-            for alpha in sorted(a for a in work if sum(a) == d):
-                c = work.pop(alpha)
-                if alpha[var] < nu:
-                    done[alpha] = c
-                    continue
-                for (k,), gc in rel.coeffs.items():
-                    if k == nu:
-                        continue  # cancelled by the pop
-                    target = list(alpha)
-                    target[var] += k - nu
-                    target = tuple(target)
-                    if sum(target) > th.trunc:
-                        continue
-                    delta = c * lead_inv * gc
-                    cur = work.get(target)
-                    new = -delta if cur is None else cur - delta
-                    if new.is_zero():
-                        work.pop(target, None)
-                    else:
-                        work[target] = new
-        out = TruncatedSeries(th, 2)
-        out.coeffs = done
-        return out
-
     rel1 = TruncatedSeries(th, 2, {(k, 0): c for (k,), c in r1.relation.coeffs.items()})
     rel2 = TruncatedSeries(th, 2, {(0, k): c for (k,), c in r2.relation.coeffs.items()})
     from gkmcalc.series import exponent_vectors
@@ -129,7 +98,9 @@ def test_kunneth_product_ranks():
     survivors = []
     for alpha in exponent_vectors(2, th.trunc):
         mono = TruncatedSeries(th, 2, {alpha: th.one})
-        red = reduce_in_var(reduce_in_var(mono, r1.relation, 0), r2.relation, 1)
+        red = helpers.reduce_in_var(
+            helpers.reduce_in_var(mono, r1.relation, 0), r2.relation, 1
+        )
         if red == mono:
             survivors.append(alpha)
         # membership in the product ideal: both relations kill their variable
@@ -221,6 +192,31 @@ def test_residue_well_defined_mod_ideal():
                 lhs = ideal_residue(f * h + chi * k, ideal)
                 rhs = ideal_residue(f * h, ideal)
                 assert lhs == rhs
+
+
+def test_residue_matches_weierstrass_oracle():
+    # a linear residue is the cut below the generator's order; the oracle
+    # eliminates the adapted series against the d-series term by term
+    rng = random.Random(73)
+    cases = [(helpers.morava(2, 1, trunc=8), d) for d in (1, 2, 3, 6)]
+    cases += [
+        (helpers.morava(2, 2, trunc=8), 2),
+        (helpers.morava(3, 1, trunc=8), 3),
+        (helpers.modp(3, trunc=6), 1),
+        (helpers.modp(3, trunc=6), 3),
+        (helpers.mult(trunc=6), 1),
+        (helpers.ordinary(trunc=6), 1),
+    ]
+    for th, d in cases:
+        fgl = build_fgl(th)
+        for theta in ((0, 1), (1, 2), (2, -1, 1)):
+            ideal = kernel_ideal(fgl, tuple(d * a for a in theta))
+            assert ideal.residue_is_linear
+            for _ in range(3):
+                f = helpers.random_series(rng, th, len(theta), terms=5)
+                adapted = f.substitute(ideal.adapted_classes)
+                expect = helpers.reduce_in_var(adapted, fgl.n_series(d), len(theta) - 1)
+                assert ideal_residue(f, ideal) == expect
 
 
 def test_kernel_ideal_coordinate_independent():

@@ -98,6 +98,16 @@ GOLDEN_COMMANDS = {
     "solve-cp1xcp1-mod3": ("solve cp1xcp1.json --theory mod-p --p 3", 0),
     "solve-cp2-ordinary": ("solve cp2.json --theory ordinary --qmax 6", 0),
     "solve-cp1xcp1-mult": ("solve cp1xcp1.json --theory mult --trunc 6 --qmax 6", 0),
+    # negative [ell]-series: printed directly, and inside Euler classes
+    "fgl-morava-p2n1-minus3": ("fgl --theory morava --p 2 --n 1 --trunc 12 --ell -3", 0),
+    "fgl-mult-minus3": ("fgl --theory mult --trunc 8 --ell -3", 0),
+    "integrate-cp1xcp1-morava-pt": (
+        "integrate cp1xcp1.json --theory morava --p 2 --n 1 --trunc 12 --class pt", 0,
+    ),
+    "integrate-cp2-morava-h2": (
+        "integrate cp2.json --theory morava --p 2 --n 2 --trunc 12 --class H2", 0,
+    ),
+    "integrate-cp1xcp1-mult-pt": ("integrate cp1xcp1.json --theory mult --trunc 10 --class pt", 0),
 }
 
 
@@ -261,6 +271,49 @@ def test_cli_integrate_precision_exhausted_exit_4():
     )
     assert code == 4
     assert "precision" in err or "budget" in err
+
+
+def _write_graph(path, graph, classes=None):
+    names = graph.vertices
+    doc = {
+        "torus_rank": graph.rank,
+        "vertices": names,
+        "edges": [
+            {"tail": names[e.tail], "head": names[e.head], "weight": list(e.weight)}
+            for e in graph.edges
+        ],
+        "classes": classes or {},
+    }
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_cli_solve_refuses_relation_beyond_truncation(tmp_path):
+    # [4]u = v2^5 u^16 at height 2, p = 2: it truncates to zero at D = 8
+    scaled = helpers.mapped(helpers.cp2(), [[4, 0], [0, 4]])
+    path = _write_graph(tmp_path / "cp2x4.json", scaled)
+    flags = ["--theory", "morava", "--p", "2", "--n", "2", "--qmax", "2"]
+    code, out, err = run_cli("solve", path, *flags, "--trunc", "8")
+    assert code == 2
+    assert "cannot present the order-4 ring" in err
+    code, out, _ = run_cli("solve", path, *flags, "--trunc", "18")
+    assert code == 0
+    assert out.splitlines()[:2] == ["0 73", "2 58"]
+
+
+def test_cli_integrate_names_the_precision_budget(tmp_path):
+    # no slope is mod-2 generic on CP^4; the largest Euler order is 22
+    g = helpers.cpn(4)
+    pt = "*".join("chi(%s)" % ",".join(map(str, w)) for w in g.outgoing_weights(0))
+    classes = {"pt": {"degree": 8, "restrictions": [pt] + ["0"] * 4}}
+    path = _write_graph(tmp_path / "cp4.json", g, classes)
+    for trunc in (8, 12, 16, 22):
+        code, _, err = run_cli(
+            "integrate", path, "--theory", "morava", "--p", "2", "--n", "2",
+            "--trunc", str(trunc), "--class", "pt",
+        )
+        assert code == 4
+        assert f"truncation degree {trunc} below the precision budget 28" in err
 
 
 def test_console_script_end_to_end():

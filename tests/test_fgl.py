@@ -122,12 +122,51 @@ def test_n_series_additivity_random():
     rng = random.Random(31)
     th = helpers.morava(2, 1, trunc=8)
     fgl = build_fgl(th)
-    u = TruncatedSeries.variable(th, 1, 0)
     for _ in range(8):
         a = rng.randrange(-4, 5)
         b = rng.randrange(-4, 5)
-        lhs = fgl.sum(fgl.n_series(a, u), fgl.n_series(b, u))
-        assert lhs == fgl.n_series(a + b, u)
+        lhs = fgl.sum(fgl.n_series(a), fgl.n_series(b))
+        assert lhs == fgl.n_series(a + b)
+
+
+def _inverse_theories():
+    return (
+        helpers.mult(trunc=8),
+        helpers.morava(2, 1, trunc=8),
+        helpers.morava(2, 2, trunc=8),
+        helpers.morava(3, 1, trunc=8),
+    )
+
+
+def test_inverse_matches_degree_by_degree_oracle():
+    rng = random.Random(37)
+    for th in _inverse_theories():
+        fgl = build_fgl(th)
+        for nvars in (1, 2, 3):
+            for _ in range(3):
+                a = helpers.random_curve_element(rng, th, nvars, terms=3)
+                assert fgl.inverse(a) == helpers.degree_by_degree_inverse(fgl, a)
+
+
+def test_negative_n_series_matches_oracle():
+    for th in _inverse_theories():
+        fgl = build_fgl(th)
+        for ell in range(1, 10):
+            expect = helpers.degree_by_degree_inverse(fgl, fgl.n_series(ell))
+            assert fgl.n_series(-ell) == expect
+
+
+def test_inverse_makes_no_formal_sums_once_cached(monkeypatch):
+    th = helpers.morava(2, 1, trunc=8)
+    fgl = build_fgl(th)
+    fgl.n_series(-1)
+    calls = []
+    real_sum = fgl.sum
+    monkeypatch.setattr(fgl, "sum", lambda a, b: calls.append(1) or real_sum(a, b))
+    a = helpers.random_curve_element(random.Random(41), th, 3, terms=4)
+    inv = fgl.inverse(a)
+    assert calls == []
+    assert real_sum(a, inv).is_zero()
 
 
 def test_mod_p_reduction_of_multiplicative_p_series():

@@ -81,34 +81,6 @@ def test_fgl_cancellation_via_inverse():
     assert fgl.sum(x, fgl.inverse(x)).is_zero()
 
 
-def test_invert_geometric():
-    th = helpers.ordinary(trunc=4)
-    f = TruncatedSeries.one(th, 1) + u(th)
-    inv = f.invert()
-    expect = helpers.series_from_terms(
-        th, 1, [((k,), th.scalar((-1) ** k)) for k in range(5)]
-    )
-    assert inv == expect
-    assert (f * inv) == TruncatedSeries.one(th, 1)
-
-
-def test_invert_one():
-    th = helpers.ordinary()
-    assert TruncatedSeries.one(th, 1).invert() == TruncatedSeries.one(th, 1)
-
-
-def test_invert_morava_roundtrip():
-    th = helpers.morava(3, 1, trunc=8)
-    f = TruncatedSeries.one(th, 1) + (u(th) * u(th)).scale(th.periodicity)
-    assert f.invert() * f == TruncatedSeries.one(th, 1)
-
-
-def test_invert_needs_unit():
-    th = helpers.ordinary()
-    with pytest.raises(LeadingUnitError):
-        (TruncatedSeries.constant(th.scalar(2), 1) + u(th)).invert()
-
-
 def test_mul_associative_commutative_random():
     rng = random.Random(9)
     th = helpers.morava(2, 1, trunc=6)
