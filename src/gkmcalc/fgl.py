@@ -1,15 +1,21 @@
 """Formal group laws of the supported theories.
 
-The additive and multiplicative laws are written down directly; the height-n
-law of the mod-p theories is built from its logarithm over exact rationals,
-with p-integrality and the degree bookkeeping of the periodicity insertions
-checked at construction time (both are theorems, so a failure here means an
-implementation bug, not bad input).
+The additive and multiplicative laws are written down directly.  The height-n
+law of the mod-p theories is the Honda law exp(log x + log y), whose
+logarithm log x = sum_i x^(p^(ni)) / p^i is sparse.  It is built in O(D^3)
+exact rational steps, without composing series: the powers of the logarithm
+give the exponential, by a triangular solve of exp(log x) = x, and then the
+two-variable law, by two matrix products (see _honda_fgl).  Both
+construction-time checks still run on every coefficient before the mod-p
+reduction: p-integrality, and the degree bookkeeping of the periodicity
+insertions (both are theorems, so a failure here means an implementation bug,
+not bad input).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial
 
 from .scalars import (
     MOD_P,
@@ -19,7 +25,6 @@ from .scalars import (
     RATIONAL,
     GradedScalar,
     Theory,
-    rational_theory,
 )
 from .series import TruncatedSeries, format_series
 
@@ -122,54 +127,63 @@ def multiplicative_fgl(theory: Theory) -> FormalGroupLaw:
     return FormalGroupLaw(theory, x + y - (x * y).scale(beta))
 
 
-def _honda_logarithm(qtheory: Theory, p: int, n: int) -> TruncatedSeries:
-    D = qtheory.trunc
-    terms = {(1,): qtheory.one}
-    i = 1
-    while p ** (n * i) <= D:
-        terms[(p ** (n * i),)] = qtheory.scalar(Fraction(1, p ** i))
-        i += 1
-    return TruncatedSeries(qtheory, 1, terms)
-
-
-def _reversion(f: TruncatedSeries) -> TruncatedSeries:
-    """Compositional inverse of a one-variable series x + O(x^2)."""
-    th = f.theory
-    x = TruncatedSeries.variable(th, 1, 0)
-    if f.coefficient((1,)) != th.one or not f.constant_term().is_zero():
-        raise ValueError("reversion expects a series of the form x + O(x^2)")
-    g = x
-    for d in range(2, th.trunc + 1):
-        err = (f.substitute([g]) - x).variable_degree_component(d)
-        if not err.is_zero():
-            g = g - err
-    return g
-
-
 def _honda_fgl(theory: Theory) -> FormalGroupLaw:
+    """The height-n Honda law F(x, y) = exp(log x + log y), where
+    log x = sum_i x^(q^i) / p^i with q = p^n, built over exact rationals and
+    then reduced mod p.
+
+    With M_j = (log x)^j / j! and E_k = k! [x^k] exp, the binomial theorem
+    gives exp(log x + log y) = sum_{j,l} E_{j+l} M_j(x) M_l(y), so F is the
+    matrix product M^T H M with the Hankel matrix H[j][l] = E_{j+l}.  The E_k
+    come from the same powers: exp(log x) = x is triangular in them, because
+    M_a starts at x^a / a!.  Both theorems are checked on the result: every
+    coefficient is p-integral, and one that survives mod p sits at a total
+    degree 1 + k(p^n - 1)."""
     p, n, D = theory.p, theory.n, theory.trunc
-    qt = rational_theory(D)
-    log1 = _honda_logarithm(qt, p, n)
-    exp1 = _reversion(log1)
-    x2 = TruncatedSeries.variable(qt, 2, 0)
-    y2 = TruncatedSeries.variable(qt, 2, 1)
-    f0 = exp1.substitute([log1.substitute([x2]) + log1.substitute([y2])])
-    period = p ** n - 1
+    q = p ** n
+    log = []  # (exponent, coefficient) pairs
+    i = 0
+    while q ** i <= D:
+        log.append((q ** i, Fraction(1, p ** i)))
+        i += 1
+    # M[j][a] = [x^a] (log x)^j / j!, a sparse product per power
+    M = [[Fraction(1)] + [Fraction(0)] * D]
+    for j in range(1, D + 1):
+        prev = M[-1]
+        M.append(
+            [Fraction(sum(c * prev[a - e] for e, c in log if e <= a), j) for a in range(D + 1)]
+        )
+    # [x^a] exp(log x) = sum_{k<=a} E_k M[k][a] is 1 at a = 1 and 0 above
+    E = [Fraction(0), Fraction(1)] + [Fraction(0)] * (D - 1)
+    for a in range(2, D + 1):
+        E[a] = -factorial(a) * sum(E[k] * M[k][a] for k in range(1, a) if E[k] and M[k][a])
+    # T = H M, then F[a][b] = sum_j M[j][a] T[j][b]
+    T = [
+        [
+            sum(E[j + l] * M[l][b] for l in range(b + 1) if E[j + l] and M[l][b])
+            for b in range(D - j + 1)
+        ]
+        for j in range(D + 1)
+    ]
+    period = q - 1
     terms = {}
-    for (i, j), c in f0.coeffs.items():
-        frac = Fraction(c.coeff)
-        if frac.denominator % p == 0:
-            raise AssertionError(
-                f"p-integrality failure at x^{i} y^{j}: coefficient {frac}"
-            )
-        cm = frac.numerator * pow(frac.denominator, -1, p) % p
-        if cm == 0:
-            continue
-        k, rem = divmod(i + j - 1, period)
-        if rem != 0:
-            raise AssertionError(
-                f"coefficient of x^{i} y^{j} survives mod {p} but "
-                f"{period} does not divide {i + j - 1}"
-            )
-        terms[(i, j)] = GradedScalar(theory, cm, k)
+    for a in range(D + 1):
+        for b in range(D - a + 1):
+            frac = sum(M[j][a] * T[j][b] for j in range(a + 1) if M[j][a])
+            if frac == 0:
+                continue
+            if frac.denominator % p == 0:
+                raise AssertionError(
+                    f"p-integrality failure at x^{a} y^{b}: coefficient {frac}"
+                )
+            cm = frac.numerator * pow(frac.denominator, -1, p) % p
+            if cm == 0:
+                continue
+            k, rem = divmod(a + b - 1, period)
+            if rem != 0:
+                raise AssertionError(
+                    f"coefficient of x^{a} y^{b} survives mod {p} but "
+                    f"{period} does not divide {a + b - 1}"
+                )
+            terms[(a, b)] = GradedScalar(theory, cm, k)
     return FormalGroupLaw(theory, TruncatedSeries(theory, 2, terms))

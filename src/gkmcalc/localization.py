@@ -196,12 +196,19 @@ def integrate(
     # the budget is checked before the Euler classes are built, so that a
     # truncation too small for them is refused as such
     orders = _euler_orders(graph, fgl, slope)
-    if degree is not None and None not in orders:
-        need = degree // 2 + max(orders) + 2
-        if work.trunc < need:
+    if None not in orders:
+        if degree is not None:
+            need = degree // 2 + max(orders) + 2
+            if work.trunc < need:
+                raise LocalizationError(
+                    f"truncation degree {work.trunc} below the precision "
+                    f"budget {need} for a degree-{degree} class"
+                )
+        elif work.trunc < max(orders):
+            # below its order an Euler class truncates away its leading term
             raise LocalizationError(
-                f"truncation degree {work.trunc} below the precision "
-                f"budget {need} for a degree-{degree} class"
+                f"truncation degree {work.trunc} below the largest Euler "
+                f"order {max(orders)} for a class of mixed degree"
             )
     eulers = euler_classes(graph, fgl, slope)
     localized = localize_class(fgl, cls, slope)

@@ -3,9 +3,11 @@ one-variable Laurent series used for localization.
 
 Truncation is by total variable exponent: a series keeps coefficients
 c_alpha with |alpha| <= D where D is the theory's truncation degree.
-Storage is a dense exponent-keyed dict; the design envelope is m <= 4
-variables and D <= 16, so plain convolution (bucketed by total degree)
-is fast enough and easy to audit.
+Storage is an exponent-keyed dict of the nonzero terms, and products are
+plain convolution (bucketed by total degree), which is easy to audit.  The
+envelope this is measured on: the solver at D <= 4 in m <= 4 variables, the
+formal group laws in two variables at D <= 32, and localization at D <= 28,
+where class restrictions in m <= 4 variables are pushed down to one.
 """
 
 from __future__ import annotations

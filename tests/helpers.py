@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from fractions import Fraction
 
 from gkmcalc import (
     MOD_P,
@@ -267,3 +268,36 @@ def reduce_in_var(f, rel, var):
     out = TruncatedSeries(th, f.nvars)
     out.coeffs = done
     return out
+
+
+def honda_fgl_by_reversion(theory):
+    """The height-n Honda law built the direct way: revert the logarithm by
+    re-solving log(exp x) = x with a full composition at every degree, compose
+    exp(log x + log y), and reduce mod p.  Returns the two-variable series."""
+    p, n, D = theory.p, theory.n, theory.trunc
+    qt = rational_theory(D)
+    terms = {(1,): qt.one}
+    i = 1
+    while p ** (n * i) <= D:
+        terms[(p ** (n * i),)] = qt.scalar(Fraction(1, p ** i))
+        i += 1
+    log1 = TruncatedSeries(qt, 1, terms)
+    x = TruncatedSeries.variable(qt, 1, 0)
+    exp1 = x
+    for d in range(2, D + 1):
+        err = (log1.substitute([exp1]) - x).variable_degree_component(d)
+        if not err.is_zero():
+            exp1 = exp1 - err
+    x2 = TruncatedSeries.variable(qt, 2, 0)
+    y2 = TruncatedSeries.variable(qt, 2, 1)
+    f0 = exp1.substitute([log1.substitute([x2]) + log1.substitute([y2])])
+    out = {}
+    for (a, b), c in f0.coeffs.items():
+        frac = Fraction(c.coeff)
+        assert frac.denominator % p != 0
+        cm = frac.numerator * pow(frac.denominator, -1, p) % p
+        if cm:
+            k, rem = divmod(a + b - 1, p ** n - 1)
+            assert rem == 0
+            out[(a, b)] = GradedScalar(theory, cm, k)
+    return TruncatedSeries(theory, 2, out)

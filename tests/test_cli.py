@@ -108,6 +108,11 @@ GOLDEN_COMMANDS = {
         "integrate cp2.json --theory morava --p 2 --n 2 --trunc 12 --class H2", 0,
     ),
     "integrate-cp1xcp1-mult-pt": ("integrate cp1xcp1.json --theory mult --trunc 10 --class pt", 0),
+    # the Honda laws at the benchmark's fgl truncations, and [-1] on a large law
+    "fgl-morava-p2n1-d32": ("fgl --theory morava --p 2 --n 1 --trunc 32 --ell 2", 0),
+    "fgl-morava-p2n2-d32": ("fgl --theory morava --p 2 --n 2 --trunc 32 --ell 2", 0),
+    "fgl-morava-p3n1-d27": ("fgl --theory morava --p 3 --n 1 --trunc 27 --ell 3", 0),
+    "fgl-morava-p2n1-d24-minus1": ("fgl --theory morava --p 2 --n 1 --trunc 24 --ell -1", 0),
 }
 
 
@@ -314,6 +319,30 @@ def test_cli_integrate_names_the_precision_budget(tmp_path):
         )
         assert code == 4
         assert f"truncation degree {trunc} below the precision budget 28" in err
+
+
+def test_cli_integrate_refuses_a_mixed_degree_class_below_the_euler_order(tmp_path):
+    # slope (1, 2): vertex A pairs to 1 and 2, so its Euler class is [1]u*[2]u
+    # = v2*u^5 + ... under K(2) at p = 2, and a degree-4 truncation loses it
+    with open(graph_path("cp2.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["classes"]["mixed"] = {"restrictions": ["chi(1,0)*chi(0,1) + chi(1,0)", "0", "0"]}
+    path = tmp_path / "cp2.json"
+    path.write_text(json.dumps(doc))
+    argv = [
+        "integrate", str(path), "--theory", "morava", "--p", "2", "--n", "2", "--class", "mixed",
+    ]
+    for trunc in (3, 4):
+        code, out, err = run_cli(*argv, "--trunc", str(trunc))
+        assert code == 4
+        assert out == ""
+        assert (
+            f"truncation degree {trunc} below the largest Euler order 5 "
+            "for a class of mixed degree"
+        ) in err
+    code, out, _ = run_cli(*argv, "--trunc", "5")
+    assert code == 0
+    assert "euler A: v2*s^5 + O(s^6)" in out
 
 
 def test_console_script_end_to_end():

@@ -2,6 +2,10 @@
 
 import random
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from gkmcalc import TruncatedSeries, build_fgl, multiplicative_fgl
 
 import helpers
@@ -193,3 +197,50 @@ def test_height_one_cross_check_at_two():
     assert honda.n_series(2) == monomial
     assert mult.n_series(2) == monomial  # b^(p-1) = v1 at p = 2
     assert honda.series != mult.series
+
+
+# (p, n, D): each law just below, at and above the degrees q^i where a new
+# logarithm term enters, and at the largest truncation checked
+HONDA_GRID = (
+    [(2, 1, d) for d in (1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 20)]
+    + [(3, 1, d) for d in (2, 3, 4, 8, 9, 10, 26, 27)]
+    + [(5, 1, d) for d in (4, 5, 6, 24, 25)]
+    + [(2, 2, d) for d in (3, 4, 5, 15, 16, 17, 32)]
+    + [(3, 2, d) for d in (8, 9, 10, 18)]
+)
+
+
+@pytest.mark.parametrize("p,n,trunc", HONDA_GRID)
+def test_honda_law_matches_reversion_oracle(p, n, trunc):
+    th = helpers.morava(p, n, trunc=trunc)
+    assert build_fgl(th).series == helpers.honda_fgl_by_reversion(th)
+
+
+def test_honda_build_makes_no_substitutions(monkeypatch):
+    import gkmcalc.fgl as fgl_module
+
+    calls = []
+    real = TruncatedSeries.substitute
+    monkeypatch.setattr(
+        TruncatedSeries, "substitute", lambda s, args: calls.append(1) or real(s, args)
+    )
+    monkeypatch.setattr(fgl_module, "_fgl_cache", {})
+    build_fgl(helpers.morava(2, 1, trunc=32))
+    assert calls == []
+
+
+@settings(max_examples=40, deadline=2000)
+@given(
+    p=st.sampled_from([2, 3, 5, 7]),
+    n=st.integers(min_value=1, max_value=3),
+    trunc=st.integers(min_value=2, max_value=24),
+)
+def test_honda_law_properties(p, n, trunc):
+    th = helpers.morava(p, n, trunc=trunc)
+    fgl = build_fgl(th)
+    fgl_axioms(fgl)
+    q = p ** n
+    expect = {(q,): th.periodicity} if q <= trunc else {}
+    assert fgl.n_series(p) == TruncatedSeries(th, 1, expect)
+    if trunc <= 12:
+        assert fgl.series == helpers.honda_fgl_by_reversion(th)
