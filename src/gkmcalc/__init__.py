@@ -28,7 +28,6 @@ from .classifying import (
     cyclic_classifying_ring,
     ideal_residue,
     kernel_ideal,
-    transport,
 )
 from .gkm import (
     EquivariantClass,
@@ -83,7 +82,6 @@ __all__ = [
     "cyclic_classifying_ring",
     "ideal_residue",
     "kernel_ideal",
-    "transport",
     "EquivariantClass",
     "FormalityReport",
     "GKMEdge",

@@ -8,7 +8,8 @@ adapted to the character: the relation of the cyclic ring E*[[u]]/([d]u)
 composed with the adapted last variable u_m.  When that relation has a unit
 leading coefficient it is u_m^nu times a unit, so the residue of a series is
 its cut at u_m-exponent nu; see the design notes for which theories pin this
-down and which are exposed as a conjectural model.
+down and which are exposed as a conjectural model.  A monomial's residue
+is a product of adapted classes, cut after each factor.
 """
 
 from __future__ import annotations
@@ -42,23 +43,6 @@ def character_class(fgl: FormalGroupLaw, weight, nvars: int | None = None) -> Tr
         term = fgl.n_series(a).substitute([TruncatedSeries.variable(th, nvars, i)])
         out = term if out.is_zero() else fgl.sum(out, term)
     return out
-
-
-def transport(fgl: FormalGroupLaw, f: TruncatedSeries, basis_change) -> TruncatedSeries:
-    """Rewrite f in the torus coordinates given by the unimodular matrix.
-
-    Row i of the matrix is the character whose class replaces the i-th
-    variable, matching how characters pull back: a -> a @ B.
-    """
-    if len(basis_change) != f.nvars:
-        raise ValueError("basis change size does not match the variable count")
-    return f.substitute(_transport_images(fgl, basis_change))
-
-
-def _transport_images(fgl: FormalGroupLaw, basis_change) -> list[TruncatedSeries]:
-    """The classes of the characters in the rows of the basis change."""
-    m = len(basis_change)
-    return [character_class(fgl, tuple(row), m) for row in basis_change]
 
 
 @dataclass
@@ -128,8 +112,9 @@ class RestrictionIdeal:
     those of the cyclic ring E*[[u]]/([d]u).  A unit-lead generator is
     u_m^order times a unit, so the residue modulo it is the cut below
     u_m^order.  basis_change moves the ambient ring into the adapted
-    coordinates, where the variables become the classes in adapted_classes.
-    The ideal memoizes what the solver asks of it per monomial and per degree.
+    coordinates, where the variables become the classes in adapted_classes,
+    so a monomial's image is a product of them.  The ideal memoizes what the
+    solver asks of it per monomial and per degree.
     """
 
     fgl: FormalGroupLaw
@@ -141,7 +126,7 @@ class RestrictionIdeal:
     generator: TruncatedSeries
     order: int | None = None
     leading_unit: bool = False
-    _monomial_cache: dict = field(default_factory=dict, repr=False)
+    _images: dict = field(default_factory=dict, repr=False)
     _hermite_cache: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -154,18 +139,22 @@ class RestrictionIdeal:
         as every nonzero one has over a graded field."""
         return self.generator.is_zero() or self.leading_unit
 
-    def monomial_image(self, alpha) -> dict:
-        """Coefficients, by adapted monomial, of the residue of u^alpha when
-        the residue is linear, else of u^alpha in the adapted coordinates."""
-        img = self._monomial_cache.get(alpha)
+    def monomial_image(self, alpha) -> TruncatedSeries:
+        """u^alpha in the adapted coordinates, cut below u_m^order for a
+        unit-lead generator (its residue when the residue is linear): the
+        image of u^(alpha - e_i) times the i-th adapted class, i the last
+        variable in alpha, cut again; both steps are ring maps."""
+        img = self._images.get(alpha)
         if img is None:
-            th = self.fgl.theory
-            mono = TruncatedSeries(th, self.nvars, {alpha: th.one})
-            if self.residue_is_linear:
-                out = ideal_residue(mono, self)
+            if not any(alpha):
+                img = TruncatedSeries.one(self.fgl.theory, self.nvars)
             else:
-                out = mono.substitute(self.adapted_classes)
-            img = self._monomial_cache[alpha] = {b: c.coeff for b, c in out.coeffs.items()}
+                i = max(j for j, e in enumerate(alpha) if e)
+                lower = alpha[:i] + (alpha[i] - 1,) + alpha[i + 1:]
+                img = self.monomial_image(lower) * self.adapted_classes[i]
+                if self.leading_unit:
+                    img.coeffs = {b: c for b, c in img.coeffs.items() if b[-1] < self.order}
+            self._images[alpha] = img
         return img
 
 
@@ -178,7 +167,7 @@ def kernel_ideal(fgl: FormalGroupLaw, weight) -> RestrictionIdeal:
     m = len(weight)
     ring = cyclic_classifying_ring(fgl, d)
     gen = ring.relation.substitute([TruncatedSeries.variable(fgl.theory, m, m - 1)])
-    classes = _transport_images(fgl, b)
+    classes = [character_class(fgl, tuple(row), m) for row in b]
     return RestrictionIdeal(
         fgl, weight, d, theta, b, classes, gen, ring.order, ring.rank is not None
     )
@@ -208,8 +197,7 @@ def _series_to_vector(f: TruncatedSeries, monos) -> list:
         i = index.get(alpha)
         if i is None:
             raise ValueError("series has a term outside the degree slice")
-        expected_vexp = monos[i][1]
-        if c.vexp != expected_vexp:
+        if c.vexp != monos[i][1]:
             raise ValueError("series term has inconsistent periodicity exponent")
         vec[i] = c.coeff
     return vec
@@ -241,28 +229,19 @@ def ideal_residue(f: TruncatedSeries, ideal: RestrictionIdeal) -> TruncatedSerie
     in the ideal up to truncation."""
     if f.nvars != ideal.nvars:
         raise ValueError("series and ideal live over different tori")
-    adapted = f.substitute(ideal.adapted_classes)
-    th = f.theory
-    m = f.nvars
+    th, m = f.theory, f.nvars
+    adapted = TruncatedSeries.zero(th, m)
+    for alpha, c in f.coeffs.items():
+        adapted = adapted + ideal.monomial_image(alpha).scale(c)
     if ideal.residue_is_linear:
-        # the generator is zero or u_m^order times a unit: keep the terms
-        # below u_m^order, or all of them
-        nu = ideal.order
-        out = TruncatedSeries(th, m)
-        out.coeffs = {a: c for a, c in adapted.coeffs.items() if nu is None or a[-1] < nu}
-        return out
+        return adapted  # the images are already cut
     # integral coefficients with a non-unit leading term: reduce each
     # homogeneous component against the lattice of truncated multiples
     out = TruncatedSeries.zero(th, m)
-    degrees = sorted({c.degree + 2 * sum(a) for a, c in adapted.coeffs.items()})
-    for q in degrees:
-        comp = adapted.degree_component(q)
+    for q in sorted({c.degree + 2 * sum(a) for a, c in adapted.coeffs.items()}):
         monos, basis = ideal_multiples_basis(ideal, q)
-        vec = _series_to_vector(comp, monos)
+        vec = _series_to_vector(adapted.degree_component(q), monos)
         red = reduce_vector_mod_lattice(vec, basis)
-        terms = {}
-        for (alpha, vexp), c in zip(monos, red):
-            if c:
-                terms[alpha] = GradedScalar(th, c, vexp)
+        terms = {alpha: GradedScalar(th, c, vexp) for (alpha, vexp), c in zip(monos, red) if c}
         out = out + TruncatedSeries(th, m, terms)
     return out

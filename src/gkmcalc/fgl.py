@@ -55,7 +55,8 @@ class FormalGroupLaw:
     def n_series(self, ell: int) -> TruncatedSeries:
         """The one-variable [ell]-series, built once per ell and composed
         wherever it is needed: [-1] is solved degree by degree from
-        F(u, [-1]u) = 0, [-ell] = [ell] o [-1], and ell >= 2 doubles."""
+        F(u, [-1]u) = 0, [-ell] = [ell] o [-1], and ell >= 2 doubles.  At
+        height n, [p^k]u = 0 once p^(nk) > D, so [-1] = [p^k - 1] there."""
         cached = self._nseries_cache.get(ell)
         if cached is not None:
             return cached
@@ -65,6 +66,11 @@ class FormalGroupLaw:
             value = TruncatedSeries.zero(th, 1)
         elif ell == 1:
             value = u
+        elif ell == -1 and th.kind == MORAVA:
+            pk = th.p
+            while pk ** th.n <= th.trunc:
+                pk *= th.p
+            value = self.n_series(pk - 1)
         elif ell == -1:
             value = -u
             for target in range(2, th.trunc + 1):

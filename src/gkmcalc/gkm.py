@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .classifying import (
     _slice_monomials,
@@ -212,14 +213,24 @@ def satisfies_congruences(graph: GKMGraph, fgl: FormalGroupLaw, cls: Equivariant
 
 @dataclass
 class SolutionModule:
+    """The solution by degree; bases builds classes from kernels (each
+    degree's monomials and kernel vectors) on first read only."""
+
     theory: Theory
     graph: GKMGraph
     q_max: int
     ranks: dict[int, int]
-    bases: dict[int, list[EquivariantClass]]
+    kernels: dict[int, tuple[list, list]]  # (monomials, kernel vectors)
     divisors: dict[int, list[int]]
     provenance: dict[int, tuple[int, int]]  # (columns, constraint rows)
     primitive_variant_ranks: dict[int, int] | None = None
+
+    @cached_property
+    def bases(self) -> dict[int, list[EquivariantClass]]:
+        return {
+            q: [_class_from_vector(self.theory, self.graph, monos, vec, q) for vec in vecs]
+            for q, (monos, vecs) in self.kernels.items()
+        }
 
 
 def solve_equivariant_cohomology(
@@ -234,19 +245,17 @@ def solve_equivariant_cohomology(
     if q_max < 0 or q_max % 2:
         raise ValueError("q_max must be an even nonnegative integer")
     fgl = build_fgl(theory)
-    ideals = [kernel_ideal(fgl, e.weight) for e in graph.edges]
+    # kernel ideals depend only on the weight: edges sharing one share it
+    ideals = {w: kernel_ideal(fgl, w) for w in dict.fromkeys(e.weight for e in graph.edges)}
     # the residue computations need headroom for degrees up to q_max
-    need = q_max // 2 + max([1] + [i.order for i in ideals if i.order is not None])
+    need = q_max // 2 + max([1] + [i.order for i in ideals.values() if i.order is not None])
     if need > theory.trunc:
         raise ValueError(
             f"truncation degree {theory.trunc} too small for q_max {q_max}: "
             f"residues need headroom {need}"
         )
-    m = graph.rank
-    k = len(graph.vertices)
-
     ranks: dict[int, int] = {}
-    bases: dict[int, list[EquivariantClass]] = {}
+    kernels: dict[int, tuple[list, list]] = {}
     divisors: dict[int, list[int]] = {}
     provenance: dict[int, tuple[int, int]] = {}
 
@@ -254,26 +263,26 @@ def solve_equivariant_cohomology(
     # degree-(q + period_degree) one, so periodic theories solve each class
     # of q/2 modulo the step once
     step = theory.period_degree // 2
-    kernels: dict[int, tuple] = {}
+    systems: dict[int, tuple] = {}
 
     for q in range(0, q_max + 1, 2):
-        monos = _slice_monomials(theory, m, q)
+        monos = _slice_monomials(theory, graph.rank, q)
         key = (q // 2) % step if step else q
-        if key not in kernels:
-            kernels[key] = _solve_degree(theory, graph, ideals, monos, q)
-        vecs, nrows, divs = kernels[key]
+        if key not in systems:
+            systems[key] = _solve_degree(theory, graph, ideals, monos, q)
+        vecs, nrows, divs = systems[key]
         ranks[q] = len(vecs)
         divisors[q] = divs
-        provenance[q] = (k * len(monos), nrows)
-        bases[q] = [_class_from_vector(theory, graph, monos, vec, q) for vec in vecs]
+        provenance[q] = (len(graph.vertices) * len(monos), nrows)
+        kernels[q] = (monos, vecs)
 
-    solution = SolutionModule(theory, graph, q_max, ranks, bases, divisors, provenance)
+    solution = SolutionModule(theory, graph, q_max, ranks, kernels, divisors, provenance)
 
-    if compare_primitive and any(i.d > 1 for i in ideals):
+    if compare_primitive and any(i.d > 1 for i in ideals.values()):
         primitive = GKMGraph(
             graph.rank,
             list(graph.vertices),
-            [GKMEdge(e.tail, e.head, i.theta) for e, i in zip(graph.edges, ideals)],
+            [GKMEdge(e.tail, e.head, ideals[e.weight].theta) for e in graph.edges],
         )
         variant = solve_equivariant_cohomology(
             primitive, theory, q_max, compare_primitive=False
@@ -288,13 +297,13 @@ def _solve_degree(theory, graph, ideals, monos, q):
     ncols = len(graph.vertices) * len(monos)
     rows = []
     width = ncols
-    for edge, ideal in zip(graph.edges, ideals):
+    for edge in graph.edges:
+        ideal = ideals[edge.weight]
         rowmap = {}
-        # a linear residue must vanish; otherwise the transported monomials
-        # come back and membership needs the slack columns below
-        images = [ideal.monomial_image(alpha) for alpha, _v in monos]
+        # a linear residue must vanish; otherwise the images are the plain
+        # adapted monomials and membership needs the slack columns below
         if not ideal.residue_is_linear:
-            # membership in the ideal is a lattice condition: the transported
+            # membership in the ideal is a lattice condition: the adapted
             # difference must be H^T y for the truncated multiples H of the
             # generator, with y in slack columns after the x columns
             ad_monos, multiples = ideal_multiples_basis(ideal, q)
@@ -304,11 +313,11 @@ def _solve_degree(theory, graph, ideals, monos, q):
                         rowmap.setdefault(beta, {})[width] = -c
                 width += 1
         tail, head = edge.tail * len(monos), edge.head * len(monos)
-        for j, img in enumerate(images):
-            for beta, coeff in img.items():
+        for j, (alpha, _v) in enumerate(monos):
+            for beta, c in ideal.monomial_image(alpha).coeffs.items():
                 row = rowmap.setdefault(beta, {})
-                row[tail + j] = coeff
-                row[head + j] = -coeff
+                row[tail + j] = c.coeff
+                row[head + j] = -c.coeff
         rows.extend(rowmap.values())
     if theory.is_graded_field:
         return field_kernel(rows, ncols, theory.char), len(rows), []
@@ -320,16 +329,11 @@ def _solve_degree(theory, graph, ideals, monos, q):
 
 def _class_from_vector(theory, graph, monos, vec, q) -> EquivariantClass:
     nm = len(monos)
-    k = len(graph.vertices)
     parts = []
-    for i in range(k):
-        terms = {}
-        for j, (alpha, vexp) in enumerate(monos):
-            c = vec[i * nm + j]
-            if c:
-                terms[alpha] = GradedScalar(theory, c, vexp)
+    for i in range(len(graph.vertices)):
         s = TruncatedSeries(theory, graph.rank)
-        s.coeffs = {a: c for a, c in terms.items() if not c.is_zero()}
+        terms = zip(monos, vec[i * nm:(i + 1) * nm])
+        s.coeffs = {alpha: GradedScalar(theory, c, vexp) for (alpha, vexp), c in terms if c}
         parts.append(s)
     return EquivariantClass(tuple(parts), q)
 

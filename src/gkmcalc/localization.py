@@ -98,17 +98,26 @@ class VertexEuler:
     order: int
 
 
-def _euler_orders(graph: GKMGraph, fgl: FormalGroupLaw, slope: GenericSlope) -> list[int | None]:
+def _euler_orders(graph: GKMGraph, fgl: FormalGroupLaw, slope: GenericSlope) -> list[int]:
     """Each vertex's Euler order, read off its pairings before any series is
-    built: the sum of the orders of the cyclic rings' relations [t]u, None
-    where one of them vanishes."""
+    built: the sum of the orders of the cyclic rings' relations [t]u.  Only
+    an additive mod-p relation vanishes (p | t), and that is refused."""
     out = []
-    for i in range(len(graph.vertices)):
-        orders = [
-            relation_order(fgl, abs(pairing(w, slope.vector)))
-            for w in graph.outgoing_weights(i)
-        ]
-        out.append(None if None in orders else sum(orders))
+    for i, v in enumerate(graph.vertices):
+        out.append(0)
+        for w in graph.outgoing_weights(i):
+            t = pairing(w, slope.vector)
+            order = relation_order(fgl, abs(t))
+            if order is None:
+                p = fgl.theory.char
+                msg = (
+                    f"slope {slope.vector} pairs to {t} with weight {w} at vertex {v}, "
+                    f"so the additive mod-{p} Euler class vanishes there"
+                )
+                if not slope.mod_p_generic:
+                    msg = f"no slope pairs nonzero mod {p} with every weight: {msg}"
+                raise LocalizationError(msg)
+            out[-1] += order
     return out
 
 
@@ -196,20 +205,19 @@ def integrate(
     # the budget is checked before the Euler classes are built, so that a
     # truncation too small for them is refused as such
     orders = _euler_orders(graph, fgl, slope)
-    if None not in orders:
-        if degree is not None:
-            need = degree // 2 + max(orders) + 2
-            if work.trunc < need:
-                raise LocalizationError(
-                    f"truncation degree {work.trunc} below the precision "
-                    f"budget {need} for a degree-{degree} class"
-                )
-        elif work.trunc < max(orders):
-            # below its order an Euler class truncates away its leading term
+    if degree is not None:
+        need = degree // 2 + max(orders) + 2
+        if work.trunc < need:
             raise LocalizationError(
-                f"truncation degree {work.trunc} below the largest Euler "
-                f"order {max(orders)} for a class of mixed degree"
+                f"truncation degree {work.trunc} below the precision "
+                f"budget {need} for a degree-{degree} class"
             )
+    elif work.trunc < max(orders):
+        # below its order an Euler class truncates away its leading term
+        raise LocalizationError(
+            f"truncation degree {work.trunc} below the largest Euler "
+            f"order {max(orders)} for a class of mixed degree"
+        )
     eulers = euler_classes(graph, fgl, slope)
     localized = localize_class(fgl, cls, slope)
     total = LaurentSeries.zero(work)

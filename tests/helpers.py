@@ -16,6 +16,7 @@ from gkmcalc import (
     GradedScalar,
     TheoryConfig,
     TruncatedSeries,
+    character_class,
     make_theory,
     rational_theory,
 )
@@ -231,6 +232,15 @@ def degree_by_degree_inverse(fgl, a):
         if not err.is_zero():
             inv = inv - err
     return inv
+
+
+def transport(fgl, f, basis_change):
+    """f rewritten in the torus coordinates of the unimodular matrix by one
+    full substitution: row i of the matrix is the character whose class
+    replaces the i-th variable, matching how characters pull back
+    (a -> a @ B)."""
+    m = len(basis_change)
+    return f.substitute([character_class(fgl, tuple(row), m) for row in basis_change])
 
 
 def reduce_in_var(f, rel, var):

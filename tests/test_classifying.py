@@ -11,10 +11,10 @@ from gkmcalc import (
     cyclic_classifying_ring,
     ideal_residue,
     kernel_ideal,
-    transport,
 )
-from gkmcalc.classifying import ideal_multiples_basis
-from gkmcalc.lattice import invariant_factors, vec_mat
+from gkmcalc.classifying import _series_to_vector, ideal_multiples_basis
+from gkmcalc.lattice import invariant_factors, reduce_vector_mod_lattice, vec_mat
+from gkmcalc.series import exponent_vectors
 
 import helpers
 
@@ -219,6 +219,67 @@ def test_residue_matches_weierstrass_oracle():
                 assert ideal_residue(f, ideal) == expect
 
 
+def _cut(f, ideal):
+    """f without its terms at u_m-exponent >= order when the generator has a
+    unit leading coefficient; f itself for a zero generator or a lattice edge."""
+    if not ideal.leading_unit:
+        return f
+    out = TruncatedSeries(f.theory, f.nvars)
+    out.coeffs = {a: c for a, c in f.coeffs.items() if a[-1] < ideal.order}
+    return out
+
+
+def _residue_by_substitution(f, ideal):
+    """The residue from one full substitution into the adapted classes: the
+    cut when the residue is linear, else each homogeneous component reduced
+    against the lattice of truncated multiples of the generator."""
+    adapted = helpers.transport(ideal.fgl, f, ideal.basis_change)
+    if ideal.residue_is_linear:
+        return _cut(adapted, ideal)
+    th = f.theory
+    out = TruncatedSeries.zero(th, f.nvars)
+    for q in sorted({c.degree + 2 * sum(a) for a, c in adapted.coeffs.items()}):
+        monos, basis = ideal_multiples_basis(ideal, q)
+        red = reduce_vector_mod_lattice(
+            _series_to_vector(adapted.degree_component(q), monos), basis
+        )
+        terms = {alpha: th.scalar(c, vexp) for (alpha, vexp), c in zip(monos, red) if c}
+        out = out + TruncatedSeries(th, f.nvars, terms)
+    return out
+
+
+# (label, theory, d, linear residue): unit-lead generators, the zero
+# generator of mod 3 at d = 3, and lattice edges
+RESIDUE_CASES = (
+    [("K1p2", helpers.morava(2, 1, trunc=6), d, True) for d in (1, 2, 3)]
+    + [("K2p2", helpers.morava(2, 2, trunc=6), 2, True)]
+    + [("mod3", helpers.modp(3, trunc=6), d, True) for d in (1, 3)]
+    + [("ordinary", helpers.ordinary(trunc=5), d, False) for d in (2, 3)]
+    + [("mult", helpers.mult(trunc=5), d, False) for d in (2, 3)]
+)
+
+
+@pytest.mark.parametrize(
+    "th,d,linear", [pytest.param(*c[1:], id=f"{c[0]}-d{c[2]}") for c in RESIDUE_CASES]
+)
+def test_residues_match_full_substitution(th, d, linear):
+    # each monomial image is a product of adapted classes; the oracle
+    # substitutes the adapted classes into the whole monomial at once
+    rng = random.Random(89 + d)
+    fgl = build_fgl(th)
+    for theta in ((-1, 2), (2, -1, -1)):
+        ideal = kernel_ideal(fgl, tuple(d * a for a in theta))
+        assert ideal.residue_is_linear == linear
+        m = len(theta)
+        for alpha in exponent_vectors(m, th.trunc):
+            mono = TruncatedSeries(th, m, {alpha: th.one})
+            expect = _cut(helpers.transport(fgl, mono, ideal.basis_change), ideal)
+            assert ideal.monomial_image(alpha) == expect
+        for _ in range(4):
+            f = helpers.random_series(rng, th, m, terms=5)
+            assert ideal_residue(f, ideal) == _residue_by_substitution(f, ideal)
+
+
 def test_kernel_ideal_coordinate_independent():
     rng = random.Random(71)
     th = helpers.morava(2, 1, trunc=6)
@@ -231,7 +292,7 @@ def test_kernel_ideal_coordinate_independent():
         ideal_w = kernel_ideal(fgl, weight_w)
         for _ in range(4):
             f = helpers.random_series(rng, th, 2, terms=3)
-            fw = transport(fgl, f, w)
+            fw = helpers.transport(fgl, f, w)
             assert ideal_residue(f, ideal).is_zero() == ideal_residue(fw, ideal_w).is_zero()
 
 
@@ -259,5 +320,5 @@ def test_adapted_transport_sends_theta_class_to_last_variable():
             if not any(theta):
                 continue
             _, theta = primitive_part(theta)
-            moved = transport(fgl, character_class(fgl, theta), adapted_basis(theta))
+            moved = helpers.transport(fgl, character_class(fgl, theta), adapted_basis(theta))
             assert moved == TruncatedSeries.variable(th, m, m - 1)

@@ -113,6 +113,10 @@ GOLDEN_COMMANDS = {
     "fgl-morava-p2n2-d32": ("fgl --theory morava --p 2 --n 2 --trunc 32 --ell 2", 0),
     "fgl-morava-p3n1-d27": ("fgl --theory morava --p 3 --n 1 --trunc 27 --ell 3", 0),
     "fgl-morava-p2n1-d24-minus1": ("fgl --theory morava --p 2 --n 1 --trunc 24 --ell -1", 0),
+    # Fl(3): nine edges over three weights, so edges share kernel ideals
+    "solve-fl3-morava-p2n1": ("solve fl3.json --theory morava --p 2 --n 1 --trunc 6 --qmax 6", 0),
+    "solve-fl3-mult": ("solve fl3.json --theory mult --trunc 6 --qmax 6", 0),
+    "fgl-morava-p2n1-d40-minus1": ("fgl --theory morava --p 2 --n 1 --trunc 40 --ell -1", 0),
 }
 
 
@@ -343,6 +347,41 @@ def test_cli_integrate_refuses_a_mixed_degree_class_below_the_euler_order(tmp_pa
     code, out, _ = run_cli(*argv, "--trunc", "5")
     assert code == 0
     assert "euler A: v2*s^5 + O(s^6)" in out
+
+
+def test_cli_integrate_mod_p_refusal_names_the_vanishing_euler_class():
+    # l1, l2 and l2 - l1 are never all odd, so every slope pairs to an even
+    # number with some weight of CP^2, where the additive mod-2 class vanishes
+    argv = ["integrate", graph_path("cp2.json"), "--trunc", "10", "--class", "H2"]
+    code, _, err = run_cli(*argv, "--theory", "mod-p", "--p", "2")
+    assert code == 4
+    assert err == (
+        "error: no slope pairs nonzero mod 2 with every weight: slope (1, 2) "
+        "pairs to 2 with weight (0, 1) at vertex A, so the additive mod-2 "
+        "Euler class vanishes there\n"
+    )
+    code, out, _ = run_cli(*argv, "--theory", "mod-p", "--p", "3")
+    assert code == 0
+    assert "integral = 1" in out.splitlines()
+    # at height 1 the Euler class of an even pairing is v1*u^2 + ..., not zero
+    code, out, _ = run_cli(*argv, "--theory", "morava", "--p", "2", "--n", "1")
+    assert code == 0
+    assert "slope note: no mod-p generic slope exists; using an integer-generic one" in out
+    assert "integral = 1" in out.splitlines()
+
+
+def test_cli_check_formality_builds_no_basis_classes(monkeypatch):
+    import gkmcalc.gkm as gkm
+
+    calls = []
+    real = gkm._class_from_vector
+    monkeypatch.setattr(gkm, "_class_from_vector", lambda *a: calls.append(1) or real(*a))
+    flags = ["--theory", "morava", "--p", "2", "--n", "1", "--trunc", "6", "--qmax", "6"]
+    code, out, _ = run_cli("check-formality", graph_path("fl3.json"), *flags)
+    assert code == 0 and out.endswith("RESULT PASS\n")
+    assert calls == []
+    code, _, _ = run_cli("solve", graph_path("fl3.json"), *flags)
+    assert code == 0 and calls
 
 
 def test_console_script_end_to_end():

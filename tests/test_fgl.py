@@ -173,6 +173,40 @@ def test_inverse_makes_no_formal_sums_once_cached(monkeypatch):
     assert real_sum(a, inv).is_zero()
 
 
+# (p, n, D): [-1] = [p^k - 1] with k the first power where p^(nk) > D, on
+# both sides of each such threshold
+MINUS_ONE_GRID = (
+    [(2, 1, d) for d in (1, 2, 3, 4, 7, 8, 15, 16, 28)]
+    + [(3, 1, d) for d in (2, 3, 8, 9, 26, 27)]
+    + [(5, 1, d) for d in (4, 5, 24, 25)]
+    + [(2, 2, d) for d in (3, 4, 15, 16, 28)]
+    + [(3, 2, d) for d in (8, 9, 10)]
+)
+
+
+@pytest.mark.parametrize("p,n,trunc", MINUS_ONE_GRID)
+def test_morava_minus_one_series_matches_degree_by_degree_oracle(p, n, trunc):
+    th = helpers.morava(p, n, trunc=trunc)
+    fgl = build_fgl(th)
+    u = TruncatedSeries.variable(th, 1, 0)
+    assert fgl.n_series(-1) == helpers.degree_by_degree_inverse(fgl, u)
+
+
+def test_morava_minus_one_series_doubles(monkeypatch):
+    # [-1] = [31] at K(1), p = 2, D = 28 (2^5 > 28): the doubling path makes
+    # at most 2 * ceil(log2 32) formal sums, where solving degree by degree
+    # makes 27
+    import gkmcalc.fgl as fgl_module
+
+    monkeypatch.setattr(fgl_module, "_fgl_cache", {})
+    fgl = build_fgl(helpers.morava(2, 1, trunc=28))
+    calls = []
+    real_sum = fgl.sum
+    monkeypatch.setattr(fgl, "sum", lambda a, b: calls.append(1) or real_sum(a, b))
+    fgl.n_series(-1)
+    assert 0 < len(calls) <= 2 * 5
+
+
 def test_mod_p_reduction_of_multiplicative_p_series():
     # [p]u = p u - C(p,2) b u^2 + ... reduces to b^(p-1) u^p mod p
     for p in (2, 3, 5):

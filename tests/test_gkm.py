@@ -358,7 +358,28 @@ def test_mod_p_unit_weights_match_rational_ranks():
 
 def test_character_classes_built_once_per_edge(monkeypatch):
     # each kernel ideal builds the classes of its m adapted characters once;
-    # the residues of every monomial in every degree substitute those
+    # the residues of every monomial in every degree substitute those.  The
+    # edges of CP^2 carry distinct weights, so this is once per edge
+    import gkmcalc.classifying as classifying
+
+    calls = []
+    original = classifying.character_class
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(classifying, "character_class", counting)
+    g = helpers.cp2()
+    sol = solve_equivariant_cohomology(g, helpers.morava(2, 1, trunc=6), 6)
+    assert check_formality(g, helpers.CP2_BETTI, sol).passed
+    assert len(calls) == g.rank * len(g.edges)
+
+
+def test_character_classes_built_once_per_distinct_weight(monkeypatch):
+    # kernel ideals depend only on the weight, so the solve builds one per
+    # distinct weight, and each builds the classes of its m adapted
+    # characters once; Fl(3) has 9 edges but only 3 weights
     import gkmcalc.classifying as classifying
 
     calls = []
@@ -369,7 +390,31 @@ def test_character_classes_built_once_per_edge(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(classifying, "character_class", counting)
-    g = helpers.cp2()
+    g = helpers.fl3()
+    weights = {e.weight for e in g.edges}
+    assert (len(g.edges), len(weights)) == (9, 3)
     sol = solve_equivariant_cohomology(g, helpers.morava(2, 1, trunc=6), 6)
-    assert check_formality(g, helpers.CP2_BETTI, sol).passed
-    assert len(calls) == g.rank * len(g.edges)
+    assert check_formality(g, helpers.FL3_BETTI, sol).passed
+    assert len(calls) == g.rank * len(weights)
+
+
+def test_solve_substitutions_grow_with_neither_degree_nor_truncation(monkeypatch):
+    # residues are products of the adapted classes, so substitutions happen
+    # only while the law's series and the kernel ideals are built
+    import gkmcalc.fgl as fgl_module
+
+    calls = []
+    real = TruncatedSeries.substitute
+    monkeypatch.setattr(
+        TruncatedSeries, "substitute", lambda s, args: calls.append(1) or real(s, args)
+    )
+    for theories in ((helpers.morava(2, 1, trunc=6), helpers.morava(2, 1, trunc=8)),
+                     (helpers.modp(3, trunc=6),)):
+        counts = set()
+        for th in theories:
+            for q_max in (2, 6):
+                monkeypatch.setattr(fgl_module, "_fgl_cache", {})
+                calls.clear()
+                solve_equivariant_cohomology(helpers.cp2(), th, q_max)
+                counts.add(len(calls))
+        assert len(counts) == 1
