@@ -7,9 +7,9 @@ generated by the d-series of the primitive part's class, in coordinates
 adapted to the character: the relation of the cyclic ring E*[[u]]/([d]u)
 composed with the adapted last variable u_m.  When that relation has a unit
 leading coefficient it is u_m^nu times a unit, so the residue of a series is
-its cut at u_m-exponent nu; see the design notes for which theories pin this
-down and which are exposed as a conjectural model.  A monomial's residue
-is a product of adapted classes, cut after each factor.
+its cut at u_m-exponent nu.  Which theories pin this model down and which
+expose it as conjectural is the README's `model: conjectural` paragraph.
+A monomial's residue is a product of adapted classes, cut after each factor.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .lattice import (
     primitive_part,
     reduce_vector_mod_lattice,
 )
-from .scalars import MORAVA, GradedScalar, Theory
+from .scalars import MORAVA, Theory
 from .series import TruncatedSeries, exponent_vectors
 
 
@@ -98,7 +98,7 @@ def cyclic_classifying_ring(fgl: FormalGroupLaw, ell: int) -> CyclicRingPresenta
             f"expected {order}"
         )
     rank = None
-    if order is not None and rel.coefficient((order,)).is_unit():
+    if order is not None and th.is_unit(rel.raw_coefficient((order,))[0]):
         rank = order
     return CyclicRingPresentation(th, ell, rel, order, rank)
 
@@ -153,7 +153,8 @@ class RestrictionIdeal:
                 lower = alpha[:i] + (alpha[i] - 1,) + alpha[i + 1:]
                 img = self.monomial_image(lower) * self.adapted_classes[i]
                 if self.leading_unit:
-                    img.coeffs = {b: c for b, c in img.coeffs.items() if b[-1] < self.order}
+                    cut = {key: c for key, c in img.coeffs.items() if key[0][-1] < self.order}
+                    img = TruncatedSeries.from_raw(img.theory, self.nvars, cut)
             self._images[alpha] = img
         return img
 
@@ -191,15 +192,13 @@ def _slice_monomials(theory: Theory, nvars: int, q: int):
 
 
 def _series_to_vector(f: TruncatedSeries, monos) -> list:
-    index = {alpha: i for i, (alpha, _) in enumerate(monos)}
+    index = {mono: i for i, mono in enumerate(monos)}
     vec = [0] * len(monos)
-    for alpha, c in f.coeffs.items():
-        i = index.get(alpha)
+    for key, c in f.coeffs.items():
+        i = index.get(key)
         if i is None:
             raise ValueError("series has a term outside the degree slice")
-        if c.vexp != monos[i][1]:
-            raise ValueError("series term has inconsistent periodicity exponent")
-        vec[i] = c.coeff
+        vec[i] = c
     return vec
 
 
@@ -214,9 +213,8 @@ def ideal_multiples_basis(ideal: RestrictionIdeal, q: int):
     m = ideal.nvars
     monos = _slice_monomials(th, m, q)
     gens = []
-    for alpha, vexp in _slice_monomials(th, m, q - 2):
-        mono = TruncatedSeries(th, m, {alpha: GradedScalar(th, 1, vexp)})
-        prod = ideal.generator * mono
+    for mono in _slice_monomials(th, m, q - 2):
+        prod = ideal.generator * TruncatedSeries.from_raw(th, m, {mono: 1})
         if not prod.is_zero():
             gens.append(_series_to_vector(prod, monos))
     basis = hermite_row_basis(gens)
@@ -230,18 +228,16 @@ def ideal_residue(f: TruncatedSeries, ideal: RestrictionIdeal) -> TruncatedSerie
     if f.nvars != ideal.nvars:
         raise ValueError("series and ideal live over different tori")
     th, m = f.theory, f.nvars
-    adapted = TruncatedSeries.zero(th, m)
-    for alpha, c in f.coeffs.items():
-        adapted = adapted + ideal.monomial_image(alpha).scale(c)
+    images = ((ideal.monomial_image(alpha), c, k) for (alpha, k), c in f.coeffs.items())
+    adapted = TruncatedSeries.combination(th, m, images)
     if ideal.residue_is_linear:
         return adapted  # the images are already cut
     # integral coefficients with a non-unit leading term: reduce each
     # homogeneous component against the lattice of truncated multiples
-    out = TruncatedSeries.zero(th, m)
-    for q in sorted({c.degree + 2 * sum(a) for a, c in adapted.coeffs.items()}):
+    out = {}
+    for q in adapted.degrees():
         monos, basis = ideal_multiples_basis(ideal, q)
         vec = _series_to_vector(adapted.degree_component(q), monos)
         red = reduce_vector_mod_lattice(vec, basis)
-        terms = {alpha: GradedScalar(th, c, vexp) for (alpha, vexp), c in zip(monos, red) if c}
-        out = out + TruncatedSeries(th, m, terms)
-    return out
+        out.update((mono, c) for mono, c in zip(monos, red) if c)
+    return TruncatedSeries.from_raw(th, m, out)

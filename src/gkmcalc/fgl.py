@@ -23,7 +23,6 @@ from .scalars import (
     MULTIPLICATIVE,
     ORDINARY,
     RATIONAL,
-    GradedScalar,
     Theory,
 )
 from .series import TruncatedSeries, format_series
@@ -41,14 +40,13 @@ class FormalGroupLaw:
 
     def sum(self, a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
         """The formal sum F(a, b)."""
-        for s in (a, b):
-            if not s.constant_term().is_zero():
-                raise ValueError("formal sums need zero constant terms")
+        if a.order() == 0 or b.order() == 0:
+            raise ValueError("formal sums need zero constant terms")
         return self.series.substitute([a, b])
 
     def inverse(self, a: TruncatedSeries) -> TruncatedSeries:
         """The formal inverse i(a) = [-1](a), with F(a, i(a)) = 0."""
-        if not a.constant_term().is_zero():
+        if a.order() == 0:
             raise ValueError("formal inverse needs a zero constant term")
         return self.n_series(-1).substitute([a])
 
@@ -127,10 +125,10 @@ def multiplicative_fgl(theory: Theory) -> FormalGroupLaw:
     """
     if theory.period_degree != 2:
         raise ValueError("multiplicative law needs a degree -2 periodicity unit")
-    x = TruncatedSeries.variable(theory, 2, 0)
-    y = TruncatedSeries.variable(theory, 2, 1)
-    beta = theory.periodicity
-    return FormalGroupLaw(theory, x + y - (x * y).scale(beta))
+    terms = {((1, 0), 0): 1, ((0, 1), 0): 1}
+    if theory.trunc >= 2:
+        terms[((1, 1), 1)] = theory.reduce(-1)
+    return FormalGroupLaw(theory, TruncatedSeries.from_raw(theory, 2, terms))
 
 
 def _honda_fgl(theory: Theory) -> FormalGroupLaw:
@@ -191,5 +189,5 @@ def _honda_fgl(theory: Theory) -> FormalGroupLaw:
                     f"coefficient of x^{a} y^{b} survives mod {p} but "
                     f"{period} does not divide {a + b - 1}"
                 )
-            terms[(a, b)] = GradedScalar(theory, cm, k)
-    return FormalGroupLaw(theory, TruncatedSeries(theory, 2, terms))
+            terms[((a, b), k)] = cm
+    return FormalGroupLaw(theory, TruncatedSeries.from_raw(theory, 2, terms))

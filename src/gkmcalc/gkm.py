@@ -199,10 +199,10 @@ def satisfies_congruences(graph: GKMGraph, fgl: FormalGroupLaw, cls: Equivariant
     for f in cls.restrictions:
         if f.nvars != graph.rank:
             raise ValueError("restriction has the wrong number of variables")
+    ideals = {w: kernel_ideal(fgl, w) for w in dict.fromkeys(e.weight for e in graph.edges)}
     for e in graph.edges:
-        ideal = kernel_ideal(fgl, e.weight)
         diff = cls.restrictions[e.tail] - cls.restrictions[e.head]
-        if not ideal_residue(diff, ideal).is_zero():
+        if not ideal_residue(diff, ideals[e.weight]).is_zero():
             return False
     return True
 
@@ -301,23 +301,25 @@ def _solve_degree(theory, graph, ideals, monos, q):
         ideal = ideals[edge.weight]
         rowmap = {}
         # a linear residue must vanish; otherwise the images are the plain
-        # adapted monomials and membership needs the slack columns below
+        # adapted monomials and membership needs the slack columns below;
+        # rows are keyed by the u-exponent beta alone, since q fixes the
+        # periodicity exponent of every term at beta
         if not ideal.residue_is_linear:
             # membership in the ideal is a lattice condition: the adapted
             # difference must be H^T y for the truncated multiples H of the
             # generator, with y in slack columns after the x columns
             ad_monos, multiples = ideal_multiples_basis(ideal, q)
             for h in multiples:
-                for (beta, _v), c in zip(ad_monos, h):
+                for (beta, _k), c in zip(ad_monos, h):
                     if c:
                         rowmap.setdefault(beta, {})[width] = -c
                 width += 1
         tail, head = edge.tail * len(monos), edge.head * len(monos)
         for j, (alpha, _v) in enumerate(monos):
-            for beta, c in ideal.monomial_image(alpha).coeffs.items():
+            for (beta, _k), c in ideal.monomial_image(alpha).coeffs.items():
                 row = rowmap.setdefault(beta, {})
-                row[tail + j] = c.coeff
-                row[head + j] = -c.coeff
+                row[tail + j] = c
+                row[head + j] = -c
         rows.extend(rowmap.values())
     if theory.is_graded_field:
         return field_kernel(rows, ncols, theory.char), len(rows), []
@@ -331,10 +333,8 @@ def _class_from_vector(theory, graph, monos, vec, q) -> EquivariantClass:
     nm = len(monos)
     parts = []
     for i in range(len(graph.vertices)):
-        s = TruncatedSeries(theory, graph.rank)
         terms = zip(monos, vec[i * nm:(i + 1) * nm])
-        s.coeffs = {alpha: GradedScalar(theory, c, vexp) for (alpha, vexp), c in terms if c}
-        parts.append(s)
+        parts.append(TruncatedSeries.from_raw(theory, graph.rank, {m: c for m, c in terms if c}))
     return EquivariantClass(tuple(parts), q)
 
 

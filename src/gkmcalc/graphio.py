@@ -136,13 +136,15 @@ def build_class(doc: GraphDocument, name: str, fgl: FormalGroupLaw) -> Equivaria
     parts = []
     for vertex, expr in zip(doc.graph.vertices, exprs):
         series = parse_expression(expr, fgl, m)
-        if degree is not None and not series.is_zero():
-            got = series.homogeneous_degree()
-            if got != degree:
-                raise GraphFileError(
-                    f"class {name!r} at vertex {vertex}: expression has degree "
-                    f"{got}, tagged {degree}"
-                )
+        degs = series.degrees()
+        if degree is not None and degs and degs != [degree]:
+            if len(degs) == 1:
+                found = f"has degree {degs[0]}"
+            else:
+                found = f"mixes degrees {', '.join(map(str, degs[:-1]))} and {degs[-1]}"
+            raise GraphFileError(
+                f"class {name!r} at vertex {vertex}: expression {found}, tagged {degree}"
+            )
         parts.append(series)
     return EquivariantClass(tuple(parts), degree)
 
@@ -236,13 +238,13 @@ class _Parser:
             e = self.signed_int()
             if e >= 0:
                 return base ** e
-            inv = base
             # negative powers only make sense for unit scalars
-            ct = base.constant_term()
-            if base.coeffs != ({(0,) * base.nvars: ct} if not ct.is_zero() else {}):
+            if len(base.coeffs) > 1 or base.order():
                 raise GraphFileError("negative exponents need a scalar base")
-            scalar = ct.inverse()
-            out = TruncatedSeries.constant(scalar, base.nvars)
+            ct = base.constant_term()
+            if not ct.is_unit():
+                raise GraphFileError(f"negative exponent of the non-unit {ct}")
+            out = TruncatedSeries.constant(ct.inverse(), base.nvars)
             return out ** (-e) if -e > 1 else out
         return base
 

@@ -136,7 +136,7 @@ def euler_classes(graph: GKMGraph, fgl: FormalGroupLaw, slope: GenericSlope) -> 
             prod = prod * fgl.n_series(t)
         eu = LaurentSeries.from_truncated(prod)
         order = eu.order()
-        if order is None or not eu.coefficient(order).is_unit():
+        if order is None or not th.is_unit(eu.raw_coefficient(order)[0]):
             raise LocalizationError(
                 f"Euler class at vertex {graph.vertices[i]} has no unit leading "
                 f"coefficient for slope {slope.vector}"
@@ -171,14 +171,8 @@ def work_theory(theory: Theory) -> Theory:
 
 
 def _rationalize_class(cls: EquivariantClass, qtheory: Theory) -> EquivariantClass:
-    def conv(series: TruncatedSeries) -> TruncatedSeries:
-        out = TruncatedSeries(qtheory, series.nvars)
-        out.coeffs = {
-            a: GradedScalar(qtheory, c.coeff) for a, c in series.coeffs.items()
-        }
-        return out
-
-    return EquivariantClass(tuple(conv(f) for f in cls.restrictions), cls.degree)
+    parts = tuple(TruncatedSeries.from_raw(qtheory, f.nvars, f.coeffs) for f in cls.restrictions)
+    return EquivariantClass(parts, cls.degree)
 
 
 def integrate(

@@ -1,10 +1,15 @@
 """Graded coefficient rings for the supported cohomology theories.
 
-Every scalar is a homogeneous element of the coefficient ring, graded
-cohomologically, so the periodicity generators carry negative degree:
-|v_n| = -2(p^n - 1) for the height-n theories and |b| = -2 for the
-multiplicative one.  Arithmetic is exact; adding scalars of unequal degree
-is an error rather than a coercion.
+The rings are graded cohomologically, so the periodicity generators carry
+negative degree: |v_n| = -2(p^n - 1) for the height-n theories and |b| = -2
+for the multiplicative one.  Series store raw coefficients (see the series
+module), and Theory holds the ring's rules for them: reduction mod the
+characteristic, the unit test and the inverse of a unit.
+
+GradedScalar, a homogeneous element c * unit^vexp, is the boundary type: the
+expression parser, the series accessors and the integration report build it,
+and the arithmetic below never does.  Adding scalars of unequal degree is an
+error rather than a coercion.
 """
 
 from __future__ import annotations
@@ -88,6 +93,23 @@ class Theory:
             return "b"
         return None
 
+    def reduce(self, c):
+        """A raw coefficient in normal form: reduced mod p under mod-p and
+        morava, unchanged otherwise."""
+        return c % self.p if self.kind in _MOD_P_KINDS else c
+
+    def is_unit(self, c) -> bool:
+        """Whether c times any power of the periodicity unit is a unit."""
+        return c != 0 and (self.kind in _FIELD_KINDS or c in (1, -1))
+
+    def inverse(self, c):
+        """The inverse of a unit raw coefficient."""
+        if self.kind in _MOD_P_KINDS:
+            return pow(c, -1, self.p)
+        if self.kind == RATIONAL:
+            return 1 / Fraction(c)
+        return c  # +-1 over the integers
+
     def scalar(self, coeff, vexp: int = 0) -> "GradedScalar":
         return GradedScalar(self, coeff, vexp)
 
@@ -155,11 +177,7 @@ class GradedScalar:
 
     def __post_init__(self):
         th = self.theory
-        c = self.coeff
-        if th.kind in _MOD_P_KINDS:
-            c = c % th.p
-        elif th.kind == RATIONAL:
-            c = Fraction(c)
+        c = Fraction(self.coeff) if th.kind == RATIONAL else th.reduce(self.coeff)
         v = self.vexp
         if c == 0:
             v = 0
@@ -208,43 +226,32 @@ class GradedScalar:
         return GradedScalar(self.theory, self.coeff * other.coeff, self.vexp + other.vexp)
 
     def is_unit(self) -> bool:
-        th = self.theory
-        if self.coeff == 0:
-            return False
-        if th.kind in _FIELD_KINDS:
-            return True
-        return self.coeff in (1, -1)
+        return self.theory.is_unit(self.coeff)
 
     def inverse(self) -> "GradedScalar":
         th = self.theory
         if not self.is_unit():
             raise ZeroDivisionError(f"scalar {self} is not a unit in {th.kind}")
-        if th.kind in _MOD_P_KINDS:
-            c = pow(self.coeff, -1, th.p)
-        elif th.kind == RATIONAL:
-            c = 1 / Fraction(self.coeff)
-        else:
-            c = self.coeff  # +-1 over the integers
-        return GradedScalar(th, c, -self.vexp)
+        return GradedScalar(th, th.inverse(self.coeff), -self.vexp)
 
     def __str__(self) -> str:
-        neg, body = scalar_parts(self)
+        neg, body = scalar_parts(self.theory, self.coeff, self.vexp)
         return ("-" if neg else "") + body
 
 
-def scalar_parts(s: GradedScalar, with_monomial: bool = False) -> tuple[bool, str]:
-    """Render a scalar as (negative?, factor-string), omitting unit factors.
+def scalar_parts(theory: Theory, c, vexp: int, with_monomial: bool = False) -> tuple[bool, str]:
+    """Render c * unit^vexp as (negative?, factor-string), omitting unit
+    factors.
 
     With with_monomial=True a trailing '*monomial' will follow, so a bare
     coefficient 1 is dropped entirely.
     """
-    c = s.coeff
     neg = c < 0
     a = -c if neg else c
     factors = []
-    if s.vexp != 0:
-        name = s.theory.unit_name
-        factors.append(name if s.vexp == 1 else f"{name}^{s.vexp}")
+    if vexp != 0:
+        name = theory.unit_name
+        factors.append(name if vexp == 1 else f"{name}^{vexp}")
     if a != 1 or (not factors and not with_monomial):
         factors.insert(0, str(a))
     return neg, "*".join(factors)

@@ -1,18 +1,31 @@
-"""Truncated multivariate power series over graded scalars, plus the
-one-variable Laurent series used for localization.
+"""Truncated multivariate power series over a graded coefficient ring, plus
+the one-variable Laurent series used for localization.
 
 Truncation is by total variable exponent: a series keeps coefficients
 c_alpha with |alpha| <= D where D is the theory's truncation degree.
-Storage is an exponent-keyed dict of the nonzero terms, and products are
-plain convolution (bucketed by total degree), which is easy to audit.  The
-envelope this is measured on: the solver at D <= 4 in m <= 4 variables, the
-formal group laws in two variables at D <= 32, and localization at D <= 28,
-where class restrictions in m <= 4 variables are pushed down to one.
+
+Storage is a dict {(alpha, k): c} of the nonzero terms c * unit^k * u^alpha.
+alpha is the exponent tuple (a Laurent series keys by the exponent e
+instead), k the exponent of the periodicity unit, always 0 in a theory
+without one, and c a raw ring element: an int in [0, p) under mod-p and
+morava, an int under ordinary and mult, an int or Fraction under rational.
+A term has degree 2|alpha| - k * period_degree, so a sum of homogeneous parts
+of different degrees is an ordinary series, and one alpha may carry several
+k.  GradedScalar is the boundary type: the constructors taking scalars,
+scale, coefficient, constant_term and terms convert at the edge, and the
+arithmetic never builds one.
+
+Products are plain convolution (bucketed by total degree), which is easy to
+audit.  The envelope this is measured on: the solver at D <= 4 in m <= 4
+variables, the formal group laws in two variables at D <= 32, and
+localization at D <= 28, where class restrictions in m <= 4 variables are
+pushed down to one.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import add
 
 from .scalars import (
     DegreeError,
@@ -31,6 +44,12 @@ def monomial_key(alpha: tuple[int, ...]):
     return (sum(alpha), tuple(-a for a in alpha))
 
 
+def _term_key(item):
+    """Print order of a stored term: monomial_key, then the unit exponent."""
+    (alpha, k), _c = item
+    return monomial_key(alpha), k
+
+
 @lru_cache(maxsize=None)
 def exponent_vectors(nvars: int, dmax: int) -> tuple[tuple[int, ...], ...]:
     """All exponent vectors with total degree <= dmax, in canonical order."""
@@ -40,13 +59,40 @@ def exponent_vectors(nvars: int, dmax: int) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(vecs, key=monomial_key))
 
 
+def _clean(acc: dict, p: int) -> dict:
+    """acc reduced mod p (when p is nonzero) without its zero entries."""
+    if p:
+        return {key: r for key, c in acc.items() if (r := c % p)}
+    return {key: c for key, c in acc.items() if c}
+
+
+def _combine(parts, p: int) -> dict:
+    """The sum of c * unit^k * f over the (f, c, k) in parts, f a dict in
+    the stored format, reduced mod p when p is nonzero."""
+    acc = {}
+    for f, c, k in parts:
+        for (a, j), x in f.items():
+            key = (a, j + k)
+            acc[key] = acc.get(key, 0) + c * x
+    return _clean(acc, p)
+
+
+def _raw_at(coeffs: dict, a) -> tuple:
+    """(c, k) of the stored term at a, (0, 0) when there is none."""
+    found = [(c, k) for (b, k), c in coeffs.items() if b == a]
+    if len(found) > 1:
+        raise DegreeError(f"the coefficient of {a} mixes degrees")
+    return found[0] if found else (0, 0)
+
+
 class TruncatedSeries:
     __slots__ = ("theory", "nvars", "coeffs")
 
     def __init__(self, theory: Theory, nvars: int, coeffs=None):
+        """coeffs maps exponent tuples to GradedScalars."""
         self.theory = theory
         self.nvars = nvars
-        clean = {}
+        self.coeffs = {}
         if coeffs:
             D = theory.trunc
             for alpha, c in coeffs.items():
@@ -57,10 +103,22 @@ class TruncatedSeries:
                 if sum(alpha) > D:
                     raise ValueError(f"term {alpha} exceeds truncation degree {D}")
                 if not c.is_zero():
-                    clean[tuple(alpha)] = c
-        self.coeffs = clean
+                    self.coeffs[(tuple(alpha), c.vexp)] = c.coeff
 
     # ---- constructors -------------------------------------------------
+
+    @classmethod
+    def from_raw(cls, theory, nvars, coeffs: dict) -> "TruncatedSeries":
+        """The series holding the stored-format dict coeffs as it is."""
+        out = cls(theory, nvars)
+        out.coeffs = coeffs
+        return out
+
+    @classmethod
+    def combination(cls, theory, nvars, parts) -> "TruncatedSeries":
+        """The sum of c * unit^k * s over the triples (s, c, k) in parts."""
+        coeffs = _combine(((s.coeffs, c, k) for s, c, k in parts), theory.char)
+        return cls.from_raw(theory, nvars, coeffs)
 
     @classmethod
     def zero(cls, theory, nvars):
@@ -68,63 +126,67 @@ class TruncatedSeries:
 
     @classmethod
     def constant(cls, scalar: GradedScalar, nvars: int):
-        s = cls(scalar.theory, nvars)
-        if not scalar.is_zero():
-            s.coeffs[(0,) * nvars] = scalar
-        return s
+        return cls(scalar.theory, nvars, {(0,) * nvars: scalar})
 
     @classmethod
     def one(cls, theory, nvars):
-        return cls.constant(theory.one, nvars)
+        return cls.from_raw(theory, nvars, {((0,) * nvars, 0): 1})
 
     @classmethod
     def variable(cls, theory, nvars, i):
         if not 0 <= i < nvars:
             raise ValueError(f"variable index {i} out of range")
         alpha = tuple(1 if j == i else 0 for j in range(nvars))
-        return cls(theory, nvars, {alpha: theory.one})
+        return cls.from_raw(theory, nvars, {(alpha, 0): 1})
+
+    def _like(self, coeffs: dict) -> "TruncatedSeries":
+        return TruncatedSeries.from_raw(self.theory, self.nvars, coeffs)
 
     # ---- inspection ---------------------------------------------------
 
     def is_zero(self) -> bool:
         return not self.coeffs
 
+    def raw_coefficient(self, alpha) -> tuple:
+        """(c, k) of the term at u^alpha, (0, 0) when there is none; a
+        DegreeError when terms of several degrees share alpha."""
+        return _raw_at(self.coeffs, tuple(alpha))
+
     def coefficient(self, alpha) -> GradedScalar:
-        return self.coeffs.get(tuple(alpha), self.theory.zero)
+        return GradedScalar(self.theory, *self.raw_coefficient(alpha))
 
     def constant_term(self) -> GradedScalar:
         return self.coefficient((0,) * self.nvars)
 
     def order(self) -> int | None:
         """Minimal total variable degree of a nonzero term; None for zero."""
-        if not self.coeffs:
-            return None
-        return min(sum(a) for a in self.coeffs)
+        return min((sum(a) for a, _k in self.coeffs), default=None)
+
+    def degrees(self) -> list[int]:
+        """The cohomological degrees of the terms, ascending."""
+        per = self.theory.period_degree
+        return sorted({2 * sum(a) - per * k for a, k in self.coeffs})
 
     def homogeneous_degree(self) -> int | None:
         """The common cohomological degree of all terms, or None if mixed/zero."""
-        degs = {c.degree + 2 * sum(a) for a, c in self.coeffs.items()}
-        if len(degs) == 1:
-            return degs.pop()
-        return None
+        degs = self.degrees()
+        return degs[0] if len(degs) == 1 else None
 
-    def terms(self):
-        return sorted(self.coeffs.items(), key=lambda kv: monomial_key(kv[0]))
+    def terms(self) -> list[tuple[tuple[int, ...], GradedScalar]]:
+        """(alpha, scalar) pairs in print order."""
+        th = self.theory
+        items = sorted(self.coeffs.items(), key=_term_key)
+        return [(a, GradedScalar(th, c, k)) for (a, k), c in items]
 
     def degree_component(self, d: int) -> "TruncatedSeries":
         """The part of cohomological degree d."""
-        out = TruncatedSeries(self.theory, self.nvars)
-        for a, c in self.coeffs.items():
-            if c.degree + 2 * sum(a) == d:
-                out.coeffs[a] = c
-        return out
+        per = self.theory.period_degree
+        return self._like(
+            {(a, k): c for (a, k), c in self.coeffs.items() if 2 * sum(a) - per * k == d}
+        )
 
     def variable_degree_component(self, d: int) -> "TruncatedSeries":
-        out = TruncatedSeries(self.theory, self.nvars)
-        for a, c in self.coeffs.items():
-            if sum(a) == d:
-                out.coeffs[a] = c
-        return out
+        return self._like({key: c for key, c in self.coeffs.items() if sum(key[0]) == d})
 
     def _compatible(self, other: "TruncatedSeries"):
         if self.theory != other.theory:
@@ -149,21 +211,10 @@ class TruncatedSeries:
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._compatible(other)
-        out = TruncatedSeries(self.theory, self.nvars)
-        out.coeffs = dict(self.coeffs)
-        for a, c in other.coeffs.items():
-            cur = out.coeffs.get(a)
-            s = c if cur is None else cur + c
-            if s.is_zero():
-                out.coeffs.pop(a, None)
-            else:
-                out.coeffs[a] = s
-        return out
+        return self._like(_combine([(self.coeffs, 1, 0), (other.coeffs, 1, 0)], self.theory.char))
 
     def __neg__(self) -> "TruncatedSeries":
-        out = TruncatedSeries(self.theory, self.nvars)
-        out.coeffs = {a: -c for a, c in self.coeffs.items()}
-        return out
+        return self._like(_combine([(self.coeffs, -1, 0)], self.theory.char))
 
     def __sub__(self, other):
         return self + (-other)
@@ -171,14 +222,7 @@ class TruncatedSeries:
     def scale(self, scalar: GradedScalar) -> "TruncatedSeries":
         if scalar.theory != self.theory:
             raise ValueError("scalar belongs to a different theory")
-        out = TruncatedSeries(self.theory, self.nvars)
-        if scalar.is_zero():
-            return out
-        for a, c in self.coeffs.items():
-            p = c * scalar
-            if not p.is_zero():
-                out.coeffs[a] = p
-        return out
+        return self._like(_combine([(self.coeffs, scalar.coeff, scalar.vexp)], self.theory.char))
 
     def __mul__(self, other):
         if isinstance(other, GradedScalar):
@@ -186,45 +230,22 @@ class TruncatedSeries:
         self._compatible(other)
         th = self.theory
         D = th.trunc
-        n = self.nvars
-        p = th.char or None
         buckets_a = {}
-        for a, c in self.coeffs.items():
-            buckets_a.setdefault(sum(a), []).append((a, c.coeff, c.vexp))
+        for (a, k), c in self.coeffs.items():
+            buckets_a.setdefault(sum(a), []).append((a, k, c))
         buckets_b = {}
-        for b, c in other.coeffs.items():
-            buckets_b.setdefault(sum(b), []).append((b, c.coeff, c.vexp))
-        acc: dict[tuple, list] = {}
+        for (b, k), c in other.coeffs.items():
+            buckets_b.setdefault(sum(b), []).append((b, k, c))
+        acc = {}
         for da, lista in buckets_a.items():
             for db, listb in buckets_b.items():
                 if da + db > D:
                     continue
-                for a, ca, va in lista:
-                    for b, cb, vb in listb:
-                        c = ca * cb
-                        if p:
-                            c %= p
-                        if c == 0:
-                            continue
-                        key = tuple(a[i] + b[i] for i in range(n))
-                        v = va + vb
-                        slot = acc.get(key)
-                        if slot is None:
-                            acc[key] = [c, v]
-                        elif slot[0] == 0:
-                            slot[0] = c
-                            slot[1] = v
-                        elif slot[1] != v:
-                            raise DegreeError(
-                                "product mixes scalar degrees at one monomial"
-                            )
-                        else:
-                            slot[0] = slot[0] + c if not p else (slot[0] + c) % p
-        out = TruncatedSeries(th, n)
-        for key, (c, v) in acc.items():
-            if c != 0:
-                out.coeffs[key] = GradedScalar(th, c, v)
-        return out
+                for a, ka, ca in lista:
+                    for b, kb, cb in listb:
+                        key = (tuple(map(add, a, b)), ka + kb)
+                        acc[key] = acc.get(key, 0) + ca * cb
+        return self._like(_clean(acc, th.char))
 
     __rmul__ = __mul__
 
@@ -246,11 +267,10 @@ class TruncatedSeries:
         if len(args) != self.nvars:
             raise ValueError(f"expected {self.nvars} substitution series")
         th = self.theory
-        D = th.trunc
         for g in args:
             if g.theory != th:
                 raise ValueError("substitution series belongs to a different theory")
-            if not g.constant_term().is_zero():
+            if g.order() == 0:
                 raise ValueError("substitution series must have zero constant term")
         nout = args[0].nvars if args else self.nvars
         for g in args:
@@ -276,10 +296,8 @@ class TruncatedSeries:
                     break
             return cache[e]
 
-        out = TruncatedSeries(th, nout)
-        for alpha, c in self.coeffs.items():
-            if any(e > D for e in alpha):
-                continue
+        parts = []
+        for (alpha, k), c in self.coeffs.items():
             term = None
             for i, e in enumerate(alpha):
                 if e == 0:
@@ -291,10 +309,8 @@ class TruncatedSeries:
                 term = pw if term is None else term * pw
             if term is None:
                 term = TruncatedSeries.one(th, nout)
-            elif term.is_zero():
-                continue
-            out = out + term.scale(c)
-        return out
+            parts.append((term, c, k))
+        return TruncatedSeries.combination(th, nout, parts)
 
     def __str__(self):
         return format_series(self)
@@ -303,30 +319,32 @@ class TruncatedSeries:
         return f"<series {self}>"
 
 
-def format_series(s: TruncatedSeries, varnames=None) -> str:
-    if varnames is None:
-        varnames = [f"u{i + 1}" for i in range(s.nvars)]
-    items = s.terms()
-    if not items:
-        return "0"
+def _render(theory: Theory, items) -> list[str]:
+    """The signed terms c * unit^k * mono of (mono, c, k) items, in order."""
     parts = []
-    for alpha, c in items:
-        mono = "*".join(
-            name if e == 1 else f"{name}^{e}"
-            for name, e in zip(varnames, alpha)
-            if e != 0
-        )
-        neg, body = scalar_parts(c, with_monomial=bool(mono))
+    for mono, c, k in items:
+        neg, body = scalar_parts(theory, c, k, with_monomial=bool(mono))
         text = f"{body}*{mono}" if body and mono else (body or mono)
         if not parts:
             parts.append(("-" if neg else "") + text)
         else:
             parts.append(("- " if neg else "+ ") + text)
-    return " ".join(parts)
+    return parts
+
+
+def format_series(s: TruncatedSeries, varnames=None) -> str:
+    if varnames is None:
+        varnames = [f"u{i + 1}" for i in range(s.nvars)]
+    items = [
+        ("*".join(v if e == 1 else f"{v}^{e}" for v, e in zip(varnames, alpha) if e), c, k)
+        for (alpha, k), c in sorted(s.coeffs.items(), key=_term_key)
+    ]
+    return " ".join(_render(s.theory, items)) or "0"
 
 
 class LaurentSeries:
-    """One-variable Laurent series with precision tracking.
+    """One-variable Laurent series with precision tracking, stored as
+    {(e, k): c} in the format of TruncatedSeries.
 
     Coefficients are reliable for exponents below `prec` (exclusive);
     prec=None means exact.  Only what localization needs is implemented.
@@ -335,26 +353,30 @@ class LaurentSeries:
     __slots__ = ("theory", "coeffs", "prec")
 
     def __init__(self, theory: Theory, coeffs=None, prec: int | None = None):
+        """coeffs maps exponents to GradedScalars."""
         self.theory = theory
         self.prec = prec
         self.coeffs = {}
         if coeffs:
             for e, c in coeffs.items():
-                if c.is_zero():
-                    continue
-                if prec is not None and e >= prec:
-                    continue
-                self.coeffs[e] = c
+                if not c.is_zero() and (prec is None or e < prec):
+                    self.coeffs[(e, c.vexp)] = c.coeff
+
+    @classmethod
+    def from_raw(cls, theory, coeffs: dict, prec: int | None) -> "LaurentSeries":
+        """The series of the stored-format dict coeffs, cut at prec."""
+        out = cls(theory, None, prec)
+        if prec is not None:
+            coeffs = {key: c for key, c in coeffs.items() if key[0] < prec}
+        out.coeffs = coeffs
+        return out
 
     @classmethod
     def from_truncated(cls, s: TruncatedSeries) -> "LaurentSeries":
         if s.nvars != 1:
             raise ValueError("only one-variable series convert to Laurent series")
-        return cls(
-            s.theory,
-            {a[0]: c for a, c in s.coeffs.items()},
-            prec=s.theory.trunc + 1,
-        )
+        coeffs = {(a[0], k): c for (a, k), c in s.coeffs.items()}
+        return cls.from_raw(s.theory, coeffs, s.theory.trunc + 1)
 
     @classmethod
     def zero(cls, theory, prec=None):
@@ -364,12 +386,14 @@ class LaurentSeries:
         return not self.coeffs
 
     def order(self) -> int | None:
-        if not self.coeffs:
-            return None
-        return min(self.coeffs)
+        return min((e for e, _k in self.coeffs), default=None)
+
+    def raw_coefficient(self, e: int) -> tuple:
+        """(c, k) of the term at s^e, as TruncatedSeries.raw_coefficient."""
+        return _raw_at(self.coeffs, e)
 
     def coefficient(self, e: int) -> GradedScalar:
-        return self.coeffs.get(e, self.theory.zero)
+        return GradedScalar(self.theory, *self.raw_coefficient(e))
 
     def __eq__(self, other):
         if not isinstance(other, LaurentSeries):
@@ -385,31 +409,15 @@ class LaurentSeries:
     def __add__(self, other: "LaurentSeries") -> "LaurentSeries":
         if self.theory != other.theory:
             raise ValueError("Laurent series belong to different theories")
-        prec = _min_prec(self.prec, other.prec)
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            cur = out.get(e)
-            s = c if cur is None else cur + c
-            if s.is_zero():
-                out.pop(e, None)
-            else:
-                out[e] = s
-        return LaurentSeries(self.theory, out, prec)
+        coeffs = _combine([(self.coeffs, 1, 0), (other.coeffs, 1, 0)], self.theory.char)
+        return LaurentSeries.from_raw(self.theory, coeffs, _min_prec(self.prec, other.prec))
 
     def __neg__(self):
-        return LaurentSeries(
-            self.theory, {e: -c for e, c in self.coeffs.items()}, self.prec
-        )
+        coeffs = _combine([(self.coeffs, -1, 0)], self.theory.char)
+        return LaurentSeries.from_raw(self.theory, coeffs, self.prec)
 
     def __sub__(self, other):
         return self + (-other)
-
-    def scale(self, scalar: GradedScalar) -> "LaurentSeries":
-        return LaurentSeries(
-            self.theory,
-            {e: c * scalar for e, c in self.coeffs.items()},
-            self.prec,
-        )
 
     def __mul__(self, other: "LaurentSeries") -> "LaurentSeries":
         if self.theory != other.theory:
@@ -425,85 +433,60 @@ class LaurentSeries:
         pa = None if self.prec is None else self.prec + other.order()
         pb = None if other.prec is None else other.prec + self.order()
         prec = _min_prec(pa, pb)
-        out: dict[int, GradedScalar] = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
+        acc = {}
+        for (e1, k1), c1 in self.coeffs.items():
+            for (e2, k2), c2 in other.coeffs.items():
                 e = e1 + e2
                 if prec is not None and e >= prec:
                     continue
-                p = c1 * c2
-                if p.is_zero():
-                    continue
-                cur = out.get(e)
-                s = p if cur is None else cur + p
-                if s.is_zero():
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        return LaurentSeries(self.theory, out, prec)
+                key = (e, k1 + k2)
+                acc[key] = acc.get(key, 0) + c1 * c2
+        return LaurentSeries.from_raw(self.theory, _clean(acc, self.theory.char), prec)
 
     def divide(self, g: "LaurentSeries") -> "LaurentSeries":
         """Exact quotient self/g; g needs a unit leading coefficient."""
         if g.is_zero():
             raise ZeroDivisionError("division of Laurent series by zero")
+        th = self.theory
         lg = g.order()
-        lead = g.coeffs[lg]
-        if not lead.is_unit():
-            raise LeadingUnitError(
-                f"leading coefficient {lead} of the divisor is not a unit"
-            )
+        leads = [(k, c) for (e, k), c in g.coeffs.items() if e == lg]
+        if len(leads) > 1 or not th.is_unit(leads[0][1]):
+            lead = " ".join(_render(th, [("", c, k) for k, c in sorted(leads)]))
+            raise LeadingUnitError(f"leading coefficient {lead} of the divisor is not a unit")
+        lead_k, lead = leads[0]
         rel_g = None if g.prec is None else g.prec - lg
         if rel_g is None and len(g.coeffs) > 1:
             # exact non-monomial divisor: expand to the ambient truncation
-            rel_g = self.theory.trunc + 1
+            rel_g = th.trunc + 1
         if self.is_zero():
             prec = None if self.prec is None else self.prec - lg
-            return LaurentSeries.zero(self.theory, prec)
-        # invert the unit part of g as a power series in s
-        inv_lead = lead.inverse()
+            return LaurentSeries.zero(th, prec)
+        # g = s^lg unit^lead_k (lead + t), and the unit part's inverse is the
+        # power series w with w_0 = 1/lead and w_e = -(sum_j t_j w_(e-j))/lead
+        inv_lead = th.inverse(lead)
         if rel_g is None:
-            inv = LaurentSeries(self.theory, {-lg: inv_lead}, None)
-            return self * inv
-        tail = {e - lg: c for e, c in g.coeffs.items() if e != lg}
-        inv_coeffs = {0: inv_lead}
-        for k in range(1, rel_g):
-            acc = self.theory.zero
-            for j, cj in tail.items():
-                if 0 < j <= k:
-                    prev = inv_coeffs.get(k - j)
-                    if prev is not None:
-                        acc = acc + cj * prev
-            ck = -(inv_lead * acc)
-            if not ck.is_zero():
-                inv_coeffs[k] = ck
-        inv = LaurentSeries(
-            self.theory,
-            {e - lg: c for e, c in inv_coeffs.items()},
-            -lg + rel_g,
-        )
-        return self * inv
+            return self * LaurentSeries.from_raw(th, {(-lg, -lead_k): inv_lead}, None)
+        tail = [(e - lg, k - lead_k, c) for (e, k), c in g.coeffs.items() if e != lg]
+        w = [{0: inv_lead}]  # w[e] maps unit exponents to coefficients
+        for e in range(1, rel_g):
+            acc = {}
+            for j, kt, ct in tail:
+                if j <= e:
+                    for k, cw in w[e - j].items():
+                        acc[k + kt] = acc.get(k + kt, 0) - inv_lead * ct * cw
+            w.append(_clean(acc, th.char))
+        inv = {(e - lg, k - lead_k): c for e, we in enumerate(w) for k, c in we.items()}
+        return self * LaurentSeries.from_raw(th, inv, -lg + rel_g)
 
     def negative_part_is_zero(self) -> bool:
-        return all(e >= 0 for e in self.coeffs)
+        return all(e >= 0 for e, _k in self.coeffs)
 
     def __str__(self):
-        items = sorted(self.coeffs.items())
-        parts = []
-        for e, c in items:
-            if e == 0:
-                mono = ""
-            elif e == 1:
-                mono = "s"
-            else:
-                mono = f"s^{e}"
-            neg, body = scalar_parts(c, with_monomial=bool(mono))
-            text = f"{body}*{mono}" if body and mono else (body or mono)
-            if not parts:
-                parts.append(("-" if neg else "") + text)
-            else:
-                parts.append(("- " if neg else "+ ") + text)
-        if not parts:
-            parts.append("0")
+        items = [
+            ("" if e == 0 else "s" if e == 1 else f"s^{e}", c, k)
+            for (e, k), c in sorted(self.coeffs.items())
+        ]
+        parts = _render(self.theory, items) or ["0"]
         if self.prec is not None:
             parts.append(f"+ O(s^{self.prec})")
         return " ".join(parts)

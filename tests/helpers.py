@@ -174,9 +174,7 @@ def series_from_terms(theory, nvars, terms):
 def random_series(rng: random.Random, theory, nvars, maxdeg=None, terms=4):
     """A random series with small integer base coefficients.
 
-    Over the periodic theories the output is homogeneous of a random degree,
-    so that products of random series stay representable (a coefficient must
-    be a single homogeneous scalar).
+    Over the periodic theories the output is homogeneous of a random degree.
     """
     if theory.period_degree:
         q = 2 * rng.randrange(0, theory.trunc + 1)
@@ -252,7 +250,7 @@ def reduce_in_var(f, rel, var):
     th = f.theory
     nu = rel.order()
     lead_inv = rel.coefficient((nu,)).inverse()
-    work = dict(f.coeffs)
+    work = dict(f.terms())
     done = {}
     for d in range(th.trunc + 1):
         for alpha in sorted(a for a in work if sum(a) == d):
@@ -260,7 +258,7 @@ def reduce_in_var(f, rel, var):
             if alpha[var] < nu:
                 done[alpha] = c
                 continue
-            for (k,), gc in rel.coeffs.items():
+            for (k,), gc in rel.terms():
                 if k == nu:
                     continue  # cancelled by the pop
                 target = list(alpha)
@@ -275,9 +273,7 @@ def reduce_in_var(f, rel, var):
                     work.pop(target, None)
                 else:
                     work[target] = new
-    out = TruncatedSeries(th, f.nvars)
-    out.coeffs = done
-    return out
+    return TruncatedSeries(th, f.nvars, done)
 
 
 def honda_fgl_by_reversion(theory):
@@ -302,7 +298,7 @@ def honda_fgl_by_reversion(theory):
     y2 = TruncatedSeries.variable(qt, 2, 1)
     f0 = exp1.substitute([log1.substitute([x2]) + log1.substitute([y2])])
     out = {}
-    for (a, b), c in f0.coeffs.items():
+    for (a, b), c in f0.terms():
         frac = Fraction(c.coeff)
         assert frac.denominator % p != 0
         cm = frac.numerator * pow(frac.denominator, -1, p) % p

@@ -91,8 +91,8 @@ def test_kunneth_product_ranks():
     # ell = 12 = 4 * 3: order p^2, and the relation is not a bare monomial
     r2 = cyclic_classifying_ring(fgl, 12)
 
-    rel1 = TruncatedSeries(th, 2, {(k, 0): c for (k,), c in r1.relation.coeffs.items()})
-    rel2 = TruncatedSeries(th, 2, {(0, k): c for (k,), c in r2.relation.coeffs.items()})
+    rel1 = TruncatedSeries(th, 2, {(k, 0): c for (k,), c in r1.relation.terms()})
+    rel2 = TruncatedSeries(th, 2, {(0, k): c for (k,), c in r2.relation.terms()})
     from gkmcalc.series import exponent_vectors
 
     survivors = []
@@ -225,7 +225,7 @@ def _cut(f, ideal):
     if not ideal.leading_unit:
         return f
     out = TruncatedSeries(f.theory, f.nvars)
-    out.coeffs = {a: c for a, c in f.coeffs.items() if a[-1] < ideal.order}
+    out.coeffs = {key: c for key, c in f.coeffs.items() if key[0][-1] < ideal.order}
     return out
 
 
@@ -238,7 +238,7 @@ def _residue_by_substitution(f, ideal):
         return _cut(adapted, ideal)
     th = f.theory
     out = TruncatedSeries.zero(th, f.nvars)
-    for q in sorted({c.degree + 2 * sum(a) for a, c in adapted.coeffs.items()}):
+    for q in sorted({c.degree + 2 * sum(a) for a, c in adapted.terms()}):
         monos, basis = ideal_multiples_basis(ideal, q)
         red = reduce_vector_mod_lattice(
             _series_to_vector(adapted.degree_component(q), monos), basis

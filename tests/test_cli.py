@@ -117,6 +117,13 @@ GOLDEN_COMMANDS = {
     "solve-fl3-morava-p2n1": ("solve fl3.json --theory morava --p 2 --n 1 --trunc 6 --qmax 6", 0),
     "solve-fl3-mult": ("solve fl3.json --theory mult --trunc 6 --qmax 6", 0),
     "fgl-morava-p2n1-d40-minus1": ("fgl --theory morava --p 2 --n 1 --trunc 40 --ell -1", 0),
+    # CP^2 with doubled weights: elementary divisors, the primitive-kernel
+    # variant line, and a non-integral rational integral
+    "solve-cp2x2-ordinary": ("solve cp2x2.json --theory ordinary --qmax 4", 0),
+    "solve-cp2x2-morava-p2n1": (
+        "solve cp2x2.json --theory morava --p 2 --n 1 --trunc 8 --qmax 4", 0,
+    ),
+    "integrate-cp2x2-ordinary-pt": ("integrate cp2x2.json --theory ordinary --trunc 8 --class pt", 0),
 }
 
 
@@ -347,6 +354,61 @@ def test_cli_integrate_refuses_a_mixed_degree_class_below_the_euler_order(tmp_pa
     code, out, _ = run_cli(*argv, "--trunc", "5")
     assert code == 0
     assert "euler A: v2*s^5 + O(s^6)" in out
+
+
+def _cp2_with_class(tmp_path, name, spec):
+    with open(graph_path("cp2.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["classes"][name] = spec
+    path = tmp_path / "cp2.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_cli_integrate_a_class_mixing_degrees_at_one_monomial(tmp_path):
+    # under K(1) at p = 2, chi(1,1) = u1 + u2 + v1*u1*u2 has a degree-2 term at
+    # u1*u2, and chi(1,0)*chi(0,1) = u1*u2 a degree-4 one
+    path = _cp2_with_class(tmp_path, "mixed", ["chi(1,1) + chi(1,0)*chi(0,1)", "0", "0"])
+    argv = ["integrate", path, "--class", "mixed"]
+    code, out, err = run_cli(*argv, "--theory", "morava", "--p", "2", "--n", "1")
+    assert code == 0 and err == ""
+    assert "sum: v1^-1*s^-2 + s^-1 + 1 + v1 + " in out
+    code, out, err = run_cli(*argv, "--theory", "mult")
+    assert code == 4
+    assert err == (
+        "error: Euler class at vertex A has no unit leading coefficient for slope (1, 2)\n"
+    )
+
+
+def test_cli_integrate_names_the_degrees_of_a_mixed_tagged_class(tmp_path):
+    spec = {"degree": 4, "restrictions": ["u1 + u1^2", "0", "0"]}
+    path = _cp2_with_class(tmp_path, "tagged", spec)
+    code, _, err = run_cli("integrate", path, "--theory", "ordinary", "--class", "tagged")
+    assert code == 2
+    assert err == (
+        "error: class 'tagged' at vertex A: expression mixes degrees 2 and 4, tagged 4\n"
+    )
+
+
+def test_cli_integrate_refuses_a_negative_power_of_a_non_unit(tmp_path):
+    path = _cp2_with_class(tmp_path, "inv", ["2^-1*u1", "0", "0"])
+    code, _, err = run_cli("integrate", path, "--theory", "mult", "--class", "inv")
+    assert code == 2
+    assert err == "error: negative exponent of the non-unit 2\n"
+
+
+def test_cli_solve_and_check_formality_build_no_graded_scalar(monkeypatch):
+    from gkmcalc.scalars import GradedScalar
+
+    built = []
+    real = GradedScalar.__post_init__
+    monkeypatch.setattr(GradedScalar, "__post_init__", lambda s: built.append(1) or real(s))
+    for theory in (["morava", "--p", "2", "--n", "1"], ["mult"]):
+        for command in ("solve", "check-formality"):
+            argv = [command, graph_path("fl3.json"), "--theory", *theory, "--trunc", "6"]
+            code, _, _ = run_cli(*argv, "--qmax", "6")
+            assert code == 0
+    assert built == []
 
 
 def test_cli_integrate_mod_p_refusal_names_the_vanishing_euler_class():

@@ -22,7 +22,7 @@ def fgl_axioms(fgl):
     zero2 = TruncatedSeries.zero(th, 2)
     assert fgl.sum(x2, zero2) == x2, "unitality in x"
     assert fgl.sum(zero2, y2) == y2, "unitality in y"
-    swapped = {(j, i): c for (i, j), c in fgl.series.coeffs.items()}
+    swapped = {((j, i), k): c for ((i, j), k), c in fgl.series.coeffs.items()}
     assert swapped == fgl.series.coeffs, "commutativity"
     x, y, z = x_y_z(th)
     lhs = fgl.sum(fgl.sum(x, y), z)
@@ -60,7 +60,7 @@ def test_honda_xy_coefficient():
 def test_honda_height_two_agrees_with_additive_below_degree_four():
     th = helpers.morava(2, 2, trunc=6)
     fgl = build_fgl(th)
-    for (i, j), c in fgl.series.coeffs.items():
+    for (i, j), c in fgl.series.terms():
         if 2 <= i + j < 4:
             raise AssertionError(f"unexpected coefficient at x^{i} y^{j}: {c}")
 
@@ -213,7 +213,7 @@ def test_mod_p_reduction_of_multiplicative_p_series():
         th = helpers.mult(trunc=p + 2)
         fgl = build_fgl(th)
         series = fgl.n_series(p)
-        for (k,), c in series.coeffs.items():
+        for (k,), c in series.terms():
             if k == p:
                 assert c.coeff % p == 1 % p and c.vexp == p - 1
             else:

@@ -76,6 +76,19 @@ def test_constant_tuple_satisfies():
     assert satisfies_congruences(g, fgl, EquivariantClass((one, one, one)))
 
 
+def test_congruence_check_builds_one_kernel_ideal_per_weight(monkeypatch):
+    import gkmcalc.gkm as gkm
+
+    calls = []
+    real = gkm.kernel_ideal
+    monkeypatch.setattr(gkm, "kernel_ideal", lambda *a: calls.append(a[1]) or real(*a))
+    th = helpers.morava(2, 1, trunc=6)
+    g = helpers.fl3()
+    one = TruncatedSeries.one(th, g.rank)
+    assert satisfies_congruences(g, build_fgl(th), EquivariantClass((one,) * len(g.vertices)))
+    assert len(g.edges) == 9 and len(calls) == 3
+
+
 def test_cp1_euler_class_tuple():
     for th in (helpers.ordinary(trunc=6), helpers.morava(3, 1, trunc=6)):
         fgl = build_fgl(th)

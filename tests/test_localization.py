@@ -20,6 +20,7 @@ from gkmcalc import (
     localize_class,
     solve_equivariant_cohomology,
 )
+from gkmcalc.graphio import parse_expression
 from gkmcalc.localization import GenericSlope, _box_points, pairing, work_theory
 
 import helpers
@@ -218,3 +219,28 @@ def test_top_degree_solver_basis_localizes_cleanly():
     for cls in sol.bases[4]:
         report = integrate(g, th, cls, slope=slope)
         assert report.negative_clean
+
+
+def test_a_class_mixing_degrees_at_one_monomial_localizes_as_its_parts():
+    # under K(1) at p = 2 both parts have a term at u1*u2: v1*u1*u2 in
+    # chi(1,1), of degree 2, and u1*u2 itself, of degree 4
+    th = helpers.morava(2, 1, trunc=10)
+    fgl = build_fgl(th)
+    g = helpers.cp2()
+    zero = TruncatedSeries.zero(th, 2)
+
+    def report(expr):
+        f = parse_expression(expr, fgl, 2)
+        return integrate(g, th, EquivariantClass((f, zero, zero)))
+
+    mixed = report("chi(1,1) + chi(1,0)*chi(0,1)")
+    assert mixed.class_degree is None
+    low, high = report("chi(1,1)"), report("chi(1,0)*chi(0,1)")
+    assert low.slope == high.slope == mixed.slope
+    parts = low.total + high.total
+    prec = min(mixed.total.prec, parts.prec)
+    assert prec > 0
+    below = [(e, k) for e, k in {**mixed.total.coeffs, **parts.coeffs} if e < prec]
+    assert below
+    for key in below:
+        assert mixed.total.coeffs.get(key, 0) == parts.coeffs.get(key, 0)

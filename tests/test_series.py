@@ -4,8 +4,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gkmcalc import (
+    GradedScalar,
     LaurentSeries,
     LeadingUnitError,
     TruncatedSeries,
@@ -103,6 +106,43 @@ def test_homogeneity_propagates():
     s = a + a
     if not s.is_zero():
         assert s.homogeneous_degree() == 4
+
+
+def _part(theory, coeffs, q):
+    """The degree-q series sum c * unit^k * u^alpha over (alpha, c) in coeffs,
+    k fixed by q (the theories below have period degree 2)."""
+    terms = {a: GradedScalar(theory, c, sum(a) - q // 2) for a, c in coeffs}
+    return TruncatedSeries(theory, 2, terms)
+
+
+_EXPONENTS = st.tuples(st.integers(0, 3), st.integers(0, 3))
+_NONZERO = st.integers(-3, 3).filter(bool)
+
+
+@settings(max_examples=40, deadline=2000)
+@given(
+    theory=st.sampled_from([helpers.mult(trunc=6), helpers.morava(2, 1, trunc=6)]),
+    alphas=st.lists(_EXPONENTS, min_size=1, max_size=4, unique=True),
+    fc=st.lists(_NONZERO, min_size=4, max_size=4),
+    gc=st.lists(_NONZERO, min_size=4, max_size=4),
+    hc=st.lists(st.tuples(_EXPONENTS, _NONZERO), max_size=4),
+    qs=st.lists(st.integers(-2, 4).map(lambda x: 2 * x), min_size=3, max_size=3, unique=True),
+)
+def test_mixed_degree_sums_distribute(theory, alphas, fc, gc, hc, qs):
+    # f and g are homogeneous of different degrees on the same monomials, so
+    # their sum mixes degrees at every one of them
+    fc = [c if theory.char == 0 else 1 for c in fc]
+    gc = [c if theory.char == 0 else 1 for c in gc]
+    q1, q2, q3 = qs
+    f = _part(theory, list(zip(alphas, fc)), q1)
+    g = _part(theory, list(zip(alphas, gc)), q2)
+    h = _part(theory, dict(hc).items(), q3)
+    mixed = f + g
+    assert mixed * h == f * h + g * h
+    assert mixed.degree_component(q1) == f
+    assert mixed.degree_component(q2) == g
+    assert mixed.homogeneous_degree() is None
+    assert mixed.degrees() == sorted((q1, q2))
 
 
 def test_format_series_order():
