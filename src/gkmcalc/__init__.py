@@ -12,7 +12,6 @@ from .scalars import (
     ORDINARY,
     RATIONAL,
     DegreeError,
-    GradedScalar,
     Theory,
     TheoryConfig,
     make_theory,
@@ -62,7 +61,6 @@ __all__ = [
     "ORDINARY",
     "RATIONAL",
     "DegreeError",
-    "GradedScalar",
     "Theory",
     "TheoryConfig",
     "make_theory",

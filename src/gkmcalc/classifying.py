@@ -98,7 +98,7 @@ def cyclic_classifying_ring(fgl: FormalGroupLaw, ell: int) -> CyclicRingPresenta
             f"expected {order}"
         )
     rank = None
-    if order is not None and th.is_unit(rel.raw_coefficient((order,))[0]):
+    if order is not None and th.is_unit(rel.coefficient((order,))[0]):
         rank = order
     return CyclicRingPresentation(th, ell, rel, order, rank)
 

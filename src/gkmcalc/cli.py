@@ -26,6 +26,7 @@ from .scalars import (
     ORDINARY,
     TheoryConfig,
     make_theory,
+    scalar_parts,
 )
 from .series import format_series
 
@@ -160,7 +161,8 @@ def cmd_integrate(args, out, err) -> int:
     verdict = "clean" if report.negative_clean else "NONZERO NEGATIVE PART"
     print(f"negative part: {verdict}", file=out)
     if report.integral is not None:
-        print(f"integral = {report.integral}", file=out)
+        neg, body = scalar_parts(theory, *report.integral)
+        print(f"integral = {'-' if neg else ''}{body}", file=out)
         if report.integral_is_integer is True:
             print("integrality: exact integer", file=out)
         elif report.integral_is_integer is False:
@@ -203,10 +205,7 @@ def main(argv=None, out=None, err=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return _COMMANDS[args.command](args, out, err)
-    except _InputError as exc:
-        print(f"error: {exc}", file=err)
-        return 2
-    except GraphFileError as exc:
+    except (_InputError, GraphFileError) as exc:
         print(f"error: {exc}", file=err)
         return 2
     except _GraphInvalid:

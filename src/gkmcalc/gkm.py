@@ -23,7 +23,7 @@ from .classifying import (
 )
 from .fgl import FormalGroupLaw, build_fgl
 from .lattice import field_kernel, integer_kernel, invariant_factors, vec_mat
-from .scalars import GradedScalar, Theory
+from .scalars import Theory
 from .series import TruncatedSeries
 
 
@@ -170,12 +170,6 @@ class EquivariantClass:
         parts = tuple(a + b for a, b in zip(self.restrictions, other.restrictions))
         deg = self.degree if self.degree == other.degree else None
         return EquivariantClass(parts, deg)
-
-    def scale(self, scalar: GradedScalar) -> "EquivariantClass":
-        deg = None
-        if self.degree is not None and scalar.degree is not None:
-            deg = self.degree + scalar.degree
-        return EquivariantClass(tuple(f.scale(scalar) for f in self.restrictions), deg)
 
     def __mul__(self, other: "EquivariantClass") -> "EquivariantClass":
         parts = tuple(a * b for a, b in zip(self.restrictions, other.restrictions))

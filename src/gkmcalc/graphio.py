@@ -35,12 +35,19 @@ def _require(cond, msg):
         raise GraphFileError(msg)
 
 
+def _is_int(x) -> bool:
+    """An integer, and not a JSON true or false."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def load_graph_document(path: str) -> GraphDocument:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             raw = fh.read()
     except OSError as exc:
         raise GraphFileError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise GraphFileError(f"{path}: not UTF-8 at byte {exc.start}") from exc
     try:
         doc = json.loads(raw)
     except json.JSONDecodeError as exc:
@@ -54,7 +61,7 @@ def parse_graph_document(doc, origin: str = "<graph>") -> GraphDocument:
     _require(isinstance(doc, dict), f"{origin}: top level must be an object")
     _require("torus_rank" in doc, f"{origin}: missing key torus_rank")
     m = doc["torus_rank"]
-    _require(isinstance(m, int) and m >= 1, f"{origin}: torus_rank must be a positive integer")
+    _require(_is_int(m) and m >= 1, f"{origin}: torus_rank must be a positive integer")
     _require("vertices" in doc, f"{origin}: missing key vertices")
     vertices = doc["vertices"]
     _require(
@@ -64,17 +71,19 @@ def parse_graph_document(doc, origin: str = "<graph>") -> GraphDocument:
     index = {name: i for i, name in enumerate(vertices)}
     _require(len(index) == len(vertices), f"{origin}: vertex names are not distinct")
     _require("edges" in doc, f"{origin}: missing key edges")
+    _require(isinstance(doc["edges"], list), f"{origin}: edges must be a list")
     edges = []
     for pos, e in enumerate(doc["edges"]):
         where = f"{origin}: edges[{pos}]"
         _require(isinstance(e, dict), f"{where}: must be an object")
         for key in ("tail", "head", "weight"):
             _require(key in e, f"{where}: missing key {key}")
-        _require(e["tail"] in index, f"{where}: unknown tail vertex {e['tail']!r}")
-        _require(e["head"] in index, f"{where}: unknown head vertex {e['head']!r}")
+        for key in ("tail", "head"):
+            _require(isinstance(e[key], str), f"{where}: {key} must be a vertex name")
+            _require(e[key] in index, f"{where}: unknown {key} vertex {e[key]!r}")
         w = e["weight"]
         _require(
-            isinstance(w, list) and all(isinstance(x, int) for x in w),
+            isinstance(w, list) and all(_is_int(x) for x in w),
             f"{where}: weight must be a list of integers",
         )
         _require(
@@ -86,6 +95,7 @@ def parse_graph_document(doc, origin: str = "<graph>") -> GraphDocument:
 
     betti = None
     if "betti" in doc:
+        _require(isinstance(doc["betti"], list), f"{origin}: betti must be a list")
         betti = []
         for pos, row in enumerate(doc["betti"]):
             where = f"{origin}: betti[{pos}]"
@@ -93,11 +103,16 @@ def parse_graph_document(doc, origin: str = "<graph>") -> GraphDocument:
                 isinstance(row, dict) and "degree" in row and "rank" in row,
                 f"{where}: must be an object with degree and rank",
             )
+            degree, rank = row["degree"], row["rank"]
             _require(
-                isinstance(row["degree"], int) and isinstance(row["rank"], int),
-                f"{where}: degree and rank must be integers",
+                _is_int(degree) and _is_int(rank), f"{where}: degree and rank must be integers"
             )
-            betti.append((row["degree"], row["rank"]))
+            _require(
+                degree >= 0 and degree % 2 == 0,
+                f"{where}: degree {degree} must be even and nonnegative",
+            )
+            _require(rank >= 0, f"{where}: rank {rank} must be nonnegative")
+            betti.append((degree, rank))
 
     classes = {}
     if "classes" in doc:
@@ -110,7 +125,7 @@ def parse_graph_document(doc, origin: str = "<graph>") -> GraphDocument:
                 _require("restrictions" in spec, f"{where}: missing key restrictions")
                 degree = spec.get("degree")
                 _require(
-                    degree is None or isinstance(degree, int),
+                    degree is None or _is_int(degree),
                     f"{where}: degree must be an integer",
                 )
                 exprs = spec["restrictions"]
@@ -241,12 +256,16 @@ class _Parser:
             # negative powers only make sense for unit scalars
             if len(base.coeffs) > 1 or base.order():
                 raise GraphFileError("negative exponents need a scalar base")
-            ct = base.constant_term()
-            if not ct.is_unit():
-                raise GraphFileError(f"negative exponent of the non-unit {ct}")
-            out = TruncatedSeries.constant(ct.inverse(), base.nvars)
+            c, k = base.coefficient((0,) * self.nvars)
+            if not self.theory.is_unit(c):
+                raise GraphFileError(f"negative exponent of the non-unit {base}")
+            out = self.constant(self.theory.inverse(c), -k)
             return out ** (-e) if -e > 1 else out
         return base
+
+    def constant(self, c, k: int = 0) -> TruncatedSeries:
+        """The constant series c * unit^k."""
+        return TruncatedSeries(self.theory, self.nvars, {((0,) * self.nvars, k): c})
 
     def signed_int(self) -> int:
         kind, val = self.peek()
@@ -263,7 +282,7 @@ class _Parser:
     def atom(self) -> TruncatedSeries:
         kind, val = self.take()
         if kind == "int":
-            return TruncatedSeries.constant(self.theory.scalar(val), self.nvars)
+            return self.constant(val)
         if kind == "op" and val == "(":
             inner = self.expr()
             self.expect_op(")")
@@ -289,7 +308,7 @@ class _Parser:
                 return TruncatedSeries.variable(self.theory, self.nvars, i - 1)
             unit = self.theory.unit_name
             if val == unit or (val == "v" and unit and unit.startswith("v")):
-                return TruncatedSeries.constant(self.theory.periodicity, self.nvars)
+                return self.constant(1, 1)
             if val in ("v", "b"):
                 raise GraphFileError(
                     f"theory {self.theory.kind} has no periodicity generator {val!r}"

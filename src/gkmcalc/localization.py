@@ -15,7 +15,7 @@ from itertools import count, product
 from .classifying import relation_order
 from .fgl import FormalGroupLaw, build_fgl
 from .gkm import EquivariantClass, GKMGraph, validate_graph
-from .scalars import ORDINARY, GradedScalar, Theory
+from .scalars import ORDINARY, Theory
 from .series import LaurentSeries, LeadingUnitError, TruncatedSeries
 
 
@@ -136,7 +136,7 @@ def euler_classes(graph: GKMGraph, fgl: FormalGroupLaw, slope: GenericSlope) -> 
             prod = prod * fgl.n_series(t)
         eu = LaurentSeries.from_truncated(prod)
         order = eu.order()
-        if order is None or not th.is_unit(eu.raw_coefficient(order)[0]):
+        if order is None or not th.is_unit(eu.coefficient(order)[0]):
             raise LocalizationError(
                 f"Euler class at vertex {graph.vertices[i]} has no unit leading "
                 f"coefficient for slope {slope.vector}"
@@ -160,7 +160,7 @@ class IntegrationReport:
     negative_clean: bool
     class_degree: int | None
     top_degree: int
-    integral: GradedScalar | None
+    integral: tuple | None  # (c, k): c * unit^k
     integral_is_integer: bool | None = None
 
 
@@ -229,7 +229,7 @@ def integrate(
             raise LocalizationError("precision exhausted before exponent 0")
         integral = total.coefficient(0)
         if work != theory:
-            is_integer = integral.coeff.denominator == 1
+            is_integer = integral[0].denominator == 1
     return IntegrationReport(
         slope, eulers, total, negative_clean, degree, top_degree, integral, is_integer
     )

@@ -6,10 +6,10 @@ for the multiplicative one.  Series store raw coefficients (see the series
 module), and Theory holds the ring's rules for them: reduction mod the
 characteristic, the unit test and the inverse of a unit.
 
-GradedScalar, a homogeneous element c * unit^vexp, is the boundary type: the
-expression parser, the series accessors and the integration report build it,
-and the arithmetic below never does.  Adding scalars of unequal degree is an
-error rather than a coercion.
+A homogeneous element of any of these rings is c * unit^k, and it is passed
+around as the raw pair (c, k) everywhere: series coefficients, the
+expression parser's constants and the integration report.  scalar_parts
+renders one.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ _FIELD_KINDS = (MOD_P, MORAVA, RATIONAL)
 
 
 class DegreeError(ValueError):
-    """An operation would mix homogeneous scalars of unequal degree."""
+    """A coefficient read would mix terms of unequal degree."""
 
 
 def is_prime(p: int) -> bool:
@@ -104,29 +104,11 @@ class Theory:
 
     def inverse(self, c):
         """The inverse of a unit raw coefficient."""
+        if not self.is_unit(c):
+            raise ZeroDivisionError(f"{c} is not a unit in {self.kind}")
         if self.kind in _MOD_P_KINDS:
             return pow(c, -1, self.p)
-        if self.kind == RATIONAL:
-            return 1 / Fraction(c)
-        return c  # +-1 over the integers
-
-    def scalar(self, coeff, vexp: int = 0) -> "GradedScalar":
-        return GradedScalar(self, coeff, vexp)
-
-    @property
-    def zero(self) -> "GradedScalar":
-        return GradedScalar(self, 0)
-
-    @property
-    def one(self) -> "GradedScalar":
-        return GradedScalar(self, 1)
-
-    @property
-    def periodicity(self) -> "GradedScalar":
-        """The degree-(-period_degree) unit: v_n or b."""
-        if self.period_degree == 0:
-            raise ValueError(f"theory {self.kind} has no periodicity generator")
-        return GradedScalar(self, 1, 1)
+        return 1 / Fraction(c) if self.kind == RATIONAL else c  # +-1 over Z
 
     def rationalized(self) -> "Theory":
         if self.kind not in (ORDINARY, RATIONAL):
@@ -162,81 +144,6 @@ def make_theory(config: TheoryConfig) -> Theory:
 def rational_theory(trunc: int) -> Theory:
     """The degree-0 exact-rational coefficient ring (internal oracle ring)."""
     return Theory(RATIONAL, trunc)
-
-
-@dataclass(frozen=True)
-class GradedScalar:
-    """A homogeneous element c * unit^vexp of the coefficient ring.
-
-    The zero scalar is stored with vexp 0 and is compatible with any degree.
-    """
-
-    theory: Theory
-    coeff: object
-    vexp: int = 0
-
-    def __post_init__(self):
-        th = self.theory
-        c = Fraction(self.coeff) if th.kind == RATIONAL else th.reduce(self.coeff)
-        v = self.vexp
-        if c == 0:
-            v = 0
-        if v != 0 and th.period_degree == 0:
-            raise ValueError(f"theory {th.kind} has no periodicity generator")
-        object.__setattr__(self, "coeff", c)
-        object.__setattr__(self, "vexp", v)
-
-    def is_zero(self) -> bool:
-        return self.coeff == 0
-
-    def __bool__(self) -> bool:
-        return self.coeff != 0
-
-    @property
-    def degree(self) -> int | None:
-        """Cohomological degree; None for zero (compatible with any degree)."""
-        if self.coeff == 0:
-            return None
-        return -self.theory.period_degree * self.vexp
-
-    def _check(self, other: "GradedScalar"):
-        if self.theory != other.theory:
-            raise ValueError("scalars belong to different theories")
-
-    def __add__(self, other: "GradedScalar") -> "GradedScalar":
-        self._check(other)
-        if self.coeff == 0:
-            return other
-        if other.coeff == 0:
-            return self
-        if self.vexp != other.vexp:
-            raise DegreeError(
-                f"cannot add scalars of degrees {self.degree} and {other.degree}"
-            )
-        return GradedScalar(self.theory, self.coeff + other.coeff, self.vexp)
-
-    def __neg__(self) -> "GradedScalar":
-        return GradedScalar(self.theory, -self.coeff, self.vexp)
-
-    def __sub__(self, other: "GradedScalar") -> "GradedScalar":
-        return self + (-other)
-
-    def __mul__(self, other: "GradedScalar") -> "GradedScalar":
-        self._check(other)
-        return GradedScalar(self.theory, self.coeff * other.coeff, self.vexp + other.vexp)
-
-    def is_unit(self) -> bool:
-        return self.theory.is_unit(self.coeff)
-
-    def inverse(self) -> "GradedScalar":
-        th = self.theory
-        if not self.is_unit():
-            raise ZeroDivisionError(f"scalar {self} is not a unit in {th.kind}")
-        return GradedScalar(th, th.inverse(self.coeff), -self.vexp)
-
-    def __str__(self) -> str:
-        neg, body = scalar_parts(self.theory, self.coeff, self.vexp)
-        return ("-" if neg else "") + body
 
 
 def scalar_parts(theory: Theory, c, vexp: int, with_monomial: bool = False) -> tuple[bool, str]:

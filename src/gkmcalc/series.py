@@ -11,9 +11,9 @@ without one, and c a raw ring element: an int in [0, p) under mod-p and
 morava, an int under ordinary and mult, an int or Fraction under rational.
 A term has degree 2|alpha| - k * period_degree, so a sum of homogeneous parts
 of different degrees is an ordinary series, and one alpha may carry several
-k.  GradedScalar is the boundary type: the constructors taking scalars,
-scale, coefficient, constant_term and terms convert at the edge, and the
-arithmetic never builds one.
+k.  The same format is the public one: the constructors take it (checked and
+reduced; from_raw takes it as it is), coefficient reads one (c, k) pair and
+scale multiplies by c * unit^k.
 
 Products are plain convolution (bucketed by total degree), which is easy to
 audit.  The envelope this is measured on: the solver at D <= 4 in m <= 4
@@ -27,12 +27,7 @@ from __future__ import annotations
 from functools import lru_cache
 from operator import add
 
-from .scalars import (
-    DegreeError,
-    GradedScalar,
-    Theory,
-    scalar_parts,
-)
+from .scalars import DegreeError, Theory, scalar_parts
 
 
 class LeadingUnitError(ArithmeticError):
@@ -77,7 +72,19 @@ def _combine(parts, p: int) -> dict:
     return _clean(acc, p)
 
 
-def _raw_at(coeffs: dict, a) -> tuple:
+def _checked(theory: Theory, coeffs: dict) -> dict:
+    """coeffs, in the stored format, reduced by the theory's rules and
+    without zeros; a unit exponent needs a periodicity unit."""
+    out = {}
+    for key, c in coeffs.items():
+        if key[1] and not theory.period_degree:
+            raise ValueError(f"theory {theory.kind} has no periodicity generator")
+        if c := theory.reduce(c):
+            out[key] = c
+    return out
+
+
+def _coefficient_at(coeffs: dict, a) -> tuple:
     """(c, k) of the stored term at a, (0, 0) when there is none."""
     found = [(c, k) for (b, k), c in coeffs.items() if b == a]
     if len(found) > 1:
@@ -89,21 +96,21 @@ class TruncatedSeries:
     __slots__ = ("theory", "nvars", "coeffs")
 
     def __init__(self, theory: Theory, nvars: int, coeffs=None):
-        """coeffs maps exponent tuples to GradedScalars."""
+        """coeffs maps (alpha, k) to raw coefficients c, one term
+        c * unit^k * u^alpha each."""
         self.theory = theory
         self.nvars = nvars
         self.coeffs = {}
         if coeffs:
             D = theory.trunc
-            for alpha, c in coeffs.items():
+            for alpha, _k in coeffs:
                 if len(alpha) != nvars:
                     raise ValueError(f"exponent {alpha} has wrong length")
                 if any(e < 0 for e in alpha):
                     raise ValueError(f"negative exponent in {alpha}")
                 if sum(alpha) > D:
                     raise ValueError(f"term {alpha} exceeds truncation degree {D}")
-                if not c.is_zero():
-                    self.coeffs[(tuple(alpha), c.vexp)] = c.coeff
+            self.coeffs = _checked(theory, {(tuple(a), k): c for (a, k), c in coeffs.items()})
 
     # ---- constructors -------------------------------------------------
 
@@ -125,10 +132,6 @@ class TruncatedSeries:
         return cls(theory, nvars)
 
     @classmethod
-    def constant(cls, scalar: GradedScalar, nvars: int):
-        return cls(scalar.theory, nvars, {(0,) * nvars: scalar})
-
-    @classmethod
     def one(cls, theory, nvars):
         return cls.from_raw(theory, nvars, {((0,) * nvars, 0): 1})
 
@@ -147,16 +150,10 @@ class TruncatedSeries:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def raw_coefficient(self, alpha) -> tuple:
+    def coefficient(self, alpha) -> tuple:
         """(c, k) of the term at u^alpha, (0, 0) when there is none; a
         DegreeError when terms of several degrees share alpha."""
-        return _raw_at(self.coeffs, tuple(alpha))
-
-    def coefficient(self, alpha) -> GradedScalar:
-        return GradedScalar(self.theory, *self.raw_coefficient(alpha))
-
-    def constant_term(self) -> GradedScalar:
-        return self.coefficient((0,) * self.nvars)
+        return _coefficient_at(self.coeffs, tuple(alpha))
 
     def order(self) -> int | None:
         """Minimal total variable degree of a nonzero term; None for zero."""
@@ -171,12 +168,6 @@ class TruncatedSeries:
         """The common cohomological degree of all terms, or None if mixed/zero."""
         degs = self.degrees()
         return degs[0] if len(degs) == 1 else None
-
-    def terms(self) -> list[tuple[tuple[int, ...], GradedScalar]]:
-        """(alpha, scalar) pairs in print order."""
-        th = self.theory
-        items = sorted(self.coeffs.items(), key=_term_key)
-        return [(a, GradedScalar(th, c, k)) for (a, k), c in items]
 
     def degree_component(self, d: int) -> "TruncatedSeries":
         """The part of cohomological degree d."""
@@ -219,14 +210,11 @@ class TruncatedSeries:
     def __sub__(self, other):
         return self + (-other)
 
-    def scale(self, scalar: GradedScalar) -> "TruncatedSeries":
-        if scalar.theory != self.theory:
-            raise ValueError("scalar belongs to a different theory")
-        return self._like(_combine([(self.coeffs, scalar.coeff, scalar.vexp)], self.theory.char))
+    def scale(self, c, k: int = 0) -> "TruncatedSeries":
+        """The series times c * unit^k."""
+        return self._like(_combine([(self.coeffs, c, k)], self.theory.char))
 
-    def __mul__(self, other):
-        if isinstance(other, GradedScalar):
-            return self.scale(other)
+    def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._compatible(other)
         th = self.theory
         D = th.trunc
@@ -246,8 +234,6 @@ class TruncatedSeries:
                         key = (tuple(map(add, a, b)), ka + kb)
                         acc[key] = acc.get(key, 0) + ca * cb
         return self._like(_clean(acc, th.char))
-
-    __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "TruncatedSeries":
         if k < 0:
@@ -353,14 +339,14 @@ class LaurentSeries:
     __slots__ = ("theory", "coeffs", "prec")
 
     def __init__(self, theory: Theory, coeffs=None, prec: int | None = None):
-        """coeffs maps exponents to GradedScalars."""
+        """coeffs maps (e, k) to raw coefficients c, one term c * unit^k * s^e;
+        the terms at and above prec are cut."""
         self.theory = theory
         self.prec = prec
         self.coeffs = {}
         if coeffs:
-            for e, c in coeffs.items():
-                if not c.is_zero() and (prec is None or e < prec):
-                    self.coeffs[(e, c.vexp)] = c.coeff
+            kept = {key: c for key, c in coeffs.items() if prec is None or key[0] < prec}
+            self.coeffs = _checked(theory, kept)
 
     @classmethod
     def from_raw(cls, theory, coeffs: dict, prec: int | None) -> "LaurentSeries":
@@ -388,12 +374,9 @@ class LaurentSeries:
     def order(self) -> int | None:
         return min((e for e, _k in self.coeffs), default=None)
 
-    def raw_coefficient(self, e: int) -> tuple:
-        """(c, k) of the term at s^e, as TruncatedSeries.raw_coefficient."""
-        return _raw_at(self.coeffs, e)
-
-    def coefficient(self, e: int) -> GradedScalar:
-        return GradedScalar(self.theory, *self.raw_coefficient(e))
+    def coefficient(self, e: int) -> tuple:
+        """(c, k) of the term at s^e, as TruncatedSeries.coefficient."""
+        return _coefficient_at(self.coeffs, e)
 
     def __eq__(self, other):
         if not isinstance(other, LaurentSeries):

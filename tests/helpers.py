@@ -13,7 +13,6 @@ from gkmcalc import (
     ORDINARY,
     GKMEdge,
     GKMGraph,
-    GradedScalar,
     TheoryConfig,
     TruncatedSeries,
     character_class,
@@ -164,10 +163,10 @@ def det(a) -> int:
 
 
 def series_from_terms(theory, nvars, terms):
-    """The series with the given (exponent, scalar) terms, repeats summed."""
+    """The series with the given (exponent, c, k) terms, repeats summed."""
     s = TruncatedSeries(theory, nvars)
-    for alpha, c in terms:
-        s = s + TruncatedSeries(theory, nvars, {tuple(alpha): c})
+    for alpha, c, k in terms:
+        s = s + TruncatedSeries(theory, nvars, {(tuple(alpha), k): c})
     return s
 
 
@@ -185,8 +184,8 @@ def random_series(rng: random.Random, theory, nvars, maxdeg=None, terms=4):
         alpha = tuple(rng.randrange(maxdeg + 1) for _ in range(nvars))
         if sum(alpha) > maxdeg:
             continue
-        c = GradedScalar(theory, rng.randrange(-4, 5))
-        out = out + TruncatedSeries(theory, nvars, {alpha: c})
+        c = rng.randrange(-4, 5)
+        out = out + TruncatedSeries(theory, nvars, {(alpha, 0): c})
     return out
 
 
@@ -196,18 +195,16 @@ def random_homogeneous(rng: random.Random, theory, nvars, q, terms=4):
     if not monos:
         return out
     for _ in range(terms):
-        alpha, vexp = rng.choice(monos)
-        c = GradedScalar(theory, rng.randrange(-4, 5), vexp)
-        out = out + TruncatedSeries(theory, nvars, {alpha: c})
+        key = rng.choice(monos)
+        out = out + TruncatedSeries(theory, nvars, {key: rng.randrange(-4, 5)})
     return out
 
 
 def random_zero_constant(rng: random.Random, theory, nvars, terms=4):
     s = random_series(rng, theory, nvars, terms=terms)
-    ct = s.constant_term()
-    if not ct.is_zero():
-        s = s - TruncatedSeries.constant(ct, nvars)
-    return s
+    zero = (0,) * nvars
+    c, k = s.coefficient(zero)
+    return s - TruncatedSeries(theory, nvars, {(zero, k): c})
 
 
 def random_curve_element(rng: random.Random, theory, nvars, terms=4):
@@ -216,9 +213,8 @@ def random_curve_element(rng: random.Random, theory, nvars, terms=4):
     monos = [mv for mv in _slice_monomials(theory, nvars, 2) if any(mv[0])]
     out = TruncatedSeries.zero(theory, nvars)
     for _ in range(terms):
-        alpha, vexp = rng.choice(monos)
-        c = GradedScalar(theory, rng.randrange(-4, 5), vexp)
-        out = out + TruncatedSeries(theory, nvars, {alpha: c})
+        key = rng.choice(monos)
+        out = out + TruncatedSeries(theory, nvars, {key: rng.randrange(-4, 5)})
     return out
 
 
@@ -249,30 +245,30 @@ def reduce_in_var(f, rel, var):
         return f
     th = f.theory
     nu = rel.order()
-    lead_inv = rel.coefficient((nu,)).inverse()
-    work = dict(f.terms())
+    lead, lead_k = rel.coefficient((nu,))
+    lead_inv = th.inverse(lead)
+    work = dict(f.coeffs)
     done = {}
     for d in range(th.trunc + 1):
-        for alpha in sorted(a for a in work if sum(a) == d):
-            c = work.pop(alpha)
+        for key in sorted(key for key in work if sum(key[0]) == d):
+            alpha, kf = key
+            c = work.pop(key)
             if alpha[var] < nu:
-                done[alpha] = c
+                done[key] = c
                 continue
-            for (k,), gc in rel.terms():
-                if k == nu:
+            for ((e,), kg), gc in rel.coeffs.items():
+                if e == nu:
                     continue  # cancelled by the pop
                 target = list(alpha)
-                target[var] += k - nu
-                target = tuple(target)
+                target[var] += e - nu
                 if sum(target) > th.trunc:
                     continue
-                delta = c * lead_inv * gc
-                cur = work.get(target)
-                new = -delta if cur is None else cur - delta
-                if new.is_zero():
-                    work.pop(target, None)
+                tkey = (tuple(target), kf - lead_k + kg)
+                new = th.reduce(work.get(tkey, 0) - c * lead_inv * gc)
+                if new:
+                    work[tkey] = new
                 else:
-                    work[target] = new
+                    work.pop(tkey, None)
     return TruncatedSeries(th, f.nvars, done)
 
 
@@ -282,10 +278,10 @@ def honda_fgl_by_reversion(theory):
     exp(log x + log y), and reduce mod p.  Returns the two-variable series."""
     p, n, D = theory.p, theory.n, theory.trunc
     qt = rational_theory(D)
-    terms = {(1,): qt.one}
+    terms = {((1,), 0): 1}
     i = 1
     while p ** (n * i) <= D:
-        terms[(p ** (n * i),)] = qt.scalar(Fraction(1, p ** i))
+        terms[((p ** (n * i),), 0)] = Fraction(1, p ** i)
         i += 1
     log1 = TruncatedSeries(qt, 1, terms)
     x = TruncatedSeries.variable(qt, 1, 0)
@@ -298,12 +294,12 @@ def honda_fgl_by_reversion(theory):
     y2 = TruncatedSeries.variable(qt, 2, 1)
     f0 = exp1.substitute([log1.substitute([x2]) + log1.substitute([y2])])
     out = {}
-    for (a, b), c in f0.terms():
-        frac = Fraction(c.coeff)
+    for ((a, b), _k), c in f0.coeffs.items():
+        frac = Fraction(c)
         assert frac.denominator % p != 0
         cm = frac.numerator * pow(frac.denominator, -1, p) % p
         if cm:
             k, rem = divmod(a + b - 1, p ** n - 1)
             assert rem == 0
-            out[(a, b)] = GradedScalar(theory, cm, k)
+            out[((a, b), k)] = cm
     return TruncatedSeries(theory, 2, out)

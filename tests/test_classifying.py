@@ -25,7 +25,7 @@ def test_character_class_additive():
     chi = character_class(fgl, (2, -1))
     u1 = TruncatedSeries.variable(th, 2, 0)
     u2 = TruncatedSeries.variable(th, 2, 1)
-    assert chi == u1.scale(th.scalar(2)) - u2
+    assert chi == u1.scale(2) - u2
 
 
 def test_character_class_zero():
@@ -37,7 +37,7 @@ def test_character_class_morava_p_series():
     th = helpers.morava(2, 1, trunc=6)
     fgl = build_fgl(th)
     chi = character_class(fgl, (2, 0))
-    assert chi == TruncatedSeries(th, 2, {(2, 0): th.periodicity})
+    assert chi == TruncatedSeries(th, 2, {((2, 0), 1): 1})
 
 
 def test_character_class_additivity_random():
@@ -60,7 +60,7 @@ def test_cyclic_ring_morava_two():
     th = helpers.morava(2, 1, trunc=8)
     ring = cyclic_classifying_ring(build_fgl(th), 2)
     assert ring.rank == 2 and ring.order == 2
-    assert ring.relation == TruncatedSeries(th, 1, {(2,): th.periodicity})
+    assert ring.relation == TruncatedSeries(th, 1, {((2,), 1): 1})
     assert ring.basis_degrees() == [0, 2]
 
 
@@ -78,7 +78,7 @@ def test_cyclic_ring_ordinary():
     th = helpers.ordinary(trunc=6)
     ring = cyclic_classifying_ring(build_fgl(th), 3)
     u = TruncatedSeries.variable(th, 1, 0)
-    assert ring.relation == u.scale(th.scalar(3))
+    assert ring.relation == u.scale(3)
     assert ring.rank is None
 
 
@@ -91,13 +91,13 @@ def test_kunneth_product_ranks():
     # ell = 12 = 4 * 3: order p^2, and the relation is not a bare monomial
     r2 = cyclic_classifying_ring(fgl, 12)
 
-    rel1 = TruncatedSeries(th, 2, {(k, 0): c for (k,), c in r1.relation.terms()})
-    rel2 = TruncatedSeries(th, 2, {(0, k): c for (k,), c in r2.relation.terms()})
+    rel1 = TruncatedSeries(th, 2, {((e, 0), k): c for ((e,), k), c in r1.relation.coeffs.items()})
+    rel2 = TruncatedSeries(th, 2, {((0, e), k): c for ((e,), k), c in r2.relation.coeffs.items()})
     from gkmcalc.series import exponent_vectors
 
     survivors = []
     for alpha in exponent_vectors(2, th.trunc):
-        mono = TruncatedSeries(th, 2, {alpha: th.one})
+        mono = TruncatedSeries(th, 2, {(alpha, 0): 1})
         red = helpers.reduce_in_var(
             helpers.reduce_in_var(mono, r1.relation, 0), r2.relation, 1
         )
@@ -114,8 +114,8 @@ def test_kunneth_product_ranks():
     tensor = sorted(d1 + d2 for d1 in r1.basis_degrees() for d2 in r2.basis_degrees())
     assert got == tensor
     assert len(staircase) == r1.rank * r2.rank
-    assert rel1.coefficient((r1.order, 0)).is_unit()
-    assert rel2.coefficient((0, r2.order)).is_unit()
+    assert th.is_unit(rel1.coefficient((r1.order, 0))[0])
+    assert th.is_unit(rel2.coefficient((0, r2.order))[0])
 
 
 # ---- kernel ideals ---------------------------------------------------------
@@ -128,7 +128,7 @@ def test_kernel_ideal_additive_two_torsion():
     assert ideal.d == 2 and ideal.theta == (0, 1)
     assert ideal.basis_change == [[1, 0], [0, 1]]
     u2 = TruncatedSeries.variable(th, 2, 1)
-    assert ideal.generator == u2.scale(th.scalar(2))
+    assert ideal.generator == u2.scale(2)
     # oracle: the quotient Z[[u1,u2]]/(2 u2) has free rank 1 and b copies of
     # Z/2 in degree 2b, matching H*(B(S^1 x Z/2); Z) in low degrees
     for q in (2, 4, 6):
@@ -143,7 +143,7 @@ def test_kernel_ideal_morava_two_torsion():
     th = helpers.morava(2, 1, trunc=6)
     fgl = build_fgl(th)
     ideal = kernel_ideal(fgl, (0, 2))
-    assert ideal.generator == TruncatedSeries(th, 2, {(0, 2): th.periodicity})
+    assert ideal.generator == TruncatedSeries(th, 2, {((0, 2), 1): 1})
     assert ideal.order == 2 and ideal.leading_unit
 
 
@@ -172,7 +172,7 @@ def test_residue_detects_torsion():
     ideal = kernel_ideal(fgl, (0, 2))
     u2 = TruncatedSeries.variable(th, 2, 1)
     assert not ideal_residue(u2, ideal).is_zero()
-    f = u2.scale(th.scalar(2)) + (u2 * u2).scale(th.scalar(4))
+    f = u2.scale(2) + (u2 * u2).scale(4)
     assert ideal_residue(f, ideal).is_zero()
 
 
@@ -238,13 +238,12 @@ def _residue_by_substitution(f, ideal):
         return _cut(adapted, ideal)
     th = f.theory
     out = TruncatedSeries.zero(th, f.nvars)
-    for q in sorted({c.degree + 2 * sum(a) for a, c in adapted.terms()}):
+    for q in adapted.degrees():
         monos, basis = ideal_multiples_basis(ideal, q)
         red = reduce_vector_mod_lattice(
             _series_to_vector(adapted.degree_component(q), monos), basis
         )
-        terms = {alpha: th.scalar(c, vexp) for (alpha, vexp), c in zip(monos, red) if c}
-        out = out + TruncatedSeries(th, f.nvars, terms)
+        out = out + TruncatedSeries(th, f.nvars, dict(zip(monos, red)))
     return out
 
 
@@ -272,7 +271,7 @@ def test_residues_match_full_substitution(th, d, linear):
         assert ideal.residue_is_linear == linear
         m = len(theta)
         for alpha in exponent_vectors(m, th.trunc):
-            mono = TruncatedSeries(th, m, {alpha: th.one})
+            mono = TruncatedSeries(th, m, {(alpha, 0): 1})
             expect = _cut(helpers.transport(fgl, mono, ideal.basis_change), ideal)
             assert ideal.monomial_image(alpha) == expect
         for _ in range(4):

@@ -60,12 +60,12 @@ def test_expression_parser():
     th = helpers.morava(2, 1, trunc=6)
     fgl = build_fgl(th)
     s = parse_expression("2*u1^2 - u2*u1", fgl, 2)
-    assert s.coefficient((2, 0)).is_zero()  # 2 = 0 mod 2
-    assert not s.coefficient((1, 1)).is_zero()
+    assert s.coefficient((2, 0)) == (0, 0)  # 2 = 0 mod 2
+    assert s.coefficient((1, 1)) == (1, 0)  # -1 = 1 mod 2
     chi = parse_expression("chi(1,1)", fgl, 2)
     assert chi.homogeneous_degree() == 2
     v = parse_expression("v^-1*u1", fgl, 2)
-    assert v.coefficient((1, 0)).vexp == -1
+    assert v.coefficient((1, 0)) == (1, -1)
     with pytest.raises(GraphFileError):
         parse_expression("w1", fgl, 2)
     with pytest.raises(GraphFileError):
@@ -207,6 +207,57 @@ def test_cli_solve_malformed_file_exit_2(tmp_path):
     code, _, err = run_cli("solve", str(path), "--theory", "ordinary")
     assert code == 2
     assert "line" in err
+
+
+def _cp1_bytes(**change):
+    """cp1.json with the given top-level keys replaced, as file bytes."""
+    with open(graph_path("cp1.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc.update(change)
+    return json.dumps(doc).encode()
+
+
+# file bytes and the location the refusal names
+MALFORMED = {
+    "edges-not-a-list": (_cp1_bytes(edges=5), "edges must be a list"),
+    "betti-not-a-list": (_cp1_bytes(betti=3), "betti must be a list"),
+    "tail-a-list": (
+        _cp1_bytes(edges=[{"tail": ["N"], "head": "S", "weight": [1]}]),
+        "edges[0]: tail must be a vertex name",
+    ),
+    "weight-true": (
+        _cp1_bytes(edges=[{"tail": "N", "head": "S", "weight": [True]}]),
+        "edges[0]: weight must be a list of integers",
+    ),
+    "torus-rank-true": (_cp1_bytes(torus_rank=True), "torus_rank must be a positive integer"),
+    "not-utf8": (_cp1_bytes().replace(b'"S"', b'"\xc9"'), "not UTF-8 at byte"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_cli_malformed_graph_file_exit_2_names_the_location(tmp_path, case):
+    data, where = MALFORMED[case]
+    path = tmp_path / "bad.json"
+    path.write_bytes(data)
+    code, out, err = run_cli("solve", str(path), "--theory", "ordinary", "--qmax", "2")
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {path}: {where}")
+
+
+@pytest.mark.parametrize(
+    "row,message",
+    [
+        ({"degree": 1, "rank": 1}, "betti[1]: degree 1 must be even and nonnegative"),
+        ({"degree": 2, "rank": -3}, "betti[1]: rank -3 must be nonnegative"),
+    ],
+    ids=["odd-degree", "negative-rank"],
+)
+def test_cli_check_formality_refuses_a_bad_betti_row(tmp_path, row, message):
+    path = tmp_path / "betti.json"
+    path.write_bytes(_cp1_bytes(betti=[{"degree": 0, "rank": 1}, row]))
+    code, out, err = run_cli("check-formality", str(path), "--theory", "ordinary", "--qmax", "4")
+    assert code == 2 and out == ""
+    assert err == f"error: {path}: {message}\n"
 
 
 def test_cli_integrate_cp2():
@@ -397,20 +448,6 @@ def test_cli_integrate_refuses_a_negative_power_of_a_non_unit(tmp_path):
     assert err == "error: negative exponent of the non-unit 2\n"
 
 
-def test_cli_solve_and_check_formality_build_no_graded_scalar(monkeypatch):
-    from gkmcalc.scalars import GradedScalar
-
-    built = []
-    real = GradedScalar.__post_init__
-    monkeypatch.setattr(GradedScalar, "__post_init__", lambda s: built.append(1) or real(s))
-    for theory in (["morava", "--p", "2", "--n", "1"], ["mult"]):
-        for command in ("solve", "check-formality"):
-            argv = [command, graph_path("fl3.json"), "--theory", *theory, "--trunc", "6"]
-            code, _, _ = run_cli(*argv, "--qmax", "6")
-            assert code == 0
-    assert built == []
-
-
 def test_cli_integrate_mod_p_refusal_names_the_vanishing_euler_class():
     # l1, l2 and l2 - l1 are never all odd, so every slope pairs to an even
     # number with some weight of CP^2, where the additive mod-2 class vanishes
@@ -459,6 +496,47 @@ def test_console_script_end_to_end():
     assert proc.returncode == 0
     assert proc.stdout.startswith("F(x,y) = x + y")
     assert "[4]u = 0" in proc.stdout  # [4]u = v2^5 u^16 truncates away at D=8
+
+
+HASH_SEED_STEMS = (
+    "solve-fl3-mult",
+    "solve-fl3-morava-p2n1",
+    "integrate-cp2x2-ordinary-pt",
+    "fgl-morava-p2n1-d24-minus1",
+)
+
+
+def test_cli_stdout_is_independent_of_the_hash_seed():
+    # the output contract holds for every string-hash seed, not only the one
+    # this test run happens to draw: run some golden commands in two fresh
+    # interpreters with different PYTHONHASHSEED values
+    import subprocess
+    import sys
+
+    import gkmcalc
+
+    argvs = []
+    expected = ""
+    for stem in HASH_SEED_STEMS:
+        command, _ = GOLDEN_COMMANDS[stem]
+        argvs.append([graph_path(a) if a.endswith(".json") else a for a in command.split()])
+        with open(os.path.join(GOLDEN, stem + ".txt"), encoding="utf-8", newline="") as fh:
+            expected += fh.read()
+    script = (
+        "import json, sys\nfrom gkmcalc.cli import main\n"
+        "for argv in json.loads(sys.argv[1]):\n    main(argv)\n"
+    )
+    src = os.path.dirname(os.path.dirname(gkmcalc.__file__))
+    outs = []
+    for seed in ("1", "2718"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", script, json.dumps(argvs)],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1] == expected
 
 
 def test_cli_check_formality_morava_cp2():

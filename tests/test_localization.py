@@ -2,7 +2,6 @@
 
 import random
 import tracemalloc
-from fractions import Fraction
 from itertools import islice, product
 
 import pytest
@@ -107,7 +106,7 @@ def test_euler_class_orders():
     # pairings (1, 2), (-1, 1), (-2, -1): the 2-divisible ones double the order
     assert [e.order for e in eus] == [3, 2, 3]
     for e in eus:
-        assert e.series.coefficient(e.order).is_unit()
+        assert th.is_unit(e.series.coefficient(e.order)[0])
 
 
 def test_euler_reordering_invariance():
@@ -140,7 +139,7 @@ def test_cp1_euler_integral_every_theory():
             (character_class(fgl, (1,)), TruncatedSeries.zero(work, 1)), 2
         )
         report = integrate(g, th, cls)
-        assert report.integral == work.one
+        assert report.integral == (1, 0)
         assert report.negative_clean
 
 
@@ -162,7 +161,7 @@ def test_cp2_hyperplane_squared_integral():
     h2 = character_class(fq, (0, 1))
     cls = EquivariantClass((zero, h1 * h1, h2 * h2), 4)
     report = integrate(helpers.cp2(), th, cls)
-    assert report.integral == tq.scalar(Fraction(1))
+    assert report.integral == (1, 0)
     assert report.integral_is_integer
     assert report.negative_clean
 
@@ -174,7 +173,7 @@ def test_integral_class_is_extended_to_the_rationals():
     h1 = character_class(fz, (1, 0))
     h2 = character_class(fz, (0, 1))
     report = integrate(helpers.cp2(), th, EquivariantClass((zero, h1 * h1, h2 * h2), 4))
-    assert report.integral == work_theory(th).scalar(Fraction(1))
+    assert report.integral == (1, 0)
     assert report.integral_is_integer
 
 

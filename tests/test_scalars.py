@@ -1,4 +1,6 @@
-"""Coefficient-ring arithmetic: degrees, units, and ring axioms."""
+"""Coefficient-ring rules: degrees, units, inverses and reduction, read off
+Theory and off constant series, whose raw (c, k) coefficients are the ring's
+homogeneous elements c * unit^k."""
 
 import random
 
@@ -9,12 +11,17 @@ from gkmcalc import (
     MORAVA,
     ORDINARY,
     DegreeError,
-    GradedScalar,
     TheoryConfig,
+    TruncatedSeries,
     make_theory,
 )
 
 import helpers
+
+
+def const(th, c, k=0):
+    """The constant series c * unit^k in one variable."""
+    return TruncatedSeries(th, 1, {((0,), k): c})
 
 
 def test_make_theory_menu():
@@ -43,39 +50,50 @@ def test_make_theory_validation():
 
 def test_unit_axiom_morava():
     th = helpers.morava(5, 1)
-    v = th.periodicity
-    assert (v * v.inverse()) == th.one
-    assert v.inverse().vexp == -1
+    one = TruncatedSeries.one(th, 1)
+    v = one.scale(1, 1)
+    assert v.scale(th.inverse(1), -1) == one
+    assert one.scale(th.inverse(1), -1).coefficient((0,)) == (1, -1)
 
 
 def test_degrees_morava_height_two():
     th = helpers.morava(2, 2)
-    v = th.periodicity
-    assert v.degree == -6  # -2(p^n - 1)
-    assert (v * v).degree == -12
+    assert th.period_degree == 6  # |v2| = -2(p^n - 1)
+    v = const(th, 1, 1)
+    assert v.homogeneous_degree() == -6
+    assert (v * v).homogeneous_degree() == -12
 
 
 def test_is_unit_ordinary():
     th = helpers.ordinary()
-    assert not th.scalar(2).is_unit()
-    assert th.scalar(-1).is_unit()
-    assert th.scalar(-1).inverse() == th.scalar(-1)
+    assert not th.is_unit(2)
+    assert not th.is_unit(0)
+    assert th.is_unit(-1) and th.is_unit(1)
+    assert th.inverse(-1) == -1
+    with pytest.raises(ZeroDivisionError):
+        th.inverse(2)
 
 
 def test_add_degree_mismatch():
     th = helpers.mult()
-    b = th.periodicity
+    b = const(th, 1, 1)
+    # a sum of unequal degrees is a series, but not one coefficient
+    mixed = TruncatedSeries.one(th, 1) + b
+    assert mixed.degrees() == [-2, 0]
     with pytest.raises(DegreeError):
-        _ = th.one + b
+        mixed.coefficient((0,))
     # zero is compatible with anything
-    assert th.zero + b == b
+    assert (TruncatedSeries.zero(th, 1) + b).coefficient((0,)) == (1, 1)
 
 
 def test_mod_p_normalization():
     th = helpers.modp(5)
-    assert th.scalar(7) == th.scalar(2)
-    assert th.scalar(5).is_zero()
-    assert th.scalar(5).vexp == 0
+    assert th.reduce(7) == 2
+    assert th.reduce(-3) == 2
+    assert th.reduce(5) == 0
+    assert const(th, 7) == const(th, 2)
+    assert const(th, 5).is_zero()
+    assert th.period_degree == 0
 
 
 def test_graded_field_property():
@@ -83,10 +101,11 @@ def test_graded_field_property():
     for th in (helpers.modp(3), helpers.morava(2, 1), helpers.morava(3, 2, trunc=4)):
         for _ in range(50):
             c = rng.randrange(1, th.p)
-            v = rng.randrange(-3, 4) if th.period_degree else 0
-            s = GradedScalar(th, c, v)
-            assert s.is_unit()
-            assert (s * s.inverse()) == th.one
+            assert th.is_unit(c)
+            assert th.reduce(c * th.inverse(c)) == 1
+        assert not th.is_unit(th.reduce(th.p))
+    q = helpers.rational()
+    assert q.is_unit(3) and q.inverse(3) * 3 == 1
 
 
 def test_ring_axioms_randomized():
@@ -102,20 +121,18 @@ def test_ring_axioms_randomized():
         for _ in range(40):
             vex = (lambda: rng.randrange(-2, 3)) if th.period_degree else (lambda: 0)
             v = vex()
-            a = GradedScalar(th, rng.randrange(-6, 7), v)
-            b = GradedScalar(th, rng.randrange(-6, 7), v)
-            c = GradedScalar(th, rng.randrange(-6, 7), vex())
+            a = const(th, rng.randrange(-6, 7), v)
+            b = const(th, rng.randrange(-6, 7), v)
+            c = const(th, rng.randrange(-6, 7), vex())
             assert a + b == b + a
             assert a * c == c * a
             assert (a + b) * c == a * c + b * c
-            assert (a * c).degree is None or (a * c).degree == (
-                a.degree + c.degree if a.degree is not None and c.degree is not None else (a * c).degree
-            )
+            assert len((a + b).degrees()) <= 1
 
 
 def test_degree_additivity_under_mul():
     th = helpers.morava(3, 1)
-    a = GradedScalar(th, 2, 1)
-    b = GradedScalar(th, 1, -2)
-    assert (a * b).degree == a.degree + b.degree
-    assert (-a).degree == a.degree
+    a = const(th, 2, 1)
+    b = const(th, 1, -2)
+    assert (a * b).homogeneous_degree() == a.homogeneous_degree() + b.homogeneous_degree()
+    assert (-a).homogeneous_degree() == a.homogeneous_degree()

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gkmcalc import (
-    GradedScalar,
+    DegreeError,
     LaurentSeries,
     LeadingUnitError,
     TruncatedSeries,
@@ -31,15 +31,14 @@ def test_difference_of_squares():
 
 def test_mul_by_zero():
     th = helpers.ordinary()
-    f = u(th, 2, 0) + u(th, 2, 1) * th.scalar(3)
+    f = u(th, 2, 0) + u(th, 2, 1).scale(3)
     assert (f * TruncatedSeries.zero(th, 2)).is_zero()
 
 
 def test_degree_bookkeeping_product():
     th = helpers.morava(2, 1)
-    v = th.periodicity
-    vu = u(th).scale(v)
-    assert vu * vu == (u(th) * u(th)).scale(v * v)
+    vu = u(th).scale(1, 1)
+    assert vu * vu == (u(th) * u(th)).scale(1, 2)
 
 
 def test_substitute_example():
@@ -48,7 +47,7 @@ def test_substitute_example():
     g = u(th) + u(th) * u(th)
     out = f.substitute([g])
     assert out == helpers.series_from_terms(
-        th, 1, [((2,), th.one), ((3,), th.scalar(2))]
+        th, 1, [((2,), 1, 0), ((3,), 2, 0)]
     )
 
 
@@ -59,7 +58,7 @@ def test_substitute_identity():
     assert f.substitute([u(th, 2, 0), u(th, 2, 1)]) == f
 
 
-def test_substitute_rejects_constant_terms():
+def test_substitute_rejects_a_nonzero_constant():
     th = helpers.ordinary()
     with pytest.raises(ValueError):
         u(th).substitute([TruncatedSeries.one(th, 1)])
@@ -111,7 +110,7 @@ def test_homogeneity_propagates():
 def _part(theory, coeffs, q):
     """The degree-q series sum c * unit^k * u^alpha over (alpha, c) in coeffs,
     k fixed by q (the theories below have period degree 2)."""
-    terms = {a: GradedScalar(theory, c, sum(a) - q // 2) for a, c in coeffs}
+    terms = {(a, sum(a) - q // 2): c for a, c in coeffs}
     return TruncatedSeries(theory, 2, terms)
 
 
@@ -150,7 +149,7 @@ def test_format_series_order():
     f = helpers.series_from_terms(
         th,
         2,
-        [((0, 1), th.scalar(1)), ((1, 0), th.scalar(1)), ((1, 1), th.scalar(-2))],
+        [((0, 1), 1, 0), ((1, 0), 1, 0), ((1, 1), -2, 0)],
     )
     assert format_series(f) == "u1 + u2 - 2*u1*u2"
 
@@ -159,7 +158,7 @@ def test_format_series_order():
 
 
 def lau(theory, coeffs, prec=None):
-    return LaurentSeries(theory, {e: theory.scalar(c) for e, c in coeffs.items()}, prec)
+    return LaurentSeries(theory, {(e, 0): c for e, c in coeffs.items()}, prec)
 
 
 def test_laurent_divide_monomials():
@@ -167,7 +166,7 @@ def test_laurent_divide_monomials():
     s2 = lau(th, {2: 1}, prec=9)
     s1 = lau(th, {1: 1}, prec=9)
     q = s2.divide(s1)
-    assert q.coefficient(1) == th.one
+    assert q.coefficient(1) == (1, 0)
     assert q.order() == 1
 
 
@@ -176,14 +175,14 @@ def test_laurent_divide_polynomial():
     f = lau(th, {1: 1, 2: 1}, prec=9)
     g = lau(th, {1: 1}, prec=9)
     q = f.divide(g)
-    assert q.coefficient(0) == th.one and q.coefficient(1) == th.one
+    assert q.coefficient(0) == (1, 0) and q.coefficient(1) == (1, 0)
 
 
 def test_laurent_divide_leading_unit_scaling():
     th = helpers.rational()
     one = lau(th, {0: 1}, prec=9)
     q = one.divide(lau(th, {1: 2}, prec=9))
-    assert q.coefficient(-1) == th.scalar(Fraction(1, 2))
+    assert q.coefficient(-1) == (Fraction(1, 2), 0)
 
 
 def test_laurent_divide_requires_unit_over_z():
@@ -212,3 +211,46 @@ def test_laurent_precision_bookkeeping():
     assert q.order() == -2
     # relative precision of g is 7, so the quotient is known below -2 + 7
     assert q.prec == 5
+
+
+# ---- the checked constructors ----------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "key,message",
+    [
+        (((1,), 0), "wrong length"),
+        (((-1, 2), 0), "negative exponent"),
+        (((5, 4), 0), "exceeds truncation degree 8"),
+        (((1, 0), 1), "no periodicity generator"),
+    ],
+    ids=["length", "negative", "over-truncation", "unit-under-ordinary"],
+)
+def test_constructor_refuses(key, message):
+    with pytest.raises(ValueError, match=message):
+        TruncatedSeries(helpers.ordinary(trunc=8), 2, {key: 1})
+
+
+def test_constructor_reduces_and_drops_zeros():
+    th = helpers.modp(3)
+    s = TruncatedSeries(th, 1, {((0,), 0): 7, ((1,), 0): -1, ((2,), 0): 6, ((3,), 0): 0})
+    assert s.coeffs == {((0,), 0): 1, ((1,), 0): 2}
+    assert TruncatedSeries(helpers.ordinary(), 1, {((2,), 0): 0}).is_zero()
+    assert s.coefficient((2,)) == (0, 0)
+
+
+def test_constructor_keeps_unit_exponents_apart():
+    th = helpers.mult()
+    s = TruncatedSeries(th, 1, {((1,), 0): 2, ((1,), 1): -1})
+    assert s.degrees() == [0, 2]
+    with pytest.raises(DegreeError):
+        s.coefficient((1,))
+
+
+def test_laurent_constructor_cuts_at_prec():
+    th = helpers.morava(3, 1)
+    s = LaurentSeries(th, {(-1, 0): 4, (2, 1): 3, (3, 0): 1, (5, 0): 1}, prec=4)
+    assert s.coeffs == {(-1, 0): 1, (3, 0): 1}
+    assert s.coefficient(5) == (0, 0) and s.prec == 4
+    with pytest.raises(ValueError, match="no periodicity generator"):
+        LaurentSeries(helpers.rational(), {(0, 1): 1})
