@@ -28,7 +28,7 @@ from .scalars import (
     make_theory,
     scalar_parts,
 )
-from .series import format_series
+from .series import SlicePrinter, format_series
 
 _THEORY_FLAGS = {
     "ordinary": ORDINARY,
@@ -126,11 +126,14 @@ def cmd_solve(args, out, err) -> int:
         raise _InputError(str(exc)) from exc
     for q in sorted(solution.ranks):
         print(f"{q} {solution.ranks[q]}", file=out)
-    for q in sorted(solution.bases):
+    nvert = len(doc.graph.vertices)
+    for q in sorted(solution.kernels):
+        # a basis vector holds one slice of coefficients per vertex
+        monos, vecs = solution.kernels[q]
         print(f"basis q={q}", file=out)
-        for cls in solution.bases[q]:
-            body = ", ".join(format_series(f) for f in cls.restrictions)
-            print(f"({body})", file=out)
+        printer = SlicePrinter(theory, monos)
+        for vec in vecs:
+            print(f"({', '.join(printer(vec, nvert))})", file=out)
         divs = [d for d in solution.divisors.get(q, []) if d != 1]
         if divs:
             print(f"divisors q={q}: {', '.join(map(str, divs))}", file=out)

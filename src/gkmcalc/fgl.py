@@ -150,13 +150,15 @@ def _honda_fgl(theory: Theory) -> FormalGroupLaw:
     while q ** i <= D:
         log.append((q ** i, Fraction(1, p ** i)))
         i += 1
-    # M[j][a] = [x^a] (log x)^j / j!, a sparse product per power
+    # M[j][a] = [x^a] (log x)^j / j!, a sparse product per power; log x
+    # starts at x, so M[j][a] vanishes below a = j
     M = [[Fraction(1)] + [Fraction(0)] * D]
     for j in range(1, D + 1):
         prev = M[-1]
-        M.append(
-            [Fraction(sum(c * prev[a - e] for e, c in log if e <= a), j) for a in range(D + 1)]
-        )
+        row = [
+            Fraction(sum(c * prev[a - e] for e, c in log if e <= a), j) for a in range(j, D + 1)
+        ]
+        M.append([Fraction(0)] * j + row)
     # [x^a] exp(log x) = sum_{k<=a} E_k M[k][a] is 1 at a = 1 and 0 above
     E = [Fraction(0), Fraction(1)] + [Fraction(0)] * (D - 1)
     for a in range(2, D + 1):

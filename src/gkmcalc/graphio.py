@@ -23,6 +23,11 @@ class GraphFileError(ValueError):
     """A graph file failed to parse or validate; message carries location."""
 
 
+class _CutByTruncation(GraphFileError):
+    """Nonzero factors multiplied to zero.  The coefficient rings are
+    domains, so only the truncation can have cut their product."""
+
+
 @dataclass
 class GraphDocument:
     graph: GKMGraph
@@ -150,7 +155,12 @@ def build_class(doc: GraphDocument, name: str, fgl: FormalGroupLaw) -> Equivaria
     m = doc.graph.rank
     parts = []
     for vertex, expr in zip(doc.graph.vertices, exprs):
-        series = parse_expression(expr, fgl, m)
+        try:
+            series = parse_expression(expr, fgl, m)
+        except _CutByTruncation as exc:
+            raise GraphFileError(
+                f"class {name!r} at vertex {vertex}: expression {expr!r}: {exc}"
+            ) from exc
         degs = series.degrees()
         if degree is not None and degs and degs != [degree]:
             if len(degs) == 1:
@@ -241,7 +251,8 @@ class _Parser:
             kind, val = self.peek()
             if kind == "op" and val == "*":
                 self.take()
-                acc = acc * self.factor()
+                rhs = self.factor()
+                acc = self.uncut(acc * rhs, acc, rhs)
             else:
                 return acc
 
@@ -252,7 +263,7 @@ class _Parser:
             self.take()
             e = self.signed_int()
             if e >= 0:
-                return base ** e
+                return self.uncut(base ** e, base)
             # negative powers only make sense for unit scalars
             if len(base.coeffs) > 1 or base.order():
                 raise GraphFileError("negative exponents need a scalar base")
@@ -262,6 +273,15 @@ class _Parser:
             out = self.constant(self.theory.inverse(c), -k)
             return out ** (-e) if -e > 1 else out
         return base
+
+    def uncut(self, result: TruncatedSeries, *factors) -> TruncatedSeries:
+        """result, the product of factors, refused when the truncation cut it
+        to zero."""
+        if result.is_zero() and not any(f.is_zero() for f in factors):
+            raise _CutByTruncation(
+                f"nonzero factors multiply to zero at truncation degree {self.theory.trunc}"
+            )
+        return result
 
     def constant(self, c, k: int = 0) -> TruncatedSeries:
         """The constant series c * unit^k."""

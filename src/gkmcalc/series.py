@@ -25,6 +25,7 @@ pushed down to one.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import compress
 from operator import add
 
 from .scalars import DegreeError, Theory, scalar_parts
@@ -305,27 +306,60 @@ class TruncatedSeries:
         return f"<series {self}>"
 
 
-def _render(theory: Theory, items) -> list[str]:
-    """The signed terms c * unit^k * mono of (mono, c, k) items, in order."""
-    parts = []
-    for mono, c, k in items:
-        neg, body = scalar_parts(theory, c, k, with_monomial=bool(mono))
+class SlicePrinter:
+    """Prints coefficient vectors over a fixed list of stored-format keys
+    (alpha, k) in print order, such as a degree slice of the solver: entry j
+    of a slice is the raw coefficient of keys[j].  Only the nonzero entries
+    are read, and they are joined in index order, without a sort.  Each
+    monomial's text is rendered once, and each signed term once per (index,
+    coefficient, first or not)."""
+
+    def __init__(self, theory: Theory, keys, varnames=None):
+        if varnames is None:
+            varnames = [f"u{i + 1}" for i in range(len(keys[0][0]) if keys else 0)]
+        self.theory = theory
+        self.keys = keys
+        self.monos = [
+            "*".join(v if e == 1 else f"{v}^{e}" for v, e in zip(varnames, alpha) if e)
+            for alpha, _k in keys
+        ]
+        self.terms = {}
+
+    def __call__(self, vec, count: int = 1) -> list[str]:
+        """The printed sums of the count consecutive slices of vec, each
+        len(keys) entries long."""
+        size = len(self.keys)
+        terms = self.terms
+        parts = [[] for _ in range(count)]
+        for i in compress(range(len(vec)), vec):
+            s, j = divmod(i, size)
+            part = parts[s]
+            key = (j, vec[i], not part)
+            text = terms.get(key)
+            if text is None:
+                text = terms[key] = self._term(*key)
+            part.append(text)
+        return [" ".join(part) or "0" for part in parts]
+
+    def _term(self, j: int, c, first: bool) -> str:
+        """The text of c * unit^k * u^alpha, (alpha, k) = keys[j]: signed by
+        a bare '-' as the first term of a sum, by '+ ' or '- ' after it."""
+        mono = self.monos[j]
+        neg, body = scalar_parts(self.theory, c, self.keys[j][1], with_monomial=bool(mono))
         text = f"{body}*{mono}" if body and mono else (body or mono)
-        if not parts:
-            parts.append(("-" if neg else "") + text)
-        else:
-            parts.append(("- " if neg else "+ ") + text)
-    return parts
+        if first:
+            return "-" + text if neg else text
+        return ("- " if neg else "+ ") + text
+
+
+def _format_terms(theory: Theory, items, varnames=None) -> str:
+    """The printed sum of the stored-format ((alpha, k), c) items, in order."""
+    printer = SlicePrinter(theory, [key for key, _c in items], varnames)
+    return printer([c for _key, c in items])[0]
 
 
 def format_series(s: TruncatedSeries, varnames=None) -> str:
-    if varnames is None:
-        varnames = [f"u{i + 1}" for i in range(s.nvars)]
-    items = [
-        ("*".join(v if e == 1 else f"{v}^{e}" for v, e in zip(varnames, alpha) if e), c, k)
-        for (alpha, k), c in sorted(s.coeffs.items(), key=_term_key)
-    ]
-    return " ".join(_render(s.theory, items)) or "0"
+    return _format_terms(s.theory, sorted(s.coeffs.items(), key=_term_key), varnames)
 
 
 class LaurentSeries:
@@ -434,7 +468,7 @@ class LaurentSeries:
         lg = g.order()
         leads = [(k, c) for (e, k), c in g.coeffs.items() if e == lg]
         if len(leads) > 1 or not th.is_unit(leads[0][1]):
-            lead = " ".join(_render(th, [("", c, k) for k, c in sorted(leads)]))
+            lead = _format_terms(th, [(((0,), k), c) for k, c in sorted(leads)])
             raise LeadingUnitError(f"leading coefficient {lead} of the divisor is not a unit")
         lead_k, lead = leads[0]
         rel_g = None if g.prec is None else g.prec - lg
@@ -465,14 +499,9 @@ class LaurentSeries:
         return all(e >= 0 for e, _k in self.coeffs)
 
     def __str__(self):
-        items = [
-            ("" if e == 0 else "s" if e == 1 else f"s^{e}", c, k)
-            for (e, k), c in sorted(self.coeffs.items())
-        ]
-        parts = _render(self.theory, items) or ["0"]
-        if self.prec is not None:
-            parts.append(f"+ O(s^{self.prec})")
-        return " ".join(parts)
+        items = [(((e,), k), c) for (e, k), c in sorted(self.coeffs.items())]
+        text = _format_terms(self.theory, items, ["s"])
+        return text if self.prec is None else f"{text} + O(s^{self.prec})"
 
     def __repr__(self):
         return f"<laurent {self}>"

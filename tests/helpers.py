@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from gkmcalc import (
     TheoryConfig,
     TruncatedSeries,
     character_class,
+    format_series,
     make_theory,
     rational_theory,
 )
@@ -111,6 +113,35 @@ CP2_BETTI = [(0, 1), (2, 1), (4, 1)]
 CP1XCP1_BETTI = [(0, 1), (2, 2), (4, 1)]
 CP3_BETTI = [(0, 1), (2, 1), (4, 1), (6, 1)]
 FL3_BETTI = [(0, 1), (2, 2), (4, 2), (6, 1)]
+
+
+def graph_json(graph) -> str:
+    """The moment-graph file of graph, with no betti or classes block."""
+    names = graph.vertices
+    edges = [
+        {"tail": names[e.tail], "head": names[e.head], "weight": list(e.weight)}
+        for e in graph.edges
+    ]
+    return json.dumps({"torus_rank": graph.rank, "vertices": names, "edges": edges})
+
+
+def solve_text_via_bases(sol) -> str:
+    """What `solve` prints for sol, the long way: every basis class built by
+    sol.bases and every restriction printed by format_series."""
+    lines = [] if sol.theory.kind == MORAVA else ["model: conjectural"]
+    lines += [f"{q} {sol.ranks[q]}" for q in sorted(sol.ranks)]
+    for q in sorted(sol.bases):
+        lines.append(f"basis q={q}")
+        for cls in sol.bases[q]:
+            lines.append("(" + ", ".join(format_series(f) for f in cls.restrictions) + ")")
+        divs = [d for d in sol.divisors.get(q, []) if d != 1]
+        if divs:
+            lines.append(f"divisors q={q}: {', '.join(map(str, divs))}")
+    variant = sol.primitive_variant_ranks
+    if variant is not None and variant != sol.ranks:
+        diffs = [f"{q}:{variant[q]}" for q in sorted(variant) if variant[q] != sol.ranks[q]]
+        lines.append("primitive-kernel variant differs: " + " ".join(diffs))
+    return "".join(line + "\n" for line in lines)
 
 
 def random_unimodular(rng: random.Random, m: int, shears: int = 5):

@@ -12,9 +12,9 @@ from gkmcalc import (
     ideal_residue,
     kernel_ideal,
 )
-from gkmcalc.classifying import _series_to_vector, ideal_multiples_basis
+from gkmcalc.classifying import _series_to_vector, _slice_monomials, ideal_multiples_basis
 from gkmcalc.lattice import invariant_factors, reduce_vector_mod_lattice, vec_mat
-from gkmcalc.series import exponent_vectors
+from gkmcalc.series import _term_key, exponent_vectors
 
 import helpers
 
@@ -80,6 +80,27 @@ def test_cyclic_ring_ordinary():
     u = TruncatedSeries.variable(th, 1, 0)
     assert ring.relation == u.scale(3)
     assert ring.rank is None
+
+
+@pytest.mark.parametrize(
+    "th",
+    [
+        helpers.ordinary(),
+        helpers.rational(),
+        helpers.modp(3),
+        helpers.mult(),
+        helpers.morava(2, 1),
+        helpers.morava(2, 2),
+        helpers.morava(3, 1),
+    ],
+    ids=lambda th: f"{th.kind}-{th.p}-{th.n}",
+)
+def test_slice_monomials_come_in_print_order(th):
+    # solve prints a slice's nonzero entries in index order, without a sort
+    for m in range(1, 5):
+        for q in range(9):
+            keys = [_term_key((key, 1)) for key in _slice_monomials(th, m, q)]
+            assert keys == sorted(set(keys))
 
 
 def test_kunneth_product_ranks():

@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from gkmcalc import build_fgl, build_class, load_graph_document
+from gkmcalc import build_fgl, build_class, load_graph_document, solve_equivariant_cohomology
 from gkmcalc.cli import main
 from gkmcalc.graphio import GraphFileError, parse_expression
 
@@ -448,6 +448,27 @@ def test_cli_integrate_refuses_a_negative_power_of_a_non_unit(tmp_path):
     assert err == "error: negative exponent of the non-unit 2\n"
 
 
+def test_cli_integrate_refuses_a_product_cut_to_zero_by_the_truncation(tmp_path):
+    with open(graph_path("cp1.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["classes"]["cut"] = ["u1^99", "0"]
+    doc["classes"]["cut2"] = ["1 + u1^5*u1^4", "0"]
+    doc["classes"]["zero"] = ["0*u1", "0"]
+    path = tmp_path / "cp1.json"
+    path.write_text(json.dumps(doc))
+    argv = ["integrate", str(path), "--theory", "ordinary", "--trunc", "8", "--class"]
+    for name, expr in (("cut", "u1^99"), ("cut2", "1 + u1^5*u1^4")):
+        code, out, err = run_cli(*argv, name)
+        assert code == 2 and "sum:" not in out
+        assert err == (
+            f"error: class {name!r} at vertex N: expression {expr!r}: nonzero factors "
+            "multiply to zero at truncation degree 8\n"
+        )
+    # a zero factor makes a zero class, not a refusal
+    code, out, _ = run_cli(*argv, "zero")
+    assert code == 0 and "sum: 0 + O(s^8)" in out.splitlines()
+
+
 def test_cli_integrate_mod_p_refusal_names_the_vanishing_euler_class():
     # l1, l2 and l2 - l1 are never all odd, so every slope pairs to an even
     # number with some weight of CP^2, where the additive mod-2 class vanishes
@@ -475,23 +496,67 @@ def test_cli_check_formality_builds_no_basis_classes(monkeypatch):
     calls = []
     real = gkm._class_from_vector
     monkeypatch.setattr(gkm, "_class_from_vector", lambda *a: calls.append(1) or real(*a))
+    built = []
+    real_init = gkm.EquivariantClass.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(gkm.EquivariantClass, "__init__", counting_init)
     flags = ["--theory", "morava", "--p", "2", "--n", "1", "--trunc", "6", "--qmax", "6"]
     code, out, _ = run_cli("check-formality", graph_path("fl3.json"), *flags)
     assert code == 0 and out.endswith("RESULT PASS\n")
     assert calls == []
-    code, _, _ = run_cli("solve", graph_path("fl3.json"), *flags)
-    assert code == 0 and calls
+    # solve prints its bases straight from the kernel vectors
+    code, out, _ = run_cli("solve", graph_path("fl3.json"), *flags)
+    assert code == 0 and "basis q=6" in out
+    assert calls == [] and built == []
+
+
+SOLVE_THEORIES = {
+    "ordinary": (["--theory", "ordinary"], helpers.ordinary),
+    "mod3": (["--theory", "mod-p", "--p", "3"], lambda t: helpers.modp(3, t)),
+    "mult": (["--theory", "mult"], helpers.mult),
+    "K1p2": (["--theory", "morava", "--p", "2", "--n", "1"], lambda t: helpers.morava(2, 1, t)),
+    "K2p2": (["--theory", "morava", "--p", "2", "--n", "2"], lambda t: helpers.morava(2, 2, t)),
+    "K1p3": (["--theory", "morava", "--p", "3", "--n", "1"], lambda t: helpers.morava(3, 1, t)),
+}
+SOLVE_GRAPHS = sorted(f for f in os.listdir(GRAPHS) if f.endswith(".json")) + ["cp3", "cp4"]
+
+
+@pytest.mark.parametrize("graph", SOLVE_GRAPHS)
+@pytest.mark.parametrize("theory", sorted(SOLVE_THEORIES))
+def test_cli_solve_prints_what_the_basis_classes_print(tmp_path, graph, theory):
+    if graph.endswith(".json"):
+        path = graph_path(graph)
+    else:
+        path = str(tmp_path / f"{graph}.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(helpers.graph_json(helpers.cpn(int(graph[2:]))))
+    flags, make = SOLVE_THEORIES[theory]
+    # trunc 6 leaves the residue headroom of the order-4 [2]-series of
+    # K(2) at p = 2 on the weight-doubled cp2x2
+    code, out, _ = run_cli("solve", path, *flags, "--trunc", "6", "--qmax", "4")
+    assert code == 0
+    sol = solve_equivariant_cohomology(load_graph_document(path).graph, make(6), 4)
+    assert out == helpers.solve_text_via_bases(sol)
 
 
 def test_console_script_end_to_end():
     import subprocess
     import sys
 
+    import gkmcalc
+
+    # the child imports the gkmcalc under test, however the suite was started
+    src = os.path.dirname(os.path.dirname(gkmcalc.__file__))
     proc = subprocess.run(
         [sys.executable, "-m", "gkmcalc.cli", "fgl", "--theory", "morava",
          "--p", "2", "--n", "2", "--trunc", "8", "--ell", "4"],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=src),
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("F(x,y) = x + y")
