@@ -14,7 +14,7 @@ A monomial's residue is a product of adapted classes, cut after each factor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .fgl import FormalGroupLaw
 from .lattice import (
@@ -45,8 +45,7 @@ def character_class(fgl: FormalGroupLaw, weight, nvars: int | None = None) -> Tr
     return out
 
 
-@dataclass
-class CyclicRingPresentation:
+class CyclicRingPresentation(NamedTuple):
     """E_*[[u]] / ([ell] u), with the monomial normal form when it exists."""
 
     theory: Theory
@@ -103,7 +102,6 @@ def cyclic_classifying_ring(fgl: FormalGroupLaw, ell: int) -> CyclicRingPresenta
     return CyclicRingPresentation(th, ell, rel, order, rank)
 
 
-@dataclass
 class RestrictionIdeal:
     """The kernel of restriction to ker(theta), as a principal ideal.
 
@@ -117,17 +115,29 @@ class RestrictionIdeal:
     solver asks of it per monomial and per degree.
     """
 
-    fgl: FormalGroupLaw
-    weight: tuple[int, ...]
-    d: int
-    theta: tuple[int, ...]
-    basis_change: list
-    adapted_classes: list[TruncatedSeries]
-    generator: TruncatedSeries
-    order: int | None = None
-    leading_unit: bool = False
-    _images: dict = field(default_factory=dict, repr=False)
-    _hermite_cache: dict = field(default_factory=dict, repr=False)
+    def __init__(
+        self,
+        fgl: FormalGroupLaw,
+        weight: tuple[int, ...],
+        d: int,
+        theta: tuple[int, ...],
+        basis_change: list,
+        adapted_classes: list[TruncatedSeries],
+        generator: TruncatedSeries,
+        order: int | None = None,
+        leading_unit: bool = False,
+    ):
+        self.fgl = fgl
+        self.weight = weight
+        self.d = d
+        self.theta = theta
+        self.basis_change = basis_change
+        self.adapted_classes = adapted_classes
+        self.generator = generator
+        self.order = order
+        self.leading_unit = leading_unit
+        self._images = {}
+        self._hermite_cache = {}
 
     @property
     def nvars(self) -> int:

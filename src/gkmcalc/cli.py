@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 2 input error, 3 invalid graph, 4 localization failure.
 Output is deterministic for fixed inputs: canonical term order everywhere and
-a fixed slope search.
+a fixed slope search.  The argument parser is built once, at import, so a
+process that runs many commands through main pays for it once.
 """
 
 from __future__ import annotations
@@ -70,6 +71,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_chk.add_argument("graph")
     p_chk.add_argument("--qmax", type=int, default=8)
     return parser
+
+
+_PARSER = _build_parser()
 
 
 def _theory_from_args(args):
@@ -201,9 +205,8 @@ _COMMANDS = {
 def main(argv=None, out=None, err=None) -> int:
     out = out or sys.stdout
     err = err or sys.stderr
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

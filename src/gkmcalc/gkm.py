@@ -12,8 +12,8 @@ solution lattice's canonical basis, its free rank and its elementary divisors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .classifying import (
     _slice_monomials,
@@ -27,15 +27,13 @@ from .scalars import Theory
 from .series import TruncatedSeries
 
 
-@dataclass(frozen=True)
-class GKMEdge:
+class GKMEdge(NamedTuple):
     tail: int
     head: int
     weight: tuple[int, ...]
 
 
-@dataclass
-class GKMGraph:
+class GKMGraph(NamedTuple):
     """Fixed points and invariant two-spheres of a torus action."""
 
     rank: int
@@ -156,12 +154,20 @@ def mod_p_weight_warnings(graph: GKMGraph, p: int) -> list[str]:
     return list(dict.fromkeys(warnings))
 
 
-@dataclass
 class EquivariantClass:
     """A tuple of fixed-point restrictions, one series per vertex."""
 
-    restrictions: tuple[TruncatedSeries, ...]
-    degree: int | None = None
+    def __init__(self, restrictions: tuple[TruncatedSeries, ...], degree: int | None = None):
+        self.restrictions = restrictions
+        self.degree = degree
+
+    def __eq__(self, other):
+        if not isinstance(other, EquivariantClass):
+            return NotImplemented
+        return (self.restrictions, self.degree) == (other.restrictions, other.degree)
+
+    def __repr__(self) -> str:
+        return f"EquivariantClass({self.restrictions!r}, {self.degree!r})"
 
     def is_zero(self) -> bool:
         return all(f.is_zero() for f in self.restrictions)
@@ -205,19 +211,29 @@ def satisfies_congruences(graph: GKMGraph, fgl: FormalGroupLaw, cls: Equivariant
 # the solver
 
 
-@dataclass
 class SolutionModule:
     """The solution by degree; bases builds classes from kernels (each
     degree's monomials and kernel vectors) on first read only."""
 
-    theory: Theory
-    graph: GKMGraph
-    q_max: int
-    ranks: dict[int, int]
-    kernels: dict[int, tuple[list, list]]  # (monomials, kernel vectors)
-    divisors: dict[int, list[int]]
-    provenance: dict[int, tuple[int, int]]  # (columns, constraint rows)
-    primitive_variant_ranks: dict[int, int] | None = None
+    def __init__(
+        self,
+        theory: Theory,
+        graph: GKMGraph,
+        q_max: int,
+        ranks: dict[int, int],
+        kernels: dict[int, tuple[list, list]],  # (monomials, kernel vectors)
+        divisors: dict[int, list[int]],
+        provenance: dict[int, tuple[int, int]],  # (columns, constraint rows)
+        primitive_variant_ranks: dict[int, int] | None = None,
+    ):
+        self.theory = theory
+        self.graph = graph
+        self.q_max = q_max
+        self.ranks = ranks
+        self.kernels = kernels
+        self.divisors = divisors
+        self.provenance = provenance
+        self.primitive_variant_ranks = primitive_variant_ranks
 
     @cached_property
     def bases(self) -> dict[int, list[EquivariantClass]]:
@@ -366,8 +382,7 @@ def formality_prediction(theory: Theory, nvars: int, betti, q: int) -> int:
     return total
 
 
-@dataclass
-class FormalityReport:
+class FormalityReport(NamedTuple):
     rows: list[tuple[int, int, int, bool]]  # (q, solver rank, predicted, ok)
     passed: bool
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .fgl import FormalGroupLaw
 from .classifying import character_class
@@ -28,8 +28,7 @@ class _CutByTruncation(GraphFileError):
     domains, so only the truncation can have cut their product."""
 
 
-@dataclass
-class GraphDocument:
+class GraphDocument(NamedTuple):
     graph: GKMGraph
     betti: list[tuple[int, int]] | None
     classes: dict[str, tuple[int | None, list[str]]]

@@ -9,8 +9,8 @@ tracked precision.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import count, product
+from typing import NamedTuple
 
 from .classifying import relation_order
 from .fgl import FormalGroupLaw, build_fgl
@@ -23,8 +23,7 @@ class LocalizationError(Exception):
     """A localization step failed (bad slope or exhausted precision)."""
 
 
-@dataclass(frozen=True)
-class GenericSlope:
+class GenericSlope(NamedTuple):
     vector: tuple[int, ...]
     mod_p_generic: bool = True
 
@@ -90,8 +89,7 @@ def find_generic_slope(graph: GKMGraph, theory: Theory) -> GenericSlope:
     raise LocalizationError("generic slope search exhausted")  # pragma: no cover
 
 
-@dataclass
-class VertexEuler:
+class VertexEuler(NamedTuple):
     vertex: int
     pairings: list[int]
     series: LaurentSeries
@@ -152,8 +150,7 @@ def localize_class(fgl: FormalGroupLaw, cls: EquivariantClass, slope: GenericSlo
     return [f.substitute(images) for f in cls.restrictions]
 
 
-@dataclass
-class IntegrationReport:
+class IntegrationReport(NamedTuple):
     slope: GenericSlope
     eulers: list[VertexEuler]
     total: LaurentSeries

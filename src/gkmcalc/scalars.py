@@ -14,8 +14,9 @@ renders one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import sys
 from fractions import Fraction
+from typing import NamedTuple
 
 ORDINARY = "ordinary-integral"
 MOD_P = "ordinary-mod-p"
@@ -35,27 +36,45 @@ class DegreeError(ValueError):
     """A coefficient read would mix terms of unequal degree."""
 
 
+# Every n below _PRIME_BOUND that passes the strong probable-prime test to
+# all of these bases is prime (Sorenson and Webster, Math. Comp. 86, 2017).
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin; a p the bases cannot certify is refused."""
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    if p >= _PRIME_BOUND:
+        raise ValueError(f"p = {p} is too large: primality is certified only below {_PRIME_BOUND}")
+    for a in _PRIME_BASES:
+        if p % a == 0:
+            return p == a
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
-@dataclass(frozen=True)
-class TheoryConfig:
+class TheoryConfig(NamedTuple):
     kind: str
     trunc: int
     p: int | None = None
     n: int | None = None
 
 
-@dataclass(frozen=True)
-class Theory:
+class Theory(NamedTuple):
     """A coefficient ring together with the global truncation degree.
 
     The truncation degree bounds total variable exponents in every series
@@ -123,10 +142,14 @@ def make_theory(config: TheoryConfig) -> Theory:
         raise ValueError(f"unknown theory kind {kind!r}")
     if not isinstance(config.trunc, int) or config.trunc < 1:
         raise ValueError("truncation degree must be a positive integer")
+    if config.trunc > sys.maxsize:
+        raise ValueError(f"truncation degree {config.trunc} is above the largest supported degree {sys.maxsize}")
     needs_p = kind in _MOD_P_KINDS
     if needs_p:
         if config.p is None:
             raise ValueError(f"theory kind {kind!r} requires a prime p")
+        if not isinstance(config.p, int):
+            raise ValueError(f"p = {config.p!r} is not an integer")
         if not is_prime(config.p):
             raise ValueError(f"p = {config.p} is not prime")
     elif config.p is not None:

@@ -632,3 +632,125 @@ def test_cli_solve_torsion_edge_reports(tmp_path):
     assert code == 0
     assert any(line.startswith("primitive-kernel variant differs:") for line in out.splitlines())
     assert "vanishes mod 2" in err
+
+
+# ---- the argument parser, built once at import -------------------------------
+
+# golden file stem -> (argv, exit code): help goes to stdout, usage errors to
+# stderr, both written by argparse itself
+USAGE_COMMANDS = {
+    "usage-help": ("--help", 0),
+    "usage-help-solve": ("solve --help", 0),
+    "usage-help-fgl": ("fgl --help", 0),
+    "usage-help-integrate": ("integrate --help", 0),
+    "usage-help-check-formality": ("check-formality --help", 0),
+    "usage-no-command": ("", 2),
+    "usage-bad-command": ("bogus", 2),
+    "usage-no-theory": ("fgl", 2),
+    "usage-bad-theory": ("fgl --theory x", 2),
+    "usage-bad-int": ("fgl --theory morava --p two", 2),
+    "usage-no-graph": ("solve --theory ordinary", 2),
+    "usage-unknown-option": ("fgl --theory ordinary --zzz", 2),
+}
+
+
+def run_cli_captured(*argv):
+    """run_cli, with argparse's own writes to sys.stdout and sys.stderr
+    captured too."""
+    from contextlib import redirect_stderr, redirect_stdout
+
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(list(argv), out=out, err=err)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("stem", sorted(USAGE_COMMANDS))
+def test_cli_help_and_usage_errors_match_golden(stem, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal
+    command, expected_code = USAGE_COMMANDS[stem]
+    code, out, err = run_cli_captured(*command.split())
+    with open(os.path.join(GOLDEN, stem + ".txt"), encoding="utf-8", newline="") as fh:
+        expected = fh.read()
+    assert code == expected_code
+    assert (out, err) == ((expected, "") if code == 0 else ("", expected))
+
+
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    import subprocess
+    import sys
+
+    import gkmcalc
+
+    src = os.path.dirname(os.path.dirname(gkmcalc.__file__))
+    script = "import sys, gkmcalc.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    # -S: no site hooks, which may import either module on their own
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+def test_cli_main_builds_no_parser(monkeypatch):
+    import argparse
+
+    built = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert run_cli("fgl", "--theory", "mult", "--trunc", "4")[0] == 0
+    assert run_cli("solve", graph_path("cp1.json"), "--theory", "ordinary", "--qmax", "2")[0] == 0
+    assert built == []
+
+
+def test_cli_usage_error_leaves_no_state_behind():
+    # the failed parse has already read --trunc and --qmax; the next command
+    # must still see the defaults, as a command run alone does
+    code, _, err = run_cli_captured(
+        "solve", graph_path("cp1xcp1.json"), "--theory", "mod-p", "--trunc", "4", "--qmax", "2", "--p",
+    )
+    assert code == 2 and "expected one argument" in err
+    command, _ = GOLDEN_COMMANDS["solve-cp1xcp1-mod3"]
+    code, out, _ = run_cli(*[graph_path(a) if a.endswith(".json") else a for a in command.split()])
+    with open(os.path.join(GOLDEN, "solve-cp1xcp1-mod3.txt"), encoding="utf-8", newline="") as fh:
+        assert (code, out) == (0, fh.read())
+
+
+def test_cli_unindexable_truncation_is_refused_without_traceback():
+    import sys
+
+    code, out, err = run_cli("fgl", "--theory", "morava", "--p", "2", "--n", "1", "--trunc", str(10**20))
+    assert code == 2 and out == ""
+    assert err == (
+        f"error: --theory morava: truncation degree {10**20} is above the largest "
+        f"supported degree {sys.maxsize}\n"
+    )
+
+
+def test_readme_library_block_runs():
+    # a line whose comment starts with a Python literal (up to a colon)
+    # states the value of its expression
+    import ast
+
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        text = fh.read()
+    block = text.split("\n## Library\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(block, namespace)
+    checked = []
+    for line in block.splitlines():
+        expr, _, comment = line.partition("#")
+        try:
+            expected = ast.literal_eval(comment.split(":", 1)[0].strip())
+        except (ValueError, SyntaxError):
+            continue
+        assert eval(expr, namespace) == expected, line
+        checked.append(expected)
+    assert checked == [(1, 1), True]

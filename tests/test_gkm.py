@@ -431,3 +431,14 @@ def test_solve_substitutions_grow_with_neither_degree_nor_truncation(monkeypatch
                 solve_equivariant_cohomology(helpers.cp2(), th, q_max)
                 counts.add(len(calls))
         assert len(counts) == 1
+
+
+def test_equivariant_class_is_not_a_tuple():
+    # a tuple record would make 2 * cls repeat the restrictions silently
+    th = helpers.ordinary(trunc=4)
+    one = TruncatedSeries.one(th, 1)
+    cls = EquivariantClass((one, one), 0)
+    with pytest.raises(TypeError):
+        2 * cls
+    assert cls == EquivariantClass((one, one), 0) != EquivariantClass((one, one))
+    assert (cls + cls).restrictions == (one.scale(2), one.scale(2))

@@ -38,6 +38,9 @@ def test_make_theory_validation():
         make_theory(TheoryConfig(MORAVA, 8, p=2))  # missing n
     with pytest.raises(ValueError):
         make_theory(TheoryConfig(MORAVA, 8, p=4, n=1))  # p not prime
+    for p in (5.0, 47.0):
+        with pytest.raises(ValueError, match="not an integer"):
+            make_theory(TheoryConfig(MOD_P, 8, p=p))
     with pytest.raises(ValueError):
         make_theory(TheoryConfig(MOD_P, 8))  # missing p
     with pytest.raises(ValueError):
@@ -136,3 +139,79 @@ def test_degree_additivity_under_mul():
     b = const(th, 1, -2)
     assert (a * b).homogeneous_degree() == a.homogeneous_degree() + b.homogeneous_degree()
     assert (-a).homogeneous_degree() == a.homogeneous_degree()
+
+
+# ---- primality and the theory records -----------------------------------------
+
+
+def test_is_prime_agrees_with_sympy():
+    from sympy import isprime
+
+    from gkmcalc.scalars import is_prime
+
+    assert [n for n in range(2, 10**4) if is_prime(n)] == [n for n in range(2, 10**4) if isprime(n)]
+
+
+@pytest.mark.parametrize(
+    "n",
+    [
+        3215031751,  # strong pseudoprime to the bases 2, 3, 5 and 7
+        3825123056546413051,  # to every prime base up to 31
+        318665857834031151167461,  # to every prime base up to 37
+    ],
+)
+def test_is_prime_refuses_strong_pseudoprimes(n):
+    from gkmcalc.scalars import is_prime
+
+    assert not is_prime(n)
+    with pytest.raises(ValueError, match=f"p = {n} is not prime"):
+        make_theory(TheoryConfig(MOD_P, 3, p=n))
+
+
+def _alarm(signum, frame):
+    raise TimeoutError("primality test outlived its 5 s deadline")
+
+
+def test_large_prime_is_certified_quickly():
+    import signal
+
+    p = 2**61 - 1
+    previous = signal.signal(signal.SIGALRM, _alarm)
+    signal.alarm(5)
+    try:
+        th = make_theory(TheoryConfig(MOD_P, 3, p=p))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert th.char == p
+
+
+def test_prime_above_the_certified_bound_is_refused_by_name():
+    from gkmcalc.scalars import _PRIME_BOUND
+
+    p = _PRIME_BOUND + 142  # the least prime above the bound
+    with pytest.raises(ValueError, match=f"p = {p} is too large"):
+        make_theory(TheoryConfig(MOD_P, 3, p=p))
+
+
+def test_theory_records_refuse_assignment():
+    from gkmcalc import GenericSlope, GKMEdge
+
+    records = [
+        (TheoryConfig(ORDINARY, 8), "trunc"),
+        (make_theory(TheoryConfig(ORDINARY, 8)), "kind"),
+        (GKMEdge(0, 1, (1,)), "weight"),
+        (GenericSlope((1, 2)), "mod_p_generic"),
+    ]
+    for record, name in records:
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+
+
+def test_equal_theories_share_one_formal_group_law():
+    from gkmcalc import build_fgl
+
+    cfg = TheoryConfig(MORAVA, 6, p=2, n=1)
+    a, b = make_theory(cfg), make_theory(cfg)
+    assert a == b and hash(a) == hash(b)
+    assert build_fgl(a) is build_fgl(b)
