@@ -70,6 +70,8 @@ def relation_order(fgl: FormalGroupLaw, ell: int) -> int | None:
     """The u-order of [ell]u for ell >= 1: p^{n r} at height n with
     ell = p^r s, also beyond the truncation; otherwise the order of the
     truncated series, None when it vanishes."""
+    if ell < 1:
+        raise ValueError(f"the group order must be a positive integer, not {ell}")
     th = fgl.theory
     if th.kind != MORAVA:
         return fgl.n_series(ell).order()
@@ -81,8 +83,6 @@ def relation_order(fgl: FormalGroupLaw, ell: int) -> int | None:
 
 
 def cyclic_classifying_ring(fgl: FormalGroupLaw, ell: int) -> CyclicRingPresentation:
-    if ell < 1:
-        raise ValueError("the group order must be a positive integer")
     th = fgl.theory
     order = relation_order(fgl, ell)
     if order is not None and order > th.trunc:

@@ -184,7 +184,7 @@ def cmd_check_formality(args, out, err) -> int:
         raise _InputError(f"{args.graph}: check-formality needs a betti block")
     _banner_and_warnings(theory, doc.graph, out, err)
     try:
-        solution = solve_equivariant_cohomology(doc.graph, theory, args.qmax)
+        solution = solve_equivariant_cohomology(doc.graph, theory, args.qmax, compare_primitive=False)
     except ValueError as exc:
         raise _InputError(str(exc)) from exc
     report = check_formality(doc.graph, doc.betti, solution)

@@ -1,12 +1,14 @@
-"""Formal group laws of the supported theories.
+"""Formal group laws of the supported theories, each with its [ell]-series
+in closed form, exact for every integer ell and built without formal sums.
 
-The additive and multiplicative laws are written down directly.  The height-n
-law of the mod-p theories is the Honda law exp(log x + log y), whose
-logarithm log x = sum_i x^(p^(ni)) / p^i is sparse.  It is built in O(D^3)
-exact rational steps, without composing series: the powers of the logarithm
-give the exponential, by a triangular solve of exp(log x) = x, and then the
-two-variable law, by two matrix products (see _honda_fgl).  Both
-construction-time checks still run on every coefficient before the mod-p
+The additive law x + y has [ell]u = ell * u.  The multiplicative law
+x + y - b*x*y has [ell]u = (1 - (1 - b*u)^ell) / b, whose u^a coefficient is
+(-1)^(a+1) C(ell, a) b^(a-1), with generalised binomials when ell < 0.  The
+height-n law of the mod-p theories is the Honda law exp(log x + log y), whose
+logarithm log x = sum_i x^(p^(ni)) / p^i is sparse.  Both the law and
+[ell]u = exp(ell log u) come from one table of integers, the powers of the
+scaled logarithm (see _honda_fgl).  Both construction-time checks run on
+every coefficient of the law and of each [ell]-series before the mod-p
 reduction: p-integrality, and the degree bookkeeping of the periodicity
 insertions (both are theorems, so a failure here means an implementation bug,
 not bad input).
@@ -15,27 +17,23 @@ not bad input).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import comb, lcm
 
-from .scalars import (
-    MOD_P,
-    MORAVA,
-    MULTIPLICATIVE,
-    ORDINARY,
-    RATIONAL,
-    Theory,
-)
+from .scalars import MOD_P, MORAVA, MULTIPLICATIVE, ORDINARY, RATIONAL, Theory
 from .series import TruncatedSeries, format_series
 
 
 class FormalGroupLaw:
-    """A bivariate series F(x, y) with the group-law identities to truncation."""
+    """A bivariate series F(x, y) with the group-law identities to truncation,
+    and the closed form of its [ell]-series: ell_terms(ell) is [ell]u in the
+    stored format."""
 
-    def __init__(self, theory: Theory, series: TruncatedSeries):
+    def __init__(self, theory: Theory, series: TruncatedSeries, ell_terms):
         if series.nvars != 2:
             raise ValueError("a formal group law is a series in two variables")
         self.theory = theory
         self.series = series
+        self._ell_terms = ell_terms
         self._nseries_cache: dict[int, TruncatedSeries] = {}
 
     def sum(self, a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
@@ -51,40 +49,12 @@ class FormalGroupLaw:
         return self.n_series(-1).substitute([a])
 
     def n_series(self, ell: int) -> TruncatedSeries:
-        """The one-variable [ell]-series, built once per ell and composed
-        wherever it is needed: [-1] is solved degree by degree from
-        F(u, [-1]u) = 0, [-ell] = [ell] o [-1], and ell >= 2 doubles.  At
-        height n, [p^k]u = 0 once p^(nk) > D, so [-1] = [p^k - 1] there."""
+        """The one-variable [ell]-series, exact for every integer ell, read
+        once per ell off the law's closed form."""
         cached = self._nseries_cache.get(ell)
-        if cached is not None:
-            return cached
-        th = self.theory
-        u = TruncatedSeries.variable(th, 1, 0)
-        if ell == 0:
-            value = TruncatedSeries.zero(th, 1)
-        elif ell == 1:
-            value = u
-        elif ell == -1 and th.kind == MORAVA:
-            pk = th.p
-            while pk ** th.n <= th.trunc:
-                pk *= th.p
-            value = self.n_series(pk - 1)
-        elif ell == -1:
-            value = -u
-            for target in range(2, th.trunc + 1):
-                err = self.sum(u, value).variable_degree_component(target)
-                if not err.is_zero():
-                    value = value - err
-        elif ell < 0:
-            value = self.n_series(-ell).substitute([self.n_series(-1)])
-        else:
-            q, r = divmod(ell, 2)
-            half = self.n_series(q)
-            value = self.sum(half, half)
-            if r:
-                value = self.sum(value, u)
-        self._nseries_cache[ell] = value
-        return value
+        if cached is None:
+            cached = self._nseries_cache[ell] = TruncatedSeries(self.theory, 1, self._ell_terms(ell))
+        return cached
 
     def __str__(self):
         return format_series(self.series, ["x", "y"])
@@ -113,7 +83,7 @@ def build_fgl(theory: Theory) -> FormalGroupLaw:
 def _additive_fgl(theory: Theory) -> FormalGroupLaw:
     x = TruncatedSeries.variable(theory, 2, 0)
     y = TruncatedSeries.variable(theory, 2, 1)
-    return FormalGroupLaw(theory, x + y)
+    return FormalGroupLaw(theory, x + y, lambda ell: {((1,), 0): ell})
 
 
 def multiplicative_fgl(theory: Theory) -> FormalGroupLaw:
@@ -128,68 +98,92 @@ def multiplicative_fgl(theory: Theory) -> FormalGroupLaw:
     terms = {((1, 0), 0): 1, ((0, 1), 0): 1}
     if theory.trunc >= 2:
         terms[((1, 1), 1)] = theory.reduce(-1)
-    return FormalGroupLaw(theory, TruncatedSeries.from_raw(theory, 2, terms))
+
+    def ell_terms(ell):
+        out, c = {}, 1
+        for a in range(1, theory.trunc + 1):
+            c = c * (ell - a + 1) // a  # C(ell, a), exact also for ell < 0
+            out[((a,), a - 1)] = -c if a % 2 == 0 else c
+        return out
+
+    return FormalGroupLaw(theory, TruncatedSeries.from_raw(theory, 2, terms), ell_terms)
+
+
+def _scaled_logarithm(p: int, n: int, D: int) -> list[tuple[int, int]]:
+    """P log x as (exponent, integer coefficient) pairs, where P = p^top for
+    the largest top with p^(n top) <= D."""
+    top = 0
+    while p ** (n * (top + 1)) <= D:
+        top += 1
+    return [(p ** (n * i), p ** (top - i)) for i in range(top + 1)]
 
 
 def _honda_fgl(theory: Theory) -> FormalGroupLaw:
     """The height-n Honda law F(x, y) = exp(log x + log y), where
-    log x = sum_i x^(q^i) / p^i with q = p^n, built over exact rationals and
-    then reduced mod p.
+    log x = sum_i x^(q^i) / p^i with q = p^n, built in integers over one
+    common denominator and then reduced mod p.
 
-    With M_j = (log x)^j / j! and E_k = k! [x^k] exp, the binomial theorem
-    gives exp(log x + log y) = sum_{j,l} E_{j+l} M_j(x) M_l(y), so F is the
-    matrix product M^T H M with the Hankel matrix H[j][l] = E_{j+l}.  The E_k
-    come from the same powers: exp(log x) = x is triangular in them, because
-    M_a starts at x^a / a!.  Both theorems are checked on the result: every
-    coefficient is p-integral, and one that survives mod p sits at a total
-    degree 1 + k(p^n - 1)."""
-    p, n, D = theory.p, theory.n, theory.trunc
-    q = p ** n
-    log = []  # (exponent, coefficient) pairs
-    i = 0
-    while q ** i <= D:
-        log.append((q ** i, Fraction(1, p ** i)))
-        i += 1
-    # M[j][a] = [x^a] (log x)^j / j!, a sparse product per power; log x
-    # starts at x, so M[j][a] vanishes below a = j
-    M = [[Fraction(1)] + [Fraction(0)] * D]
+    With A_j = (P log x)^j, exp y = sum_s e_s y^s and G_s = e_s / P^s, the
+    binomial theorem gives exp(log x + log y) = sum_{j,l} G_{j+l} C(j+l, j)
+    A_j(x) A_l(y), and exp(ell log u) = sum_s G_s ell^s A_s(u).  The G_s come
+    from the same powers: exp(log x) = x is triangular in them, because A_s
+    starts at P^s x^s.  Scaled by the lcm delta of their denominators, g_s =
+    delta G_s are integers, so delta F = A^T H A with H[j][l] = g_{j+l}
+    C(j+l, j) is an integer matrix product, taken as T = H A and then A^T T.
+    Every numerator N of the law and of each [ell]-series passes _mod_p."""
+    p, D = theory.p, theory.trunc
+    plog = _scaled_logarithm(p, theory.n, D)
+    # A[j][a] = [x^a] (P log x)^j, a sparse product per power
+    A = [[1] + [0] * D]
     for j in range(1, D + 1):
-        prev = M[-1]
-        row = [
-            Fraction(sum(c * prev[a - e] for e, c in log if e <= a), j) for a in range(j, D + 1)
-        ]
-        M.append([Fraction(0)] * j + row)
-    # [x^a] exp(log x) = sum_{k<=a} E_k M[k][a] is 1 at a = 1 and 0 above
-    E = [Fraction(0), Fraction(1)] + [Fraction(0)] * (D - 1)
-    for a in range(2, D + 1):
-        E[a] = -factorial(a) * sum(E[k] * M[k][a] for k in range(1, a) if E[k] and M[k][a])
-    # T = H M, then F[a][b] = sum_j M[j][a] T[j][b]
+        prev = A[-1]
+        A.append([0] * j + [sum(c * prev[a - e] for e, c in plog if e <= a) for a in range(j, D + 1)])
+    G = [Fraction(0)] * (D + 1)
+    for a in range(1, D + 1):
+        G[a] = (Fraction(a == 1) - sum(G[s] * A[s][a] for s in range(1, a) if A[s][a])) / A[a][a]
+    delta = lcm(*(x.denominator for x in G))
+    g = [x.numerator * (delta // x.denominator) for x in G]
+    cols = [[(j, A[j][a]) for j in range(a + 1) if A[j][a]] for a in range(D + 1)]
     T = [
-        [
-            sum(E[j + l] * M[l][b] for l in range(b + 1) if E[j + l] and M[l][b])
-            for b in range(D - j + 1)
-        ]
+        [sum(g[j + l] * comb(j + l, j) * c for l, c in cols[b] if g[j + l]) for b in range(D - j + 1)]
         for j in range(D + 1)
     ]
-    period = q - 1
+    law = (((a, b), sum(c * T[j][b] for j, c in cols[a])) for a in range(D + 1) for b in range(D - a + 1))
+    terms = _mod_p(theory, delta, law)
+    rows = [[(s, g[s] * c) for s, c in col if g[s]] for col in cols]
+
+    def ell_terms(ell):
+        pw = [ell ** s for s in range(D + 1)]
+        return _mod_p(theory, delta, (((a,), sum(gc * pw[s] for s, gc in rows[a])) for a in range(D + 1)))
+
+    return FormalGroupLaw(theory, TruncatedSeries.from_raw(theory, 2, terms), ell_terms)
+
+
+def _mod_p(theory: Theory, delta: int, numerators) -> dict:
+    """The stored-format terms of sum N / delta * u^alpha over the (alpha, N)
+    in numerators, reduced mod p once both theorems hold for each: the
+    coefficient is p-integral (p^s | N, where delta = p^s delta'), and one that
+    survives mod p sits at a total degree 1 + k(p^n - 1), k its unit exponent."""
+    p, period = theory.p, theory.p ** theory.n - 1
+    ps = 1
+    while delta % (ps * p) == 0:
+        ps *= p
+    inv = pow(delta // ps, -1, p)
     terms = {}
-    for a in range(D + 1):
-        for b in range(D - a + 1):
-            frac = sum(M[j][a] * T[j][b] for j in range(a + 1) if M[j][a])
-            if frac == 0:
-                continue
-            if frac.denominator % p == 0:
-                raise AssertionError(
-                    f"p-integrality failure at x^{a} y^{b}: coefficient {frac}"
-                )
-            cm = frac.numerator * pow(frac.denominator, -1, p) % p
-            if cm == 0:
-                continue
-            k, rem = divmod(a + b - 1, period)
+    for alpha, num in numerators:
+        if num % ps:
+            raise AssertionError(f"p-integrality failure at {_mono(alpha)}: coefficient {Fraction(num, delta)}")
+        cm = num // ps * inv % p
+        if cm:
+            k, rem = divmod(sum(alpha) - 1, period)
             if rem != 0:
                 raise AssertionError(
-                    f"coefficient of x^{a} y^{b} survives mod {p} but "
-                    f"{period} does not divide {a + b - 1}"
+                    f"coefficient of {_mono(alpha)} survives mod {p} but "
+                    f"{period} does not divide {sum(alpha) - 1}"
                 )
-            terms[((a, b), k)] = cm
-    return FormalGroupLaw(theory, TruncatedSeries.from_raw(theory, 2, terms))
+            terms[(alpha, k)] = cm
+    return terms
+
+
+def _mono(alpha) -> str:
+    return " ".join(f"{v}^{e}" for v, e in zip("xy" if len(alpha) == 2 else "u", alpha))

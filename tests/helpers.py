@@ -259,6 +259,33 @@ def degree_by_degree_inverse(fgl, a):
     return inv
 
 
+def n_series_by_doubling(fgl, ell, memo=None):
+    """The [ell]-series composed through the law, the oracle for the closed
+    forms: [-1] solved degree by degree from F(u, [-1]u) = 0, [-ell] =
+    [ell] o [-1], and ell >= 2 by doubling through formal sums.  memo maps
+    ell to the series already built for this law."""
+    memo = {} if memo is None else memo
+    if ell in memo:
+        return memo[ell]
+    th = fgl.theory
+    u = TruncatedSeries.variable(th, 1, 0)
+    if ell == 0:
+        value = TruncatedSeries.zero(th, 1)
+    elif ell == 1:
+        value = u
+    elif ell == -1:
+        value = degree_by_degree_inverse(fgl, u)
+    elif ell < 0:
+        value = n_series_by_doubling(fgl, -ell, memo).substitute([n_series_by_doubling(fgl, -1, memo)])
+    else:
+        half = n_series_by_doubling(fgl, ell // 2, memo)
+        value = fgl.sum(half, half)
+        if ell % 2:
+            value = fgl.sum(value, u)
+    memo[ell] = value
+    return value
+
+
 def transport(fgl, f, basis_change):
     """f rewritten in the torus coordinates of the unimodular matrix by one
     full substitution: row i of the matrix is the character whose class

@@ -1,6 +1,7 @@
 """Character classes, cyclic classifying rings, and restriction ideals."""
 
 import random
+import signal
 
 import pytest
 
@@ -12,7 +13,7 @@ from gkmcalc import (
     ideal_residue,
     kernel_ideal,
 )
-from gkmcalc.classifying import _series_to_vector, _slice_monomials, ideal_multiples_basis
+from gkmcalc.classifying import _series_to_vector, _slice_monomials, ideal_multiples_basis, relation_order
 from gkmcalc.lattice import invariant_factors, reduce_vector_mod_lattice, vec_mat
 from gkmcalc.series import _term_key, exponent_vectors
 
@@ -320,6 +321,27 @@ def test_kernel_ideal_rejects_zero():
     th = helpers.ordinary()
     with pytest.raises(ValueError):
         kernel_ideal(build_fgl(th), (0, 0))
+
+
+def _alarm(signum, frame):
+    raise TimeoutError("still running after the deadline")
+
+
+@pytest.mark.parametrize("ell", [0, -1, -4])
+def test_relation_order_refuses_non_positive_orders(ell):
+    # under morava, ell = 0 used to loop forever dividing out p
+    previous = signal.signal(signal.SIGALRM, _alarm)
+    signal.alarm(5)
+    try:
+        for th in (helpers.morava(2, 1), helpers.morava(3, 2), helpers.mult(), helpers.ordinary()):
+            fgl = build_fgl(th)
+            with pytest.raises(ValueError, match=f"positive integer, not {ell}$"):
+                relation_order(fgl, ell)
+            with pytest.raises(ValueError, match=f"positive integer, not {ell}$"):
+                cyclic_classifying_ring(fgl, ell)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_cyclic_ring_truncation_guard():

@@ -124,6 +124,7 @@ GOLDEN_COMMANDS = {
         "solve cp2x2.json --theory morava --p 2 --n 1 --trunc 8 --qmax 4", 0,
     ),
     "integrate-cp2x2-ordinary-pt": ("integrate cp2x2.json --theory ordinary --trunc 8 --class pt", 0),
+    "check-formality-cp2x2-ordinary": ("check-formality cp2x2.json --theory ordinary --qmax 4", 0),
 }
 
 
@@ -136,6 +137,33 @@ def test_cli_stdout_matches_golden(stem):
         expected = fh.read()
     assert code == expected_code
     assert out == expected
+
+
+def test_check_formality_runs_one_solve(monkeypatch):
+    # the doubled weights of cp2x2.json make a library solve add a second,
+    # primitive-kernel solve; check-formality prints only ranks, so it skips it
+    import gkmcalc.cli as cli_module
+    import gkmcalc.gkm as gkm_module
+
+    calls = []
+    real = gkm_module.solve_equivariant_cohomology
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(gkm_module, "solve_equivariant_cohomology", counting)
+    monkeypatch.setattr(cli_module, "solve_equivariant_cohomology", counting)
+    doc = load_graph_document(graph_path("cp2x2.json"))
+    gkm_module.solve_equivariant_cohomology(doc.graph, helpers.ordinary(trunc=6), 4)
+    assert len(calls) == 2
+    calls.clear()
+    code, out, _ = run_cli(
+        "check-formality", graph_path("cp2x2.json"), "--theory", "ordinary", "--qmax", "4"
+    )
+    with open(os.path.join(GOLDEN, "check-formality-cp2x2-ordinary.txt"), encoding="utf-8") as fh:
+        assert (code, out) == (0, fh.read())
+    assert len(calls) == 1
 
 
 def test_cli_fgl_morava_two_series():

@@ -1,6 +1,7 @@
 """Formal group laws: construction, axioms at working truncation, n-series."""
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -192,19 +193,120 @@ def test_morava_minus_one_series_matches_degree_by_degree_oracle(p, n, trunc):
     assert fgl.n_series(-1) == helpers.degree_by_degree_inverse(fgl, u)
 
 
-def test_morava_minus_one_series_doubles(monkeypatch):
-    # [-1] = [31] at K(1), p = 2, D = 28 (2^5 > 28): the doubling path makes
-    # at most 2 * ceil(log2 32) formal sums, where solving degree by degree
-    # makes 27
+def test_n_series_makes_no_formal_sums(monkeypatch):
+    # every [ell]-series is read off a closed form: no formal sum and no
+    # substitution, for [-1] at K(1), p = 2, D = 28 neither (solving it
+    # degree by degree makes 27 formal sums)
     import gkmcalc.fgl as fgl_module
 
     monkeypatch.setattr(fgl_module, "_fgl_cache", {})
-    fgl = build_fgl(helpers.morava(2, 1, trunc=28))
     calls = []
-    real_sum = fgl.sum
-    monkeypatch.setattr(fgl, "sum", lambda a, b: calls.append(1) or real_sum(a, b))
-    fgl.n_series(-1)
-    assert 0 < len(calls) <= 2 * 5
+    for cls, name in ((fgl_module.FormalGroupLaw, "sum"), (TruncatedSeries, "substitute")):
+        real = getattr(cls, name)
+        monkeypatch.setattr(cls, name, lambda *a, real=real: calls.append(1) or real(*a))
+    laws = (
+        build_fgl(helpers.ordinary(trunc=8)),
+        build_fgl(helpers.mult(trunc=8)),
+        multiplicative_fgl(helpers.morava(2, 1, trunc=8)),
+        build_fgl(helpers.morava(2, 1, trunc=28)),
+        build_fgl(helpers.morava(3, 2, trunc=18)),
+    )
+    for fgl in laws:
+        for ell in (-1, 2, -9, 10 ** 6, -(10 ** 6)):
+            assert fgl.n_series(ell).order() != 0
+    assert calls == []
+
+
+def _oracle_ells(p, top):
+    ells = set(range(-9, 10)) | {10 ** 6}
+    for k in range(1, top + 1):
+        ells |= {p ** k, -(p ** k), p ** k + 1, p ** k - 1}
+    return sorted(ells)
+
+
+def _honda_oracle_cases():
+    """(p, n, D) for p in {2, 3, 5, 7} and n <= 3: D = 1, 32, and each side
+    of every degree q^i <= 32 where a logarithm term enters."""
+    cases = []
+    for p in (2, 3, 5, 7):
+        for n in (1, 2, 3):
+            ds = {1, 32}
+            qi = p ** n
+            while qi <= 32:
+                ds |= {qi - 1, qi, qi + 1}
+                qi *= p ** n
+            cases += [(p, n, d) for d in sorted(ds) if 1 <= d <= 32]
+    return cases
+
+
+@pytest.mark.parametrize("p,n,trunc", _honda_oracle_cases())
+def test_honda_n_series_matches_doubling_oracle(p, n, trunc):
+    fgl = build_fgl(helpers.morava(p, n, trunc=trunc))
+    top = 1
+    while p ** (n * top) <= trunc:
+        top += 1  # [p^top] is the first to vanish
+    memo = {}
+    for ell in _oracle_ells(p, top + 1):
+        assert fgl.n_series(ell) == helpers.n_series_by_doubling(fgl, ell, memo), ell
+
+
+@pytest.mark.parametrize(
+    "law",
+    [
+        lambda: build_fgl(helpers.ordinary(trunc=12)),
+        lambda: build_fgl(helpers.modp(3, trunc=12)),
+        lambda: build_fgl(helpers.rational(trunc=12)),
+        lambda: build_fgl(helpers.mult(trunc=16)),
+        lambda: build_fgl(helpers.mult(trunc=1)),
+        lambda: multiplicative_fgl(helpers.morava(2, 1, trunc=32)),
+    ],
+    ids=["ordinary", "mod-3", "rational", "mult", "mult-D1", "mod-2-mult"],
+)
+def test_closed_n_series_matches_doubling_oracle(law):
+    fgl = law()
+    memo = {}
+    for p in (2, 3):
+        for ell in _oracle_ells(p, 4):
+            assert fgl.n_series(ell) == helpers.n_series_by_doubling(fgl, ell, memo), (p, ell)
+
+
+def _no_law_checks(monkeypatch, fgl_module):
+    """Let the law's own coefficients through unchecked, so that only the
+    [ell]-series run the checks."""
+    real = fgl_module._mod_p
+
+    def checked_for_one_variable(theory, delta, numerators):
+        numerators = list(numerators)
+        return real(theory, delta, numerators) if len(numerators[0][0]) == 1 else {}
+
+    monkeypatch.setattr(fgl_module, "_mod_p", checked_for_one_variable)
+
+
+@pytest.mark.parametrize(
+    "p,logarithm,message",
+    [
+        # log x = x + x^2/4, where the Honda logarithm has x^2/2: F has
+        # -1/2 x y and [2]u has -1/2 u^2
+        (2, [(1, 4), (2, 1)], "p-integrality failure at {}: coefficient -"),
+        # log x = x + x^2 at p = 3: integral, but x y survives mod 3 in
+        # total degree 2, as -2 u^2 does in [2]u, and 3^1 - 1 does not
+        # divide 2 - 1
+        (3, [(1, 1), (2, 1)], "coefficient of {} survives mod 3 but 2 does not divide 1"),
+    ],
+    ids=["p-integrality", "degree-rule"],
+)
+def test_corrupted_logarithm_trips_the_construction_checks(monkeypatch, p, logarithm, message):
+    import gkmcalc.fgl as fgl_module
+
+    monkeypatch.setattr(fgl_module, "_fgl_cache", {})
+    monkeypatch.setattr(fgl_module, "_scaled_logarithm", lambda p, n, D: logarithm)
+    th = helpers.morava(p, 1, trunc=4)
+    with pytest.raises(AssertionError, match=re.escape(message.format("x^1 y^1"))):
+        build_fgl(th)
+    _no_law_checks(monkeypatch, fgl_module)
+    fgl = build_fgl(th)
+    with pytest.raises(AssertionError, match=re.escape(message.format("u^2"))):
+        fgl.n_series(2)
 
 
 def test_mod_p_reduction_of_multiplicative_p_series():
