@@ -15,7 +15,6 @@ from .scalars import (
     Theory,
     TheoryConfig,
     make_theory,
-    rational_theory,
 )
 from .series import LaurentSeries, LeadingUnitError, TruncatedSeries, format_series
 from .fgl import FormalGroupLaw, build_fgl, multiplicative_fgl
@@ -25,7 +24,6 @@ from .classifying import (
     RestrictionIdeal,
     character_class,
     cyclic_classifying_ring,
-    ideal_residue,
     kernel_ideal,
 )
 from .gkm import (
@@ -37,7 +35,6 @@ from .gkm import (
     check_formality,
     formality_prediction,
     mod_p_weight_warnings,
-    satisfies_congruences,
     solve_equivariant_cohomology,
     truncated_slice_count,
     validate_graph,
@@ -64,7 +61,6 @@ __all__ = [
     "Theory",
     "TheoryConfig",
     "make_theory",
-    "rational_theory",
     "LaurentSeries",
     "LeadingUnitError",
     "TruncatedSeries",
@@ -78,7 +74,6 @@ __all__ = [
     "RestrictionIdeal",
     "character_class",
     "cyclic_classifying_ring",
-    "ideal_residue",
     "kernel_ideal",
     "EquivariantClass",
     "FormalityReport",
@@ -88,7 +83,6 @@ __all__ = [
     "check_formality",
     "formality_prediction",
     "mod_p_weight_warnings",
-    "satisfies_congruences",
     "solve_equivariant_cohomology",
     "truncated_slice_count",
     "validate_graph",

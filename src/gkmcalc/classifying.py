@@ -17,12 +17,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .fgl import FormalGroupLaw
-from .lattice import (
-    adapted_basis,
-    hermite_row_basis,
-    primitive_part,
-    reduce_vector_mod_lattice,
-)
+from .lattice import adapted_basis, hermite_row_basis, primitive_part
 from .scalars import MORAVA, Theory
 from .series import TruncatedSeries, exponent_vectors
 
@@ -53,17 +48,6 @@ class CyclicRingPresentation(NamedTuple):
     relation: TruncatedSeries
     order: int | None  # u-order of the relation when its leading coeff is a unit
     rank: int | None  # free rank over the coefficients; None if not defined
-
-    def basis_degrees(self) -> list[int]:
-        if self.rank is None:
-            raise ValueError("presentation has no finite free basis")
-        return [2 * b for b in range(self.rank)]
-
-    def normal_form_key(self):
-        """Data identifying the unit-rescaled normal form of the presentation."""
-        if self.order is not None:
-            return (self.theory.kind, self.theory.p, self.theory.n, self.order)
-        return (self.theory.kind, self.theory.p, self.theory.n, None, self.relation.coeffs == {})
 
 
 def relation_order(fgl: FormalGroupLaw, ell: int) -> int | None:
@@ -230,24 +214,3 @@ def ideal_multiples_basis(ideal: RestrictionIdeal, q: int):
     basis = hermite_row_basis(gens)
     ideal._hermite_cache[q] = (monos, basis)
     return monos, basis
-
-
-def ideal_residue(f: TruncatedSeries, ideal: RestrictionIdeal) -> TruncatedSeries:
-    """Canonical residue of f modulo the restriction ideal; zero iff f lies
-    in the ideal up to truncation."""
-    if f.nvars != ideal.nvars:
-        raise ValueError("series and ideal live over different tori")
-    th, m = f.theory, f.nvars
-    images = ((ideal.monomial_image(alpha), c, k) for (alpha, k), c in f.coeffs.items())
-    adapted = TruncatedSeries.combination(th, m, images)
-    if ideal.residue_is_linear:
-        return adapted  # the images are already cut
-    # integral coefficients with a non-unit leading term: reduce each
-    # homogeneous component against the lattice of truncated multiples
-    out = {}
-    for q in adapted.degrees():
-        monos, basis = ideal_multiples_basis(ideal, q)
-        vec = _series_to_vector(adapted.degree_component(q), monos)
-        red = reduce_vector_mod_lattice(vec, basis)
-        out.update((mono, c) for mono, c in zip(monos, red) if c)
-    return TruncatedSeries.from_raw(th, m, out)

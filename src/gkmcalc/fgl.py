@@ -42,12 +42,6 @@ class FormalGroupLaw:
             raise ValueError("formal sums need zero constant terms")
         return self.series.substitute([a, b])
 
-    def inverse(self, a: TruncatedSeries) -> TruncatedSeries:
-        """The formal inverse i(a) = [-1](a), with F(a, i(a)) = 0."""
-        if a.order() == 0:
-            raise ValueError("formal inverse needs a zero constant term")
-        return self.n_series(-1).substitute([a])
-
     def n_series(self, ell: int) -> TruncatedSeries:
         """The one-variable [ell]-series, exact for every integer ell, read
         once per ell off the law's closed form."""

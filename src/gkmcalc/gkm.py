@@ -15,14 +15,9 @@ import math
 from functools import cached_property
 from typing import NamedTuple
 
-from .classifying import (
-    _slice_monomials,
-    ideal_multiples_basis,
-    ideal_residue,
-    kernel_ideal,
-)
-from .fgl import FormalGroupLaw, build_fgl
-from .lattice import field_kernel, integer_kernel, invariant_factors, vec_mat
+from .classifying import _slice_monomials, ideal_multiples_basis, kernel_ideal
+from .fgl import build_fgl
+from .lattice import field_kernel, integer_kernel, invariant_factors, primitive_part, vec_mat
 from .scalars import Theory
 from .series import TruncatedSeries
 
@@ -69,10 +64,17 @@ class GKMGraph(NamedTuple):
         edges = [GKMEdge(e.tail, e.head, vec_mat(e.weight, w)) for e in self.edges]
         return GKMGraph(self.rank, list(self.vertices), edges)
 
+    def primitive(self) -> "GKMGraph":
+        """The graph with every weight replaced by its primitive part."""
+        edges = [GKMEdge(e.tail, e.head, primitive_part(e.weight)[1]) for e in self.edges]
+        return GKMGraph(self.rank, list(self.vertices), edges)
 
-def _proportional(a, b) -> bool:
+
+def _minors(a, b):
+    """The 2x2 minors of the matrix with rows a and b; all vanish exactly
+    when a and b are proportional."""
     n = len(a)
-    return all(a[i] * b[j] == a[j] * b[i] for i in range(n) for j in range(i + 1, n))
+    return (a[i] * b[j] - a[j] * b[i] for i in range(n) for j in range(i + 1, n))
 
 
 def validate_graph(graph: GKMGraph) -> list[str]:
@@ -100,7 +102,7 @@ def validate_graph(graph: GKMGraph) -> list[str]:
         ws = graph.outgoing_weights(i)
         for a in range(len(ws)):
             for b in range(a + 1, len(ws)):
-                if _proportional(ws[a], ws[b]):
+                if not any(_minors(ws[a], ws[b])):
                     violations.append(
                         f"vertex {graph.vertices[i]}: dependent weights "
                         f"{ws[a]} and {ws[b]}"
@@ -141,12 +143,7 @@ def mod_p_weight_warnings(graph: GKMGraph, p: int) -> list[str]:
                 )
         for a in range(len(ws)):
             for b in range(a + 1, len(ws)):
-                n = len(ws[a])
-                if all(
-                    (ws[a][i1] * ws[b][j1] - ws[a][j1] * ws[b][i1]) % p == 0
-                    for i1 in range(n)
-                    for j1 in range(i1 + 1, n)
-                ):
+                if all(x % p == 0 for x in _minors(ws[a], ws[b])):
                     warnings.append(
                         f"vertex {graph.vertices[i]}: weights {ws[a]} and {ws[b]} "
                         f"dependent mod {p}"
@@ -169,9 +166,6 @@ class EquivariantClass:
     def __repr__(self) -> str:
         return f"EquivariantClass({self.restrictions!r}, {self.degree!r})"
 
-    def is_zero(self) -> bool:
-        return all(f.is_zero() for f in self.restrictions)
-
     def __add__(self, other: "EquivariantClass") -> "EquivariantClass":
         parts = tuple(a + b for a, b in zip(self.restrictions, other.restrictions))
         deg = self.degree if self.degree == other.degree else None
@@ -193,20 +187,6 @@ class EquivariantClass:
         return None
 
 
-def satisfies_congruences(graph: GKMGraph, fgl: FormalGroupLaw, cls: EquivariantClass) -> bool:
-    if len(cls.restrictions) != len(graph.vertices):
-        raise ValueError("class has the wrong number of fixed-point restrictions")
-    for f in cls.restrictions:
-        if f.nvars != graph.rank:
-            raise ValueError("restriction has the wrong number of variables")
-    ideals = {w: kernel_ideal(fgl, w) for w in dict.fromkeys(e.weight for e in graph.edges)}
-    for e in graph.edges:
-        diff = cls.restrictions[e.tail] - cls.restrictions[e.head]
-        if not ideal_residue(diff, ideals[e.weight]).is_zero():
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # the solver
 
@@ -224,7 +204,6 @@ class SolutionModule:
         kernels: dict[int, tuple[list, list]],  # (monomials, kernel vectors)
         divisors: dict[int, list[int]],
         provenance: dict[int, tuple[int, int]],  # (columns, constraint rows)
-        primitive_variant_ranks: dict[int, int] | None = None,
     ):
         self.theory = theory
         self.graph = graph
@@ -233,7 +212,6 @@ class SolutionModule:
         self.kernels = kernels
         self.divisors = divisors
         self.provenance = provenance
-        self.primitive_variant_ranks = primitive_variant_ranks
 
     @cached_property
     def bases(self) -> dict[int, list[EquivariantClass]]:
@@ -243,12 +221,7 @@ class SolutionModule:
         }
 
 
-def solve_equivariant_cohomology(
-    graph: GKMGraph,
-    theory: Theory,
-    q_max: int,
-    compare_primitive: bool = True,
-) -> SolutionModule:
+def solve_equivariant_cohomology(graph: GKMGraph, theory: Theory, q_max: int) -> SolutionModule:
     violations = validate_graph(graph)
     if violations:
         raise ValueError("invalid GKM graph: " + "; ".join(violations))
@@ -286,19 +259,7 @@ def solve_equivariant_cohomology(
         provenance[q] = (len(graph.vertices) * len(monos), nrows)
         kernels[q] = (monos, vecs)
 
-    solution = SolutionModule(theory, graph, q_max, ranks, kernels, divisors, provenance)
-
-    if compare_primitive and any(i.d > 1 for i in ideals.values()):
-        primitive = GKMGraph(
-            graph.rank,
-            list(graph.vertices),
-            [GKMEdge(e.tail, e.head, ideals[e.weight].theta) for e in graph.edges],
-        )
-        variant = solve_equivariant_cohomology(
-            primitive, theory, q_max, compare_primitive=False
-        )
-        solution.primitive_variant_ranks = variant.ranks
-    return solution
+    return SolutionModule(theory, graph, q_max, ranks, kernels, divisors, provenance)
 
 
 def _solve_degree(theory, graph, ideals, monos, q):

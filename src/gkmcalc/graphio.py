@@ -32,6 +32,7 @@ class GraphDocument(NamedTuple):
     graph: GKMGraph
     betti: list[tuple[int, int]] | None
     classes: dict[str, tuple[int | None, list[str]]]
+    origin: str = "<graph>"  # the file it was read from
 
 
 def _require(cond, msg):
@@ -58,6 +59,10 @@ def load_graph_document(path: str) -> GraphDocument:
         raise GraphFileError(
             f"{path}: parse error at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError as exc:
+        raise GraphFileError(f"{path}: parse error: nesting too deep") from exc
+    except ValueError as exc:  # an integer literal beyond int()'s digit limit
+        raise GraphFileError(f"{path}: parse error: {str(exc).split(';')[0]}") from exc
     return parse_graph_document(doc, origin=path)
 
 
@@ -144,7 +149,7 @@ def parse_graph_document(doc, origin: str = "<graph>") -> GraphDocument:
                 f"{where}: {len(exprs)} restrictions for {len(vertices)} vertices",
             )
             classes[name] = (degree, exprs)
-    return GraphDocument(graph, betti, classes)
+    return GraphDocument(graph, betti, classes, origin)
 
 
 def build_class(doc: GraphDocument, name: str, fgl: FormalGroupLaw) -> EquivariantClass:
@@ -159,6 +164,10 @@ def build_class(doc: GraphDocument, name: str, fgl: FormalGroupLaw) -> Equivaria
         except _CutByTruncation as exc:
             raise GraphFileError(
                 f"class {name!r} at vertex {vertex}: expression {expr!r}: {exc}"
+            ) from exc
+        except RecursionError as exc:
+            raise GraphFileError(
+                f"{doc.origin}: class {name!r} at vertex {vertex}: expression nests too deeply"
             ) from exc
         degs = series.degrees()
         if degree is not None and degs and degs != [degree]:
@@ -189,7 +198,10 @@ def _tokenize(text: str):
         if mt is None or mt.end() == pos:
             raise GraphFileError(f"bad character at position {pos} in {text!r}")
         if mt.group("int") is not None:
-            out.append(("int", int(mt.group("int"))))
+            try:
+                out.append(("int", int(mt.group("int"))))
+            except ValueError as exc:  # beyond int()'s digit limit
+                raise GraphFileError(f"integer at position {pos}: {str(exc).split(';')[0]}") from exc
         elif mt.group("name") is not None:
             out.append(("name", mt.group("name")))
         else:

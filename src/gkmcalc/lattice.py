@@ -188,18 +188,6 @@ def invariant_factors(mat: Matrix) -> list[int]:
     return diag
 
 
-def reduce_vector_mod_lattice(vec, basis) -> tuple[int, ...]:
-    """Canonical coset representative of vec modulo a Hermite row basis."""
-    v = list(vec)
-    for row in basis:
-        pcol = next(k for k, x in enumerate(row) if x != 0)
-        q = v[pcol] // row[pcol]
-        if q:
-            for k in range(len(v)):
-                v[k] -= q * row[k]
-    return tuple(v)
-
-
 def primitive_part(a) -> tuple[int, tuple[int, ...]]:
     """Write a = d * theta with d = gcd(entries) > 0 and theta primitive."""
     if not any(a):

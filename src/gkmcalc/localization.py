@@ -32,13 +32,9 @@ def pairing(weight, slope) -> int:
     return sum(a * s for a, s in zip(weight, slope))
 
 
-def _all_weights(graph: GKMGraph):
-    return [e.weight for e in graph.edges]
-
-
 def _slope_ok(graph, lam, p=None) -> bool:
-    for w in _all_weights(graph):
-        t = pairing(w, lam)
+    for e in graph.edges:
+        t = pairing(e.weight, lam)
         if t == 0:
             return False
         if p is not None and t % p == 0:

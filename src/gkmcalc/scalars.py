@@ -164,11 +164,6 @@ def make_theory(config: TheoryConfig) -> Theory:
     return Theory(kind, config.trunc, config.p, config.n)
 
 
-def rational_theory(trunc: int) -> Theory:
-    """The degree-0 exact-rational coefficient ring (internal oracle ring)."""
-    return Theory(RATIONAL, trunc)
-
-
 def scalar_parts(theory: Theory, c, vexp: int, with_monomial: bool = False) -> tuple[bool, str]:
     """Render c * unit^vexp as (negative?, factor-string), omitting unit
     factors.

@@ -172,16 +172,6 @@ class TruncatedSeries:
         degs = self.degrees()
         return degs[0] if len(degs) == 1 else None
 
-    def degree_component(self, d: int) -> "TruncatedSeries":
-        """The part of cohomological degree d."""
-        per = self.theory.period_degree
-        return self._like(
-            {(a, k): c for (a, k), c in self.coeffs.items() if 2 * sum(a) - per * k == d}
-        )
-
-    def variable_degree_component(self, d: int) -> "TruncatedSeries":
-        return self._like({key: c for key, c in self.coeffs.items() if sum(key[0]) == d})
-
     def _compatible(self, other: "TruncatedSeries"):
         if self.theory != other.theory:
             raise ValueError("series belong to different theories (or truncations)")

@@ -12,16 +12,17 @@ from gkmcalc import (
     MORAVA,
     MULTIPLICATIVE,
     ORDINARY,
+    RATIONAL,
     GKMEdge,
     GKMGraph,
     TheoryConfig,
     TruncatedSeries,
     character_class,
     format_series,
+    kernel_ideal,
     make_theory,
-    rational_theory,
 )
-from gkmcalc.classifying import _slice_monomials
+from gkmcalc.classifying import _series_to_vector, _slice_monomials, ideal_multiples_basis
 
 
 def ordinary(trunc=8):
@@ -29,7 +30,7 @@ def ordinary(trunc=8):
 
 
 def rational(trunc=8):
-    return rational_theory(trunc)
+    return make_theory(TheoryConfig(RATIONAL, trunc))
 
 
 def modp(p, trunc=8):
@@ -125,9 +126,11 @@ def graph_json(graph) -> str:
     return json.dumps({"torus_rank": graph.rank, "vertices": names, "edges": edges})
 
 
-def solve_text_via_bases(sol) -> str:
+def solve_text_via_bases(sol, variant) -> str:
     """What `solve` prints for sol, the long way: every basis class built by
-    sol.bases and every restriction printed by format_series."""
+    sol.bases and every restriction printed by format_series.  variant holds
+    the ranks of the primitive-kernel solve, None when every weight is
+    primitive."""
     lines = [] if sol.theory.kind == MORAVA else ["model: conjectural"]
     lines += [f"{q} {sol.ranks[q]}" for q in sorted(sol.ranks)]
     for q in sorted(sol.bases):
@@ -137,7 +140,6 @@ def solve_text_via_bases(sol) -> str:
         divs = [d for d in sol.divisors.get(q, []) if d != 1]
         if divs:
             lines.append(f"divisors q={q}: {', '.join(map(str, divs))}")
-    variant = sol.primitive_variant_ranks
     if variant is not None and variant != sol.ranks:
         diffs = [f"{q}:{variant[q]}" for q in sorted(variant) if variant[q] != sol.ranks[q]]
         lines.append("primitive-kernel variant differs: " + " ".join(diffs))
@@ -249,11 +251,25 @@ def random_curve_element(rng: random.Random, theory, nvars, terms=4):
     return out
 
 
+def variable_degree_component(f, d):
+    """The terms of f of total variable degree d."""
+    return TruncatedSeries.from_raw(
+        f.theory, f.nvars, {key: c for key, c in f.coeffs.items() if sum(key[0]) == d}
+    )
+
+
+def degree_component(f, q):
+    """The part of f of cohomological degree q."""
+    per = f.theory.period_degree
+    terms = {(a, k): c for (a, k), c in f.coeffs.items() if 2 * sum(a) - per * k == q}
+    return TruncatedSeries.from_raw(f.theory, f.nvars, terms)
+
+
 def degree_by_degree_inverse(fgl, a):
     """The formal inverse of a, solved degree by degree from F(a, i(a)) = 0."""
     inv = -a
     for target in range(2, fgl.theory.trunc + 1):
-        err = fgl.sum(a, inv).variable_degree_component(target)
+        err = variable_degree_component(fgl.sum(a, inv), target)
         if not err.is_zero():
             inv = inv - err
     return inv
@@ -293,6 +309,64 @@ def transport(fgl, f, basis_change):
     (a -> a @ B)."""
     m = len(basis_change)
     return f.substitute([character_class(fgl, tuple(row), m) for row in basis_change])
+
+
+def reduce_vector_mod_lattice(vec, basis) -> tuple[int, ...]:
+    """Canonical coset representative of vec modulo a Hermite row basis."""
+    v = list(vec)
+    for row in basis:
+        pcol = next(k for k, x in enumerate(row) if x != 0)
+        q = v[pcol] // row[pcol]
+        if q:
+            for k in range(len(v)):
+                v[k] -= q * row[k]
+    return tuple(v)
+
+
+def cut(f, ideal):
+    """f without its terms at u_m-exponent >= order when the generator has a
+    unit leading coefficient; f itself for a zero generator or a lattice edge."""
+    if not ideal.leading_unit:
+        return f
+    return TruncatedSeries.from_raw(
+        f.theory, f.nvars, {key: c for key, c in f.coeffs.items() if key[0][-1] < ideal.order}
+    )
+
+
+def reduce_adapted(g, ideal):
+    """The canonical residue of g, a series in the ideal's adapted
+    coordinates: the cut when the residue is linear, else each homogeneous
+    component reduced against the lattice of truncated multiples of the
+    generator."""
+    if ideal.residue_is_linear:
+        return cut(g, ideal)
+    th = g.theory
+    out = TruncatedSeries.zero(th, g.nvars)
+    for q in g.degrees():
+        monos, basis = ideal_multiples_basis(ideal, q)
+        red = reduce_vector_mod_lattice(_series_to_vector(degree_component(g, q), monos), basis)
+        out = out + TruncatedSeries(th, g.nvars, dict(zip(monos, red)))
+    return out
+
+
+def ideal_residue(f, ideal):
+    """The residue oracle: f moved into the adapted coordinates by one full
+    substitution, then reduced; zero iff f lies in the ideal up to
+    truncation."""
+    return reduce_adapted(transport(ideal.fgl, f, ideal.basis_change), ideal)
+
+
+def satisfies_congruences(graph, fgl, cls) -> bool:
+    """The membership oracle: every edge difference of cls has zero residue
+    modulo the kernel ideal of its weight."""
+    if len(cls.restrictions) != len(graph.vertices):
+        raise ValueError("class has the wrong number of fixed-point restrictions")
+    ideals = {w: kernel_ideal(fgl, w) for w in dict.fromkeys(e.weight for e in graph.edges)}
+    parts = cls.restrictions
+    return all(
+        ideal_residue(parts[e.tail] - parts[e.head], ideals[e.weight]).is_zero()
+        for e in graph.edges
+    )
 
 
 def reduce_in_var(f, rel, var):
@@ -335,7 +409,7 @@ def honda_fgl_by_reversion(theory):
     re-solving log(exp x) = x with a full composition at every degree, compose
     exp(log x + log y), and reduce mod p.  Returns the two-variable series."""
     p, n, D = theory.p, theory.n, theory.trunc
-    qt = rational_theory(D)
+    qt = rational(D)
     terms = {((1,), 0): 1}
     i = 1
     while p ** (n * i) <= D:
@@ -345,7 +419,7 @@ def honda_fgl_by_reversion(theory):
     x = TruncatedSeries.variable(qt, 1, 0)
     exp1 = x
     for d in range(2, D + 1):
-        err = (log1.substitute([exp1]) - x).variable_degree_component(d)
+        err = variable_degree_component(log1.substitute([exp1]) - x, d)
         if not err.is_zero():
             exp1 = exp1 - err
     x2 = TruncatedSeries.variable(qt, 2, 0)

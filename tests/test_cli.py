@@ -140,8 +140,9 @@ def test_cli_stdout_matches_golden(stem):
 
 
 def test_check_formality_runs_one_solve(monkeypatch):
-    # the doubled weights of cp2x2.json make a library solve add a second,
-    # primitive-kernel solve; check-formality prints only ranks, so it skips it
+    # a library solve is one solve; `solve` adds the primitive-kernel solve
+    # only when a weight is a proper multiple, as the doubled weights of
+    # cp2x2.json are; check-formality prints only ranks and never adds it
     import gkmcalc.cli as cli_module
     import gkmcalc.gkm as gkm_module
 
@@ -156,7 +157,11 @@ def test_check_formality_runs_one_solve(monkeypatch):
     monkeypatch.setattr(cli_module, "solve_equivariant_cohomology", counting)
     doc = load_graph_document(graph_path("cp2x2.json"))
     gkm_module.solve_equivariant_cohomology(doc.graph, helpers.ordinary(trunc=6), 4)
-    assert len(calls) == 2
+    assert len(calls) == 1
+    for graph, solves in (("cp2x2.json", 2), ("cp2.json", 1)):
+        calls.clear()
+        code, _, _ = run_cli("solve", graph_path(graph), "--theory", "ordinary", "--qmax", "4")
+        assert code == 0 and len(calls) == solves, graph
     calls.clear()
     code, out, _ = run_cli(
         "check-formality", graph_path("cp2x2.json"), "--theory", "ordinary", "--qmax", "4"
@@ -270,6 +275,48 @@ def test_cli_malformed_graph_file_exit_2_names_the_location(tmp_path, case):
     code, out, err = run_cli("solve", str(path), "--theory", "ordinary", "--qmax", "2")
     assert code == 2 and out == ""
     assert err.startswith(f"error: {path}: {where}")
+
+
+# graph files that used to escape as a traceback: (bytes, command, the start
+# of the refusal after the file name, or None when it names no file)
+DEEP = "(" * 5000 + "u1" + ")" * 5000
+CRASHES = {
+    "weight-5000-digits": (
+        _cp1_bytes().replace(b'"weight": [1]', b'"weight": [' + b"1" * 5000 + b"]"),
+        ["solve", "--theory", "ordinary", "--qmax", "2"],
+        "parse error: Exceeds the limit",
+    ),
+    "edges-nested-100000-deep": (
+        b'{"torus_rank": 1, "vertices": ["N", "S"], "edges": '
+        + b"[" * 100000 + b"]" * 100000 + b"}",
+        ["solve", "--theory", "ordinary", "--qmax", "2"],
+        "parse error: nesting too deep",
+    ),
+    "expression-in-5000-parentheses": (
+        _cp1_bytes(classes={"deep": [DEEP, "0"]}),
+        ["integrate", "--theory", "ordinary", "--class", "deep"],
+        "class 'deep' at vertex N: expression nests too deeply",
+    ),
+    "expression-5000-digits": (
+        _cp1_bytes(classes={"long": ["9" * 5000 + "*u1", "0"]}),
+        ["integrate", "--theory", "ordinary", "--class", "long"],
+        None,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CRASHES))
+def test_cli_refuses_graph_files_past_the_interpreter_limits(tmp_path, case):
+    data, (command, *flags), refusal = CRASHES[case]
+    path = tmp_path / "limit.json"
+    path.write_bytes(data)
+    code, out, err = run_cli(command, str(path), *flags)
+    assert code == 2 and "sum:" not in out and "basis" not in out
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    if refusal is None:
+        assert err.startswith("error: integer at position 0: Exceeds the limit")
+    else:
+        assert err.startswith(f"error: {path}: {refusal}")
 
 
 @pytest.mark.parametrize(
@@ -567,8 +614,12 @@ def test_cli_solve_prints_what_the_basis_classes_print(tmp_path, graph, theory):
     # K(2) at p = 2 on the weight-doubled cp2x2
     code, out, _ = run_cli("solve", path, *flags, "--trunc", "6", "--qmax", "4")
     assert code == 0
-    sol = solve_equivariant_cohomology(load_graph_document(path).graph, make(6), 4)
-    assert out == helpers.solve_text_via_bases(sol)
+    graph = load_graph_document(path).graph
+    sol = solve_equivariant_cohomology(graph, make(6), 4)
+    variant = None
+    if graph.primitive() != graph:
+        variant = solve_equivariant_cohomology(graph.primitive(), make(6), 4).ranks
+    assert out == helpers.solve_text_via_bases(sol, variant)
 
 
 def test_console_script_end_to_end():

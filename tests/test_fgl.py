@@ -88,7 +88,7 @@ def test_multiplicative_inverse_geometric():
     th = helpers.mult(trunc=5)
     fgl = build_fgl(th)
     u = TruncatedSeries.variable(th, 1, 0)
-    inv = fgl.inverse(u)
+    inv = fgl.n_series(-1).substitute([u])
     expect = helpers.series_from_terms(
         th, 1, [((k,), -1, k - 1) for k in range(1, 6)]
     )
@@ -102,7 +102,8 @@ def test_inverse_involutive_random():
         fgl = build_fgl(th)
         for _ in range(5):
             a = helpers.random_curve_element(rng, th, 2, terms=3)
-            assert fgl.inverse(fgl.inverse(a)) == a
+            inv = fgl.n_series(-1)
+            assert inv.substitute([inv.substitute([a])]) == a
 
 
 def test_n_series_additive():
@@ -150,7 +151,7 @@ def test_inverse_matches_degree_by_degree_oracle():
         for nvars in (1, 2, 3):
             for _ in range(3):
                 a = helpers.random_curve_element(rng, th, nvars, terms=3)
-                assert fgl.inverse(a) == helpers.degree_by_degree_inverse(fgl, a)
+                assert fgl.n_series(-1).substitute([a]) == helpers.degree_by_degree_inverse(fgl, a)
 
 
 def test_negative_n_series_matches_oracle():
@@ -169,7 +170,7 @@ def test_inverse_makes_no_formal_sums_once_cached(monkeypatch):
     real_sum = fgl.sum
     monkeypatch.setattr(fgl, "sum", lambda a, b: calls.append(1) or real_sum(a, b))
     a = helpers.random_curve_element(random.Random(41), th, 3, terms=4)
-    inv = fgl.inverse(a)
+    inv = fgl.n_series(-1).substitute([a])
     assert calls == []
     assert real_sum(a, inv).is_zero()
 

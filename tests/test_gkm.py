@@ -15,12 +15,12 @@ from gkmcalc import (
     check_formality,
     formality_prediction,
     mod_p_weight_warnings,
-    satisfies_congruences,
     solve_equivariant_cohomology,
     truncated_slice_count,
 )
 
 import helpers
+from helpers import satisfies_congruences
 
 
 def test_validate_cp1():
@@ -84,8 +84,7 @@ def test_congruence_check_builds_one_kernel_ideal_per_weight(monkeypatch):
     monkeypatch.setattr(gkm, "kernel_ideal", lambda *a: calls.append(a[1]) or real(*a))
     th = helpers.morava(2, 1, trunc=6)
     g = helpers.fl3()
-    one = TruncatedSeries.one(th, g.rank)
-    assert satisfies_congruences(g, build_fgl(th), EquivariantClass((one,) * len(g.vertices)))
+    solve_equivariant_cohomology(g, th, 2)
     assert len(g.edges) == 9 and len(calls) == 3
 
 
@@ -176,7 +175,8 @@ def test_cp1_weight_two_morava_full_vs_primitive_kernel():
     sol = solve_equivariant_cohomology(helpers.cp1(weight=(2,)), th, 4)
     d = th.trunc
     assert sol.ranks == {0: 2 * d, 2: 2 * d, 4: 2 * d}
-    assert sol.primitive_variant_ranks == {0: 2 * d + 1, 2: 2 * d + 1, 4: 2 * d + 1}
+    variant = solve_equivariant_cohomology(helpers.cp1(weight=(2,)).primitive(), th, 4)
+    assert variant.ranks == {0: 2 * d + 1, 2: 2 * d + 1, 4: 2 * d + 1}
     # oracle: free module on generators (1,1) and (v1 u^2, 0) of variable
     # degrees 0 and 2, counted inside the truncation window
     expected = (d + 1) + (d - 1)
@@ -214,7 +214,7 @@ def test_subring_closure_random():
     th = helpers.morava(2, 1, trunc=6)
     fgl = build_fgl(th)
     g = helpers.cp2()
-    sol = solve_equivariant_cohomology(g, th, 4, compare_primitive=False)
+    sol = solve_equivariant_cohomology(g, th, 4)
     pool = sol.bases[2] + sol.bases[4]
     for _ in range(10):
         a = rng.choice(pool)
@@ -242,11 +242,11 @@ def test_coordinate_invariance_ranks():
     rng = random.Random(83)
     th = helpers.morava(2, 1, trunc=6)
     g = helpers.cp2()
-    base = solve_equivariant_cohomology(g, th, 4, compare_primitive=False)
+    base = solve_equivariant_cohomology(g, th, 4)
     for _ in range(3):
         w = helpers.random_unimodular(rng, 2)
         moved = g.change_coordinates(w)
-        sol = solve_equivariant_cohomology(moved, th, 4, compare_primitive=False)
+        sol = solve_equivariant_cohomology(moved, th, 4)
         assert sol.ranks == base.ranks
 
 
@@ -356,7 +356,13 @@ def test_mod_p_zero_generator_path():
     g = helpers.cp1(weight=(5,))
     sol = solve_equivariant_cohomology(g, tp, 4)
     assert sol.ranks == {0: 1, 2: 1, 4: 1}
-    assert sol.primitive_variant_ranks == {0: 1, 2: 2, 4: 2}
+    assert solve_equivariant_cohomology(g.primitive(), tp, 4).ranks == {0: 1, 2: 2, 4: 2}
+
+
+def test_primitive_graph_divides_out_each_weight():
+    g = helpers.mapped(helpers.cp2(), ((2, 0), (0, 3)))
+    assert [e.weight for e in g.primitive().edges] == [(1, 0), (0, 1), (-2, 3)]
+    assert helpers.cp2().primitive() == helpers.cp2()
 
 
 def test_mod_p_unit_weights_match_rational_ranks():

@@ -18,7 +18,6 @@ from gkmcalc.lattice import (
     integer_kernel,
     invariant_factors,
     primitive_part,
-    reduce_vector_mod_lattice,
     vec_mat,
 )
 
@@ -163,8 +162,8 @@ def test_hermite_basis_canonical():
 
 def test_reduce_vector_mod_lattice():
     basis = hermite_row_basis([[2, 0], [0, 3]])
-    assert reduce_vector_mod_lattice((5, 7), basis) == (1, 1)
-    assert reduce_vector_mod_lattice((4, -3), basis) == (0, 0)
+    assert helpers.reduce_vector_mod_lattice((5, 7), basis) == (1, 1)
+    assert helpers.reduce_vector_mod_lattice((4, -3), basis) == (0, 0)
 
 
 def test_primitive_part_examples():

@@ -213,7 +213,7 @@ def test_precision_budget_enforced():
 def test_top_degree_solver_basis_localizes_cleanly():
     th = helpers.morava(2, 1, trunc=8)
     g = helpers.cp2()
-    sol = solve_equivariant_cohomology(g, th, 4, compare_primitive=False)
+    sol = solve_equivariant_cohomology(g, th, 4)
     slope = find_generic_slope(g, th)
     for cls in sol.bases[4]:
         report = integrate(g, th, cls, slope=slope)

@@ -80,7 +80,7 @@ def test_fgl_cancellation_via_inverse():
     th = helpers.ordinary(trunc=6)
     fgl = build_fgl(th)
     x = u(th)
-    assert fgl.sum(x, fgl.inverse(x)).is_zero()
+    assert fgl.sum(x, fgl.n_series(-1).substitute([x])).is_zero()
 
 
 def test_mul_associative_commutative_random():
@@ -138,8 +138,8 @@ def test_mixed_degree_sums_distribute(theory, alphas, fc, gc, hc, qs):
     h = _part(theory, dict(hc).items(), q3)
     mixed = f + g
     assert mixed * h == f * h + g * h
-    assert mixed.degree_component(q1) == f
-    assert mixed.degree_component(q2) == g
+    assert helpers.degree_component(mixed, q1) == f
+    assert helpers.degree_component(mixed, q2) == g
     assert mixed.homogeneous_degree() is None
     assert mixed.degrees() == sorted((q1, q2))
 
