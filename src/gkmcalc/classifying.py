@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .fgl import FormalGroupLaw
-from .lattice import adapted_basis, hermite_row_basis, primitive_part
+from .lattice import adapted_basis, hermite_basis, primitive_part
 from .scalars import MORAVA, Theory
 from .series import TruncatedSeries, exponent_vectors
 
@@ -185,32 +185,22 @@ def _slice_monomials(theory: Theory, nvars: int, q: int):
     return out
 
 
-def _series_to_vector(f: TruncatedSeries, monos) -> list:
-    index = {mono: i for i, mono in enumerate(monos)}
-    vec = [0] * len(monos)
-    for key, c in f.coeffs.items():
-        i = index.get(key)
-        if i is None:
-            raise ValueError("series has a term outside the degree slice")
-        vec[i] = c
-    return vec
-
-
 def ideal_multiples_basis(ideal: RestrictionIdeal, q: int):
-    """Hermite basis for the degree-q slice of the truncated ideal, on the
-    monomial coordinates of the adapted ring.  Used when the generator has a
-    non-unit leading coefficient, where membership is a lattice condition."""
+    """Hermite basis for the degree-q slice of the truncated ideal, as sparse
+    rows {index into the slice's monomials: coefficient} in the monomial
+    coordinates of the adapted ring.  Used when the generator has a non-unit
+    leading coefficient, where membership is a lattice condition."""
     cached = ideal._hermite_cache.get(q)
     if cached is not None:
         return cached
     th = ideal.fgl.theory
     m = ideal.nvars
     monos = _slice_monomials(th, m, q)
+    index = {mono: i for i, mono in enumerate(monos)}
     gens = []
     for mono in _slice_monomials(th, m, q - 2):
         prod = ideal.generator * TruncatedSeries.from_raw(th, m, {mono: 1})
-        if not prod.is_zero():
-            gens.append(_series_to_vector(prod, monos))
-    basis = hermite_row_basis(gens)
+        gens.append({index[key]: c for key, c in prod.coeffs.items()})
+    basis = hermite_basis(gens)
     ideal._hermite_cache[q] = (monos, basis)
     return monos, basis

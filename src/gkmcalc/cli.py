@@ -156,8 +156,8 @@ def cmd_solve(args, out, err) -> int:
 def cmd_integrate(args, out, err) -> int:
     theory = _theory_from_args(args)
     doc = _load_valid_graph(args, err)
-    _banner_and_warnings(theory, doc.graph, out, err)
     cls = build_class(doc, args.class_name, build_fgl(work_theory(theory)))
+    _banner_and_warnings(theory, doc.graph, out, err)
     report = integrate(doc.graph, theory, cls)
     print(f"slope: {report.slope.vector}", file=out)
     if not report.slope.mod_p_generic:

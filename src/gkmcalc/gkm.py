@@ -192,8 +192,10 @@ class EquivariantClass:
 
 
 class SolutionModule:
-    """The solution by degree; bases builds classes from kernels (each
-    degree's monomials and kernel vectors) on first read only."""
+    """The solution by degree.  kernels maps a degree to its monomials and
+    sparse kernel vectors {i * len(monomials) + j: the nonzero coefficient of
+    monomial j at vertex i}, keys increasing; bases builds classes from them
+    on first read only."""
 
     def __init__(
         self,
@@ -281,9 +283,8 @@ def _solve_degree(theory, graph, ideals, monos, q):
             # generator, with y in slack columns after the x columns
             ad_monos, multiples = ideal_multiples_basis(ideal, q)
             for h in multiples:
-                for (beta, _k), c in zip(ad_monos, h):
-                    if c:
-                        rowmap.setdefault(beta, {})[width] = -c
+                for i, c in h.items():
+                    rowmap.setdefault(ad_monos[i][0], {})[width] = -c
                 width += 1
         tail, head = edge.tail * len(monos), edge.head * len(monos)
         for j, (alpha, _v) in enumerate(monos):
@@ -296,17 +297,19 @@ def _solve_degree(theory, graph, ideals, monos, q):
         return field_kernel(rows, ncols, theory.char), len(rows), []
     # the kernel's Hermite rows with a pivot among the x columns come first,
     # and their x parts are the Hermite basis of the solution lattice
-    basis_rows = [v[:ncols] for v in integer_kernel(rows, width) if any(v[:ncols])]
+    kernel = integer_kernel(rows, width)
+    basis_rows = [x for v in kernel if (x := {j: c for j, c in v.items() if j < ncols})]
     return basis_rows, len(rows), invariant_factors(basis_rows)
 
 
 def _class_from_vector(theory, graph, monos, vec, q) -> EquivariantClass:
-    nm = len(monos)
-    parts = []
-    for i in range(len(graph.vertices)):
-        terms = zip(monos, vec[i * nm:(i + 1) * nm])
-        parts.append(TruncatedSeries.from_raw(theory, graph.rank, {m: c for m, c in terms if c}))
-    return EquivariantClass(tuple(parts), q)
+    parts = [{} for _ in graph.vertices]
+    for i, c in vec.items():
+        v, j = divmod(i, len(monos))
+        parts[v][monos[j]] = c
+    return EquivariantClass(
+        tuple(TruncatedSeries.from_raw(theory, graph.rank, p) for p in parts), q
+    )
 
 
 # ---------------------------------------------------------------------------

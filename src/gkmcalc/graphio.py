@@ -23,11 +23,6 @@ class GraphFileError(ValueError):
     """A graph file failed to parse or validate; message carries location."""
 
 
-class _CutByTruncation(GraphFileError):
-    """Nonzero factors multiplied to zero.  The coefficient rings are
-    domains, so only the truncation can have cut their product."""
-
-
 class GraphDocument(NamedTuple):
     graph: GKMGraph
     betti: list[tuple[int, int]] | None
@@ -161,9 +156,9 @@ def build_class(doc: GraphDocument, name: str, fgl: FormalGroupLaw) -> Equivaria
     for vertex, expr in zip(doc.graph.vertices, exprs):
         try:
             series = parse_expression(expr, fgl, m)
-        except _CutByTruncation as exc:
+        except GraphFileError as exc:
             raise GraphFileError(
-                f"class {name!r} at vertex {vertex}: expression {expr!r}: {exc}"
+                f"{doc.origin}: class {name!r} at vertex {vertex}: expression {expr!r}: {exc}"
             ) from exc
         except RecursionError as exc:
             raise GraphFileError(
@@ -185,18 +180,17 @@ def build_class(doc: GraphDocument, name: str, fgl: FormalGroupLaw) -> Equivaria
 # ---------------------------------------------------------------------------
 # expression parser
 
-_TOKEN = re.compile(
-    r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z]\w*)|(?P<op>[-+*^(),]))"
-)
+_TOKEN = re.compile(r"(?P<int>\d+)|(?P<name>[A-Za-z]\w*)|(?P<op>[-+*^(),])")
+_SPACE = re.compile(r"\s*")
 
 
 def _tokenize(text: str):
-    pos = 0
+    pos = _SPACE.match(text).end()
     out = []
     while pos < len(text):
         mt = _TOKEN.match(text, pos)
-        if mt is None or mt.end() == pos:
-            raise GraphFileError(f"bad character at position {pos} in {text!r}")
+        if mt is None:
+            raise GraphFileError(f"bad character {text[pos]!r} at position {pos}")
         if mt.group("int") is not None:
             try:
                 out.append(("int", int(mt.group("int"))))
@@ -206,7 +200,7 @@ def _tokenize(text: str):
             out.append(("name", mt.group("name")))
         else:
             out.append(("op", mt.group("op")))
-        pos = mt.end()
+        pos = _SPACE.match(text, mt.end()).end()
     out.append(("end", None))
     return out
 
@@ -230,7 +224,8 @@ class _Parser:
     def expect_op(self, op):
         kind, val = self.take()
         if kind != "op" or val != op:
-            raise GraphFileError(f"expected {op!r}, found {val!r}")
+            found = "the end of the expression" if kind == "end" else repr(val)
+            raise GraphFileError(f"expected {op!r}, found {found}")
 
     def parse(self) -> TruncatedSeries:
         out = self.expr()
@@ -287,9 +282,10 @@ class _Parser:
 
     def uncut(self, result: TruncatedSeries, *factors) -> TruncatedSeries:
         """result, the product of factors, refused when the truncation cut it
-        to zero."""
+        to zero: the coefficient rings are domains, so only the truncation
+        can have."""
         if result.is_zero() and not any(f.is_zero() for f in factors):
-            raise _CutByTruncation(
+            raise GraphFileError(
                 f"nonzero factors multiply to zero at truncation degree {self.theory.trunc}"
             )
         return result
@@ -345,6 +341,8 @@ class _Parser:
                     f"theory {self.theory.kind} has no periodicity generator {val!r}"
                 )
             raise GraphFileError(f"unknown symbol {val!r}")
+        if kind == "end":
+            raise GraphFileError("unexpected end of the expression")
         raise GraphFileError(f"unexpected token {val!r}")
 
 

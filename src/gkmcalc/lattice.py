@@ -1,15 +1,16 @@
 """Exact linear algebra: the solver's two eliminations and the integer
 lattice answers for characters and torus subgroups.
 
-Matrices are plain lists of rows; both eliminations work on sparse rows
-{column: entry}, which is also what the two kernel routines take.  Over the
-integers, hermite_row_basis puts the lattice spanned by some rows into its
-canonical row-Hermite form, and kernels, adapted coordinates and invariant
-factors are all read off Hermite forms of augmented or transposed matrices.
-Over the graded fields' degree-0 parts, F_p and Q, field_kernel reads the
-kernel off the reduced row-echelon form.  Both normal forms are unique, so
-every answer is independent of the elimination order and downstream golden
-outputs are reproducible.
+Matrices are plain lists of rows.  Every vector the eliminations take or
+return is sparse, {index: nonzero entry}, and every vector they return has
+its keys in increasing order, the format the solver hands on to the printer.
+Over the integers, hermite_basis puts the lattice spanned by some rows into
+its canonical row-Hermite form, and kernels, adapted coordinates and
+invariant factors are all read off Hermite forms of augmented or transposed
+matrices.  Over the graded fields' degree-0 parts, F_p and Q, field_kernel
+reads the kernel off the reduced row-echelon form.  Both normal forms are
+unique, so every answer is independent of the elimination order and
+downstream golden outputs are reproducible.
 """
 
 from __future__ import annotations
@@ -26,22 +27,13 @@ def vec_mat(v, a: Matrix):
     return tuple(sum(v[i] * a[i][j] for i in range(len(v))) for j in range(len(a[0])))
 
 
-def hermite_row_basis(rows) -> list[tuple[int, ...]]:
-    """Canonical row-Hermite basis of the lattice spanned by the given rows.
+def hermite_basis(rows: list[dict]) -> list[dict]:
+    """Canonical row-Hermite basis of the lattice spanned by sparse rows
+    {column: nonzero entry}; consumes them.
 
     Pivots are positive, entries above each pivot are reduced into [0, pivot),
-    and rows are ordered by pivot column.
-    """
-    rows = [r for r in rows if any(r)]
-    if not rows:
-        return []
-    width = len(rows[0])
-    basis = _hermite([{j: x for j, x in enumerate(r) if x} for r in rows])
-    return [tuple(b.get(j, 0) for j in range(width)) for b in basis]
-
-
-def _hermite(rows: list[dict]) -> list[dict]:
-    """hermite_row_basis on sparse rows {column: nonzero entry}; consumes them.
+    and rows are ordered by pivot column, each with its keys in increasing
+    order.
 
     Rows wait under their leading column.  At each column, in increasing
     order, a Euclid loop on the rows led there leaves a single pivot row, and
@@ -77,7 +69,7 @@ def _hermite(rows: list[dict]) -> list[dict]:
             if q:
                 _subtract(b, pivot, q)
         basis.append(pivot)
-    return basis
+    return [dict(sorted(b.items())) for b in basis]
 
 
 def _subtract(row: dict, other: dict, q, p: int = 0) -> None:
@@ -93,9 +85,9 @@ def _subtract(row: dict, other: dict, q, p: int = 0) -> None:
             del row[k]
 
 
-def integer_kernel(rows: list[dict], cols: int) -> list[tuple[int, ...]]:
+def integer_kernel(rows: list[dict], cols: int) -> list[dict]:
     """Hermite basis of the right kernel {x in Z^cols : A @ x = 0}, where A is
-    given by sparse rows {column: entry}.
+    given by sparse rows {column: nonzero entry}.
 
     Row j of [A^T | I] is (column j of A | e_j).  The rows of its Hermite form
     whose A^T part is zero are (0 | k) with A @ k = 0; they span the kernel,
@@ -105,47 +97,44 @@ def integer_kernel(rows: list[dict], cols: int) -> list[tuple[int, ...]]:
     aug = [{n + j: 1} for j in range(cols)]
     for i, row in enumerate(rows):
         for j, x in row.items():
-            if x:
-                aug[j][i] = x
-    return [
-        tuple(r.get(n + j, 0) for j in range(cols))
-        for r in _hermite(aug)
-        if min(r) >= n
-    ]
+            aug[j][i] = x
+    return [{j - n: x for j, x in r.items()} for r in hermite_basis(aug) if min(r) >= n]
 
 
-def field_kernel(rows: list[dict], cols: int, p: int) -> list[tuple]:
+def field_kernel(rows: list[dict], cols: int, p: int) -> list[dict]:
     """Basis of the right kernel {x : A @ x = 0} over F_p, or over Q when
     p = 0, where A is given by sparse rows {column: entry}.
 
-    There is one basis vector per free (non-pivot) column f of the reduced
-    row-echelon form R, in increasing f: 1 at f and -R[i][f] at the pivot
-    column of row i.  R is unique, so the basis does not depend on the row
-    order.
+    There is one sparse basis vector per free (non-pivot) column f of the
+    reduced row-echelon form R, in increasing f: -R[i][f] at the pivot
+    column of each row i that has an entry at f, then 1 at f.  Only pivots
+    left of f can have one, so the keys come out in increasing order.  R is
+    unique, so the basis does not depend on the row order.
     """
     scalar = (lambda x: x % p) if p else Fraction
     echelon = _reduced_echelon(
         [{j: y for j, x in r.items() if (y := scalar(x))} for r in rows], p
     )
-    vecs = {f: [0] * cols for f in range(cols) if f not in echelon}
-    for f, v in vecs.items():
-        v[f] = 1
-    for j, row in echelon.items():
+    vecs = {f: {} for f in range(cols) if f not in echelon}
+    for j, row in echelon.items():  # in increasing pivot column
         for f, x in row.items():
             if f != j:
                 vecs[f][j] = p - x if p else -x
-    return [tuple(v) for v in vecs.values()]
+    for f, v in vecs.items():
+        v[f] = 1
+    return list(vecs.values())
 
 
 def _reduced_echelon(rows: list[dict], p: int) -> dict[int, dict]:
     """Reduced row-echelon form of sparse rows over F_p (over Q when p = 0),
-    as {pivot column: row with pivot entry 1}; consumes the rows.
+    as {pivot column: row with pivot entry 1} in increasing pivot column;
+    consumes the rows.
 
-    Rows wait under their leading column, as in _hermite.  At each column the
-    shortest row led there becomes the pivot row, and the others lose that
-    column and move on.  A last pass clears the entries above the pivots,
-    from the last pivot back, so each row is reduced only against rows that
-    are already final.
+    Rows wait under their leading column, as in hermite_basis.  At each
+    column the shortest row led there becomes the pivot row, and the others
+    lose that column and move on.  A last pass clears the entries above the
+    pivots, from the last pivot back, so each row is reduced only against
+    rows that are already final.
     """
     waiting: dict[int, list[dict]] = {}
     for r in rows:
@@ -170,17 +159,22 @@ def _reduced_echelon(rows: list[dict], p: int) -> dict[int, dict]:
     return echelon
 
 
-def invariant_factors(mat: Matrix) -> list[int]:
-    """The nonzero invariant factors d1 | d2 | ... of an integer matrix.
+def invariant_factors(rows: list[dict]) -> list[int]:
+    """The nonzero invariant factors d1 | d2 | ... of an integer matrix given
+    by sparse rows {column: nonzero entry}.
 
     Row Hermite forms of the matrix and of its transpose alternate until each
     row holds a single nonzero entry; a gcd/lcm pass then turns that diagonal
     into the Smith diagonal.
     """
-    rows = hermite_row_basis(mat)
-    while any(sum(1 for x in r if x) > 1 for r in rows):
-        rows = hermite_row_basis(list(zip(*rows)))
-    diag = [max(r) for r in rows]  # each row's one nonzero entry: its pivot
+    rows = hermite_basis([dict(r) for r in rows])
+    while any(len(r) > 1 for r in rows):
+        cols: dict[int, dict] = {}
+        for i, r in enumerate(rows):
+            for j, x in r.items():
+                cols.setdefault(j, {})[i] = x
+        rows = hermite_basis(list(cols.values()))
+    diag = [x for r in rows for x in r.values()]  # each row's one entry: its pivot
     for i in range(len(diag)):
         for j in range(i + 1, len(diag)):
             g = gcd(diag[i], diag[j])
@@ -210,7 +204,7 @@ def adapted_basis(theta) -> Matrix:
     m = len(theta)
     if gcd(*theta) != 1:
         raise ValueError(f"character {tuple(theta)} is not primitive")
-    rows = _hermite([{0: t, i + 1: 1} if t else {i + 1: 1} for i, t in enumerate(theta)])
+    rows = hermite_basis([{0: t, i + 1: 1} if t else {i + 1: 1} for i, t in enumerate(theta)])
     x, *kernel = [[r.get(i + 1, 0) for i in range(m)] for r in rows]
     cols = kernel + [x]
     b = [[cols[j][i] for j in range(m)] for i in range(m)]

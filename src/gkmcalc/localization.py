@@ -184,7 +184,7 @@ def integrate(
     if work != theory and all(f.theory == theory for f in cls.restrictions):
         cls = _rationalize_class(cls, work)
     if slope is None:
-        slope = find_generic_slope(graph, theory)
+        slope = next(iterate_generic_slopes(graph, theory))
     elif not _slope_ok(graph, slope.vector, None):
         raise LocalizationError(f"slope {slope.vector} is not generic for this graph")
     degree = cls.degree if cls.degree is not None else cls.computed_degree()

@@ -27,7 +27,6 @@ module): at K(1), p = 2 it builds in 0.03 s at D = 48 and 0.9 s at D = 128
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import compress
 from operator import add
 
 from .scalars import DegreeError, Theory, scalar_parts
@@ -299,12 +298,12 @@ class TruncatedSeries:
 
 
 class SlicePrinter:
-    """Prints coefficient vectors over a fixed list of stored-format keys
-    (alpha, k) in print order, such as a degree slice of the solver: entry j
-    of a slice is the raw coefficient of keys[j].  Only the nonzero entries
-    are read, and they are joined in index order, without a sort.  Each
-    monomial's text is rendered once, and each signed term once per (index,
-    coefficient, first or not)."""
+    """Prints sparse coefficient vectors over a fixed list of stored-format
+    keys (alpha, k) in print order, such as a degree slice of the solver: a
+    vector maps index j of a slice to the nonzero raw coefficient of keys[j],
+    with its keys in increasing order, and its terms are joined in that order,
+    without a sort.  Each monomial's text is rendered once, and each signed
+    term once per (index, coefficient, first or not)."""
 
     def __init__(self, theory: Theory, keys, varnames=None):
         if varnames is None:
@@ -319,14 +318,14 @@ class SlicePrinter:
 
     def __call__(self, vec, count: int = 1) -> list[str]:
         """The printed sums of the count consecutive slices of vec, each
-        len(keys) entries long."""
+        len(keys) indices long."""
         size = len(self.keys)
         terms = self.terms
         parts = [[] for _ in range(count)]
-        for i in compress(range(len(vec)), vec):
+        for i, c in vec.items():
             s, j = divmod(i, size)
             part = parts[s]
-            key = (j, vec[i], not part)
+            key = (j, c, not part)
             text = terms.get(key)
             if text is None:
                 text = terms[key] = self._term(*key)
@@ -347,7 +346,7 @@ class SlicePrinter:
 def _format_terms(theory: Theory, items, varnames=None) -> str:
     """The printed sum of the stored-format ((alpha, k), c) items, in order."""
     printer = SlicePrinter(theory, [key for key, _c in items], varnames)
-    return printer([c for _key, c in items])[0]
+    return printer(dict(enumerate(c for _key, c in items)))[0]
 
 
 def format_series(s: TruncatedSeries, varnames=None) -> str:

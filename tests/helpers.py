@@ -22,7 +22,7 @@ from gkmcalc import (
     kernel_ideal,
     make_theory,
 )
-from gkmcalc.classifying import _series_to_vector, _slice_monomials, ideal_multiples_basis
+from gkmcalc.classifying import _slice_monomials, ideal_multiples_basis
 
 
 def ordinary(trunc=8):
@@ -311,6 +311,16 @@ def transport(fgl, f, basis_change):
     return f.substitute([character_class(fgl, tuple(row), m) for row in basis_change])
 
 
+def dense(vec: dict, width: int) -> tuple:
+    """The sparse vector {index: entry} as a tuple of width entries."""
+    return tuple(vec.get(j, 0) for j in range(width))
+
+
+def sparse(vec) -> dict:
+    """The nonzero entries of a dense vector, {index: entry}."""
+    return {j: x for j, x in enumerate(vec) if x}
+
+
 def reduce_vector_mod_lattice(vec, basis) -> tuple[int, ...]:
     """Canonical coset representative of vec modulo a Hermite row basis."""
     v = list(vec)
@@ -344,7 +354,10 @@ def reduce_adapted(g, ideal):
     out = TruncatedSeries.zero(th, g.nvars)
     for q in g.degrees():
         monos, basis = ideal_multiples_basis(ideal, q)
-        red = reduce_vector_mod_lattice(_series_to_vector(degree_component(g, q), monos), basis)
+        comp = degree_component(g, q).coeffs
+        assert comp.keys() <= set(monos), "a term outside the degree slice"
+        vec = [comp.get(mono, 0) for mono in monos]
+        red = reduce_vector_mod_lattice(vec, [dense(row, len(monos)) for row in basis])
         out = out + TruncatedSeries(th, g.nvars, dict(zip(monos, red)))
     return out
 

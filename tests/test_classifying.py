@@ -153,7 +153,7 @@ def test_kernel_ideal_additive_two_torsion():
     # Z/2 in degree 2b, matching H*(B(S^1 x Z/2); Z) in low degrees
     for q in (2, 4, 6):
         monos, basis = ideal_multiples_basis(ideal, q)
-        divs = invariant_factors([list(r) for r in basis])
+        divs = invariant_factors(basis)
         free_rank = len(monos) - len(basis)
         assert free_rank == 1
         assert divs == [2] * (q // 2)

@@ -278,7 +278,7 @@ def test_cli_malformed_graph_file_exit_2_names_the_location(tmp_path, case):
 
 
 # graph files that used to escape as a traceback: (bytes, command, the start
-# of the refusal after the file name, or None when it names no file)
+# of the refusal after the file name)
 DEEP = "(" * 5000 + "u1" + ")" * 5000
 CRASHES = {
     "weight-5000-digits": (
@@ -300,7 +300,8 @@ CRASHES = {
     "expression-5000-digits": (
         _cp1_bytes(classes={"long": ["9" * 5000 + "*u1", "0"]}),
         ["integrate", "--theory", "ordinary", "--class", "long"],
-        None,
+        f"class 'long' at vertex N: expression '{'9' * 5000}*u1': "
+        "integer at position 0: Exceeds the limit",
     ),
 }
 
@@ -313,10 +314,7 @@ def test_cli_refuses_graph_files_past_the_interpreter_limits(tmp_path, case):
     code, out, err = run_cli(command, str(path), *flags)
     assert code == 2 and "sum:" not in out and "basis" not in out
     assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
-    if refusal is None:
-        assert err.startswith("error: integer at position 0: Exceeds the limit")
-    else:
-        assert err.startswith(f"error: {path}: {refusal}")
+    assert err.startswith(f"error: {path}: {refusal}")
 
 
 @pytest.mark.parametrize(
@@ -375,7 +373,8 @@ def test_cli_check_formality_pass():
 
 
 def test_cli_check_formality_wrong_betti_fails(tmp_path):
-    doc = json.load(open(graph_path("cp1.json")))
+    with open(graph_path("cp1.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
     doc["betti"] = [{"degree": 0, "rank": 2}]
     path = tmp_path / "wrong.json"
     path.write_text(json.dumps(doc))
@@ -388,7 +387,8 @@ def test_cli_check_formality_wrong_betti_fails(tmp_path):
 
 
 def test_cli_check_formality_missing_betti(tmp_path):
-    doc = json.load(open(graph_path("cp1.json")))
+    with open(graph_path("cp1.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
     del doc["betti"]
     path = tmp_path / "nb.json"
     path.write_text(json.dumps(doc))
@@ -518,9 +518,12 @@ def test_cli_integrate_names_the_degrees_of_a_mixed_tagged_class(tmp_path):
 
 def test_cli_integrate_refuses_a_negative_power_of_a_non_unit(tmp_path):
     path = _cp2_with_class(tmp_path, "inv", ["2^-1*u1", "0", "0"])
-    code, _, err = run_cli("integrate", path, "--theory", "mult", "--class", "inv")
-    assert code == 2
-    assert err == "error: negative exponent of the non-unit 2\n"
+    code, out, err = run_cli("integrate", path, "--theory", "mult", "--class", "inv")
+    assert code == 2 and out == ""
+    assert err == (
+        f"error: {path}: class 'inv' at vertex A: expression '2^-1*u1': "
+        "negative exponent of the non-unit 2\n"
+    )
 
 
 def test_cli_integrate_refuses_a_product_cut_to_zero_by_the_truncation(tmp_path):
@@ -534,14 +537,63 @@ def test_cli_integrate_refuses_a_product_cut_to_zero_by_the_truncation(tmp_path)
     argv = ["integrate", str(path), "--theory", "ordinary", "--trunc", "8", "--class"]
     for name, expr in (("cut", "u1^99"), ("cut2", "1 + u1^5*u1^4")):
         code, out, err = run_cli(*argv, name)
-        assert code == 2 and "sum:" not in out
+        assert code == 2 and out == ""
         assert err == (
-            f"error: class {name!r} at vertex N: expression {expr!r}: nonzero factors "
-            "multiply to zero at truncation degree 8\n"
+            f"error: {path}: class {name!r} at vertex N: expression {expr!r}: nonzero "
+            "factors multiply to zero at truncation degree 8\n"
         )
     # a zero factor makes a zero class, not a refusal
     code, out, _ = run_cli(*argv, "zero")
     assert code == 0 and "sum: 0 + O(s^8)" in out.splitlines()
+
+
+def test_expression_whitespace_is_skipped_around_every_token():
+    fgl = build_fgl(helpers.ordinary())
+    assert parse_expression(" 2 * u1 ^ 2 ", fgl, 1) == parse_expression("2*u1^2", fgl, 1)
+
+
+# a class expression at vertex N of cp1.json and why it is refused
+BAD_EXPRESSIONS = {
+    "unknown-symbol": ("u1 + x", "unknown symbol 'x'"),
+    "bad-character": ("u1 $ 2", "bad character '$' at position 3"),
+    "unclosed-parenthesis": ("(u1 + 1", "expected ')', found the end of the expression"),
+    "trailing-operator": ("u1 +", "unexpected end of the expression"),
+    "cut-by-truncation": ("u1^99", "nonzero factors multiply to zero at truncation degree 8"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_EXPRESSIONS))
+def test_cli_integrate_refuses_a_bad_expression_by_location_before_any_output(tmp_path, case):
+    expr, cause = BAD_EXPRESSIONS[case]
+    path = tmp_path / "cp1.json"
+    with open(graph_path("cp1.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["classes"]["c"] = [expr, "0"]
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli("integrate", str(path), "--theory", "ordinary", "--class", "c")
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: class 'c' at vertex N: expression {expr!r}: {cause}\n"
+
+
+def test_cli_integrate_validates_the_graph_once_per_library_call(monkeypatch):
+    # once when the CLI loads the graph, once in localization.integrate; the
+    # slope search reuses that check
+    import gkmcalc.cli as cli_module
+    import gkmcalc.localization as localization_module
+
+    calls = []
+    real = localization_module.validate_graph
+
+    def counting(graph):
+        calls.append(1)
+        return real(graph)
+
+    monkeypatch.setattr(cli_module, "validate_graph", counting)
+    monkeypatch.setattr(localization_module, "validate_graph", counting)
+    argv = ["integrate", graph_path("cp2.json"), "--theory", "ordinary", "--class", "H2"]
+    code, out, _ = run_cli(*argv)
+    assert code == 0 and "integral = 1" in out.splitlines()
+    assert len(calls) == 2
 
 
 def test_cli_integrate_mod_p_refusal_names_the_vanishing_euler_class():

@@ -1,5 +1,6 @@
 """Moment-graph validation, congruence checks, the solver, and formality."""
 
+import os
 import random
 import signal
 
@@ -14,6 +15,7 @@ from gkmcalc import (
     character_class,
     check_formality,
     formality_prediction,
+    load_graph_document,
     mod_p_weight_warnings,
     solve_equivariant_cohomology,
     truncated_slice_count,
@@ -448,3 +450,24 @@ def test_equivariant_class_is_not_a_tuple():
         2 * cls
     assert cls == EquivariantClass((one, one), 0) != EquivariantClass((one, one))
     assert (cls + cls).restrictions == (one.scale(2), one.scale(2))
+
+
+GRAPHS = os.path.join(os.path.dirname(__file__), os.pardir, "graphs")
+GRAPH_FILES = sorted(os.path.join(GRAPHS, f) for f in os.listdir(GRAPHS) if f.endswith(".json"))
+
+
+@pytest.mark.parametrize(
+    "theory",
+    [helpers.ordinary(6), helpers.mult(6), helpers.modp(3, 6), helpers.morava(2, 1, 6)],
+    ids=["ordinary", "mult", "mod3", "K1p2"],
+)
+@pytest.mark.parametrize("path", GRAPH_FILES, ids=os.path.basename)
+def test_kernel_vectors_are_sparse_with_ascending_keys(path, theory):
+    graph = load_graph_document(path).graph
+    sol = solve_equivariant_cohomology(graph, theory, 6)
+    for q, (monos, vecs) in sol.kernels.items():
+        ncols = len(graph.vertices) * len(monos)
+        assert len(vecs) == sol.ranks[q]
+        for vec in vecs:
+            assert vec and list(vec) == sorted(vec) and set(vec) <= set(range(ncols)), q
+            assert all(c and theory.reduce(c) == c for c in vec.values()), q

@@ -14,7 +14,7 @@ from sympy.matrices.normalforms import invariant_factors as sympy_invariant_fact
 from gkmcalc.lattice import (
     adapted_basis,
     field_kernel,
-    hermite_row_basis,
+    hermite_basis,
     integer_kernel,
     invariant_factors,
     primitive_part,
@@ -43,7 +43,20 @@ def random_matrices(seed, count=220, max_cols=6):
 
 
 def sparse(m):
-    return [{j: x for j, x in enumerate(r) if x} for r in m]
+    return [helpers.sparse(r) for r in m]
+
+
+def ascending(vecs):
+    """Sparse vectors with nonzero entries and keys in increasing order."""
+    return all(all(vec.values()) and list(vec) == sorted(vec) for vec in vecs)
+
+
+def dense_hermite(m):
+    """hermite_basis of dense rows, as dense rows."""
+    width = len(m[0]) if m else 0
+    basis = hermite_basis(sparse(m))
+    assert ascending(basis), m
+    return [helpers.dense(r, width) for r in basis]
 
 
 def is_hermite(rows):
@@ -69,21 +82,23 @@ def sympy_row_lattice(rows):
 def test_invariant_factors_match_sympy():
     for m in random_matrices(101):
         expected = [abs(int(d)) for d in sympy_invariant_factors(Matrix(m), domain=ZZ) if d]
-        assert invariant_factors(m) == expected, m
+        assert invariant_factors(sparse(m)) == expected, m
 
 
 def test_hermite_row_basis_matches_sympy():
     for m in random_matrices(103):
-        basis = hermite_row_basis(m)
+        basis = dense_hermite(m)
         assert is_hermite(basis), m
-        assert hermite_row_basis(basis) == basis
+        assert dense_hermite(basis) == basis
         assert sympy_row_lattice(basis) == sympy_row_lattice(m), m
 
 
 def test_integer_kernel_matches_sympy():
     for m in random_matrices(107):
         cols = len(m[0])
-        kernel = integer_kernel(sparse(m), cols)
+        sparse_kernel = integer_kernel(sparse(m), cols)
+        assert ascending(sparse_kernel), m
+        kernel = [helpers.dense(k, cols) for k in sparse_kernel]
         for k in kernel:
             assert all(sum(a * b for a, b in zip(r, k)) == 0 for r in m), m
         assert is_hermite(kernel), m
@@ -118,7 +133,9 @@ def test_field_kernel_matches_sympy(p):
     rng = random.Random(200 + p)
     for m in random_matrices(211 + p, max_cols=7):
         cols = len(m[0])
-        kernel = field_kernel(sparse(m), cols, p)
+        sparse_kernel = field_kernel(sparse(m), cols, p)
+        assert ascending(sparse_kernel), m
+        kernel = [helpers.dense(k, cols) for k in sparse_kernel]
         for k in kernel:
             dots = [sum(a * b for a, b in zip(r, k)) for r in m]
             assert all((d % p if p else d) == 0 for d in dots), m
@@ -128,14 +145,14 @@ def test_field_kernel_matches_sympy(p):
         assert kernel == sympy_free_column_basis(m, p), m
         shuffled = list(m)
         rng.shuffle(shuffled)
-        assert field_kernel(sparse(shuffled), cols, p) == kernel, m
+        assert field_kernel(sparse(shuffled), cols, p) == sparse_kernel, m
 
 
 def test_field_kernel_reduces_entries_mod_p():
     # 4 = 1 and 6 = 0 mod 3, so the one condition reads x0 = 0
-    assert field_kernel([{0: 4, 1: 6}], 2, 3) == [(0, 1)]
-    assert field_kernel([{0: 4, 1: 6}], 2, 0) == [(Fraction(-3, 2), 1)]
-    assert field_kernel([], 2, 2) == [(1, 0), (0, 1)]
+    assert field_kernel([{0: 4, 1: 6}], 2, 3) == [{1: 1}]
+    assert field_kernel([{0: 4, 1: 6}], 2, 0) == [{0: Fraction(-3, 2), 1: 1}]
+    assert field_kernel([], 2, 2) == [{0: 1}, {1: 1}]
 
 
 def test_integer_kernel():
@@ -145,23 +162,23 @@ def test_integer_kernel():
         cols = rng.randrange(1, 5)
         m = [[rng.randrange(-5, 6) for _ in range(cols)] for _ in range(rows)]
         for vec in integer_kernel(sparse(m), cols):
-            assert all(sum(m[i][j] * vec[j] for j in range(cols)) == 0 for i in range(rows))
+            assert all(sum(m[i][j] * x for j, x in vec.items()) == 0 for i in range(rows))
 
 
 def test_hermite_basis_canonical():
     rng = random.Random(47)
     for _ in range(30):
         rows = [[rng.randrange(-5, 6) for _ in range(4)] for _ in range(3)]
-        basis = hermite_row_basis(rows)
+        basis = dense_hermite(rows)
         # idempotent and invariant under unimodular recombination
-        assert hermite_row_basis(basis) == basis
+        assert dense_hermite(basis) == basis
         w = helpers.random_unimodular(rng, 3)
         mixed = helpers.matmul(w, rows)
-        assert hermite_row_basis(mixed) == basis
+        assert dense_hermite(mixed) == basis
 
 
 def test_reduce_vector_mod_lattice():
-    basis = hermite_row_basis([[2, 0], [0, 3]])
+    basis = dense_hermite([[2, 0], [0, 3]])
     assert helpers.reduce_vector_mod_lattice((5, 7), basis) == (1, 1)
     assert helpers.reduce_vector_mod_lattice((4, -3), basis) == (0, 0)
 
@@ -231,6 +248,6 @@ def test_adapted_basis_rejects_imprimitive():
 
 
 def test_invariant_factors():
-    assert invariant_factors([[1, 1], [0, 2]]) == [1, 2]
-    assert invariant_factors([[2, 0], [0, 3]]) == [1, 6]
-    assert invariant_factors([[0]]) == []
+    assert invariant_factors([{0: 1, 1: 1}, {1: 2}]) == [1, 2]
+    assert invariant_factors([{0: 2}, {1: 3}]) == [1, 6]
+    assert invariant_factors([{}]) == []
