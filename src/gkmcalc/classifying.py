@@ -9,7 +9,8 @@ composed with the adapted last variable u_m.  When that relation has a unit
 leading coefficient it is u_m^nu times a unit, so the residue of a series is
 its cut at u_m-exponent nu.  Which theories pin this model down and which
 expose it as conjectural is the README's `model: conjectural` paragraph.
-A monomial's residue is a product of adapted classes, cut after each factor.
+A monomial's residue is a product of adapted classes taken in the cut ring,
+cut after each factor when nu > 1; at nu = 1 the cut sets u_m to 0.
 """
 
 from __future__ import annotations
@@ -24,19 +25,19 @@ from .series import TruncatedSeries, exponent_vectors
 
 def character_class(fgl: FormalGroupLaw, weight, nvars: int | None = None) -> TruncatedSeries:
     """The Euler class of the line with the given character: the formal-group
-    sum of the n-series of the coordinate classes."""
+    sum of the n-series of the coordinate classes, built once per law."""
     weight = tuple(weight)
-    if nvars is None:
-        nvars = len(weight)
-    if nvars != len(weight):
+    if nvars is not None and nvars != len(weight):
         raise ValueError("character length does not match the variable count")
-    th = fgl.theory
-    out = TruncatedSeries.zero(th, nvars)
-    for i, a in enumerate(weight):
-        if a == 0:
-            continue
-        term = fgl.n_series(a).substitute([TruncatedSeries.variable(th, nvars, i)])
-        out = term if out.is_zero() else fgl.sum(out, term)
+    out = fgl.character_classes.get(weight)
+    if out is None:
+        th, m = fgl.theory, len(weight)
+        out = TruncatedSeries.zero(th, m)
+        for i, a in enumerate(weight):
+            if a:
+                term = fgl.n_series(a).substitute([TruncatedSeries.variable(th, m, i)])
+                out = term if out.is_zero() else fgl.sum(out, term)
+        fgl.character_classes[weight] = out
     return out
 
 
@@ -95,8 +96,8 @@ class RestrictionIdeal:
     u_m^order times a unit, so the residue modulo it is the cut below
     u_m^order.  basis_change moves the ambient ring into the adapted
     coordinates, where the variables become the classes in adapted_classes,
-    so a monomial's image is a product of them.  The ideal memoizes what the
-    solver asks of it per monomial and per degree.
+    taken in the cut ring (u_m = 0) at order 1, so a monomial's image is a
+    product of them.  It memoizes images per monomial, multiples per degree.
     """
 
     def __init__(
@@ -137,7 +138,7 @@ class RestrictionIdeal:
         """u^alpha in the adapted coordinates, cut below u_m^order for a
         unit-lead generator (its residue when the residue is linear): the
         image of u^(alpha - e_i) times the i-th adapted class, i the last
-        variable in alpha, cut again; both steps are ring maps."""
+        variable in alpha, cut again above order 1; both steps are ring maps."""
         img = self._images.get(alpha)
         if img is None:
             if not any(alpha):
@@ -146,7 +147,7 @@ class RestrictionIdeal:
                 i = max(j for j, e in enumerate(alpha) if e)
                 lower = alpha[:i] + (alpha[i] - 1,) + alpha[i + 1:]
                 img = self.monomial_image(lower) * self.adapted_classes[i]
-                if self.leading_unit:
+                if self.leading_unit and self.order > 1:
                     cut = {key: c for key, c in img.coeffs.items() if key[0][-1] < self.order}
                     img = TruncatedSeries.from_raw(img.theory, self.nvars, cut)
             self._images[alpha] = img
@@ -161,8 +162,11 @@ def kernel_ideal(fgl: FormalGroupLaw, weight) -> RestrictionIdeal:
     b = adapted_basis(theta)
     m = len(weight)
     ring = cyclic_classifying_ring(fgl, d)
-    gen = ring.relation.substitute([TruncatedSeries.variable(fgl.theory, m, m - 1)])
-    classes = [character_class(fgl, tuple(row), m) for row in b]
+    terms = {((0,) * (m - 1) + a, k): c for (a, k), c in ring.relation.coeffs.items()}
+    gen = TruncatedSeries.from_raw(fgl.theory, m, terms)  # the relation on u_m
+    # an order-1 residue sets u_m = 0, which commutes with formal sums,
+    # [ell]-series and the truncation: the classes of the rows cut there
+    classes = [character_class(fgl, (*row[:-1], 0 if ring.rank == 1 else row[-1])) for row in b]
     return RestrictionIdeal(
         fgl, weight, d, theta, b, classes, gen, ring.order, ring.rank is not None
     )

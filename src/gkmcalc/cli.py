@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from .classifying import cyclic_classifying_ring
 from .fgl import build_fgl
 from .gkm import (
     check_formality,
@@ -19,6 +20,7 @@ from .gkm import (
     validate_graph,
 )
 from .graphio import GraphFileError, build_class, load_graph_document
+from .lattice import primitive_part
 from .localization import LocalizationError, integrate, work_theory
 from .scalars import (
     MOD_P,
@@ -126,12 +128,12 @@ def cmd_solve(args, out, err) -> int:
     _banner_and_warnings(theory, doc.graph, out, err)
     try:
         solution = solve_equivariant_cohomology(doc.graph, theory, args.qmax)
-        # a weight that is a proper multiple adds the primitive-kernel solve,
-        # whose ranks are reported where they differ
-        primitive = doc.graph.primitive()
+        # a proper multiple d of a weight adds the primitive-kernel solve, whose
+        # ranks are reported where they differ, unless each order-d ring is trivial
         variant = None
-        if primitive != doc.graph:
-            variant = solve_equivariant_cohomology(primitive, theory, args.qmax).ranks
+        multiples = {primitive_part(e.weight)[0] for e in doc.graph.edges}
+        if any(cyclic_classifying_ring(build_fgl(theory), d).rank != 1 for d in multiples):
+            variant = solve_equivariant_cohomology(doc.graph.primitive(), theory, args.qmax).ranks
     except ValueError as exc:
         raise _InputError(str(exc)) from exc
     for q in sorted(solution.ranks):

@@ -35,6 +35,7 @@ class FormalGroupLaw:
         self.series = series
         self._ell_terms = ell_terms
         self._nseries_cache: dict[int, TruncatedSeries] = {}
+        self.character_classes: dict[tuple[int, ...], TruncatedSeries] = {}  # see classifying
 
     def sum(self, a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
         """The formal sum F(a, b)."""

@@ -296,10 +296,12 @@ def _solve_degree(theory, graph, ideals, monos, q):
     if theory.is_graded_field:
         return field_kernel(rows, ncols, theory.char), len(rows), []
     # the kernel's Hermite rows with a pivot among the x columns come first,
-    # and their x parts are the Hermite basis of the solution lattice
+    # and their x parts are the Hermite basis of the solution lattice, which
+    # is saturated when there are no slack columns: every divisor is 1
     kernel = integer_kernel(rows, width)
     basis_rows = [x for v in kernel if (x := {j: c for j, c in v.items() if j < ncols})]
-    return basis_rows, len(rows), invariant_factors(basis_rows)
+    divs = [1] * len(basis_rows) if width == ncols else invariant_factors(basis_rows)
+    return basis_rows, len(rows), divs
 
 
 def _class_from_vector(theory, graph, monos, vec, q) -> EquivariantClass:

@@ -16,6 +16,7 @@ from typing import NamedTuple
 from .fgl import FormalGroupLaw
 from .classifying import character_class
 from .gkm import EquivariantClass, GKMEdge, GKMGraph
+from .scalars import ORDINARY, RATIONAL
 from .series import TruncatedSeries
 
 
@@ -149,7 +150,7 @@ def parse_graph_document(doc, origin: str = "<graph>") -> GraphDocument:
 
 def build_class(doc: GraphDocument, name: str, fgl: FormalGroupLaw) -> EquivariantClass:
     if name not in doc.classes:
-        raise GraphFileError(f"class {name!r} is not defined in the graph file")
+        raise GraphFileError(f"{doc.origin}: class {name!r} is not defined in the graph file")
     degree, exprs = doc.classes[name]
     m = doc.graph.rank
     parts = []
@@ -171,7 +172,7 @@ def build_class(doc: GraphDocument, name: str, fgl: FormalGroupLaw) -> Equivaria
             else:
                 found = f"mixes degrees {', '.join(map(str, degs[:-1]))} and {degs[-1]}"
             raise GraphFileError(
-                f"class {name!r} at vertex {vertex}: expression {found}, tagged {degree}"
+                f"{doc.origin}: class {name!r} at vertex {vertex}: expression {found}, tagged {degree}"
             )
         parts.append(series)
     return EquivariantClass(tuple(parts), degree)
@@ -337,9 +338,9 @@ class _Parser:
             if val == unit or (val == "v" and unit and unit.startswith("v")):
                 return self.constant(1, 1)
             if val in ("v", "b"):
-                raise GraphFileError(
-                    f"theory {self.theory.kind} has no periodicity generator {val!r}"
-                )
+                # a rational parse is the localization work theory of ordinary
+                kind = ORDINARY if self.theory.kind == RATIONAL else self.theory.kind
+                raise GraphFileError(f"theory {kind} has no periodicity generator {val!r}")
             raise GraphFileError(f"unknown symbol {val!r}")
         if kind == "end":
             raise GraphFileError("unexpected end of the expression")

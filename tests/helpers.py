@@ -302,6 +302,30 @@ def n_series_by_doubling(fgl, ell, memo=None):
     return value
 
 
+class _CountingCache(dict):
+    """A class cache that records the character of every class stored."""
+
+    def __init__(self, builds):
+        super().__init__()
+        self.builds = builds
+
+    def __setitem__(self, key, value):
+        self.builds.append(key)
+        super().__setitem__(key, value)
+
+
+def count_class_builds(monkeypatch, theory) -> list:
+    """The characters whose classes the law of theory builds from now on,
+    one entry per build: the law is built fresh, and every class it builds
+    is stored in its cache."""
+    import gkmcalc.fgl as fgl_module
+
+    monkeypatch.setattr(fgl_module, "_fgl_cache", {})
+    builds = []
+    monkeypatch.setattr(fgl_module.build_fgl(theory), "character_classes", _CountingCache(builds))
+    return builds
+
+
 def transport(fgl, f, basis_change):
     """f rewritten in the torus coordinates of the unimodular matrix by one
     full substitution: row i of the matrix is the character whose class

@@ -177,6 +177,55 @@ def test_kernel_ideal_primitive_is_last_variable():
         assert vec_mat((1, 1), ideal.basis_change) == (0, 1)
 
 
+# (theory, d): unit-lead generators of orders 1, 2 and 4, the zero generator
+# of mod 3 at d = 3, and lattice edges
+IDEAL_CASES = [
+    (helpers.morava(2, 1, trunc=6), 1),
+    (helpers.morava(2, 1, trunc=6), 3),
+    (helpers.morava(2, 1, trunc=6), 2),
+    (helpers.morava(2, 2, trunc=6), 2),
+    (helpers.modp(3, trunc=6), 2),
+    (helpers.modp(3, trunc=6), 3),
+    (helpers.ordinary(trunc=5), 1),
+    (helpers.ordinary(trunc=5), 2),
+    (helpers.mult(trunc=5), 3),
+]
+
+
+def test_adapted_classes_are_taken_in_the_cut_ring():
+    # an order-1 unit-lead ideal takes its adapted classes at u_m = 0, so
+    # they have no u_m term; other ideals keep the full classes, and a
+    # higher order cuts each image, the first power of a class included
+    orders = set()
+    for th, d in IDEAL_CASES:
+        fgl = build_fgl(th)
+        for theta in ((-1, 2), (2, -1, -1), (1, 1, 1)):
+            ideal = kernel_ideal(fgl, tuple(d * a for a in theta))
+            full = [character_class(fgl, tuple(row)) for row in ideal.basis_change]
+            m = len(theta)
+            firsts = [ideal.monomial_image(tuple(int(i == j) for j in range(m))) for i in range(m)]
+            assert firsts == [helpers.cut(c, ideal) for c in full]
+            if ideal.leading_unit:
+                orders.add(ideal.order)
+            if ideal.leading_unit and ideal.order == 1:
+                exponents = {alpha[-1] for c in ideal.adapted_classes for alpha, _k in c.coeffs}
+                assert exponents == {0}
+                assert ideal.adapted_classes == firsts
+            else:
+                assert ideal.adapted_classes == full
+    assert orders == {1, 2, 4}
+
+
+def test_generator_is_the_relation_on_the_last_variable():
+    for th, d in IDEAL_CASES:
+        fgl = build_fgl(th)
+        relation = cyclic_classifying_ring(fgl, d).relation
+        for theta in ((1,), (-1, 2), (2, -1, -1)):
+            m = len(theta)
+            ideal = kernel_ideal(fgl, tuple(d * a for a in theta))
+            assert ideal.generator == relation.substitute([TruncatedSeries.variable(th, m, m - 1)])
+
+
 def test_residue_of_character_class_vanishes():
     for th in (helpers.ordinary(trunc=6), helpers.morava(2, 1, trunc=6)):
         fgl = build_fgl(th)

@@ -171,6 +171,31 @@ def test_check_formality_runs_one_solve(monkeypatch):
     assert len(calls) == 1
 
 
+def test_cli_solve_skips_the_primitive_solve_where_no_multiple_changes_an_ideal(monkeypatch):
+    # under K(1) at p = 3 the [2]-series of cp2x2.json's doubled weights is a
+    # unit times u, so the primitive graph's system is the same system; at
+    # p = 2 it is v1*u^2 + ..., and the variant solve still runs
+    import gkmcalc.cli as cli_module
+
+    calls = []
+    real = cli_module.solve_equivariant_cohomology
+
+    def counting(graph, theory, q_max):
+        calls.append(graph)
+        return real(graph, theory, q_max)
+
+    monkeypatch.setattr(cli_module, "solve_equivariant_cohomology", counting)
+    graph = load_graph_document(graph_path("cp2x2.json")).graph
+    for p, solves in ((3, 1), (2, 2)):
+        calls.clear()
+        flags = ["--theory", "morava", "--p", str(p), "--n", "1", "--trunc", "8", "--qmax", "4"]
+        code, out, _ = run_cli("solve", graph_path("cp2x2.json"), *flags)
+        assert code == 0 and len(calls) == solves, p
+        th = helpers.morava(p, 1, trunc=8)
+        variant = real(graph.primitive(), th, 4).ranks
+        assert out == helpers.solve_text_via_bases(real(graph, th, 4), variant)
+
+
 def test_cli_fgl_morava_two_series():
     code, out, _ = run_cli(
         "fgl", "--theory", "morava", "--p", "2", "--n", "1", "--trunc", "8", "--ell", "2"
@@ -512,8 +537,34 @@ def test_cli_integrate_names_the_degrees_of_a_mixed_tagged_class(tmp_path):
     code, _, err = run_cli("integrate", path, "--theory", "ordinary", "--class", "tagged")
     assert code == 2
     assert err == (
-        "error: class 'tagged' at vertex A: expression mixes degrees 2 and 4, tagged 4\n"
+        f"error: {path}: class 'tagged' at vertex A: expression mixes degrees 2 and 4, tagged 4\n"
     )
+
+
+def test_cli_integrate_class_refusals_name_the_file(tmp_path):
+    path = _cp2_with_class(tmp_path, "t4", {"degree": 4, "restrictions": ["u1", "0", "0"]})
+    for name, cause in (
+        ("t4", "class 't4' at vertex A: expression has degree 2, tagged 4"),
+        ("missing", "class 'missing' is not defined in the graph file"),
+    ):
+        code, out, err = run_cli("integrate", path, "--theory", "ordinary", "--class", name)
+        assert (code, out, err) == (2, "", f"error: {path}: {cause}\n")
+
+
+def test_cli_integrate_refusal_names_the_theory_given(tmp_path):
+    # localization over ordinary parses the class over the rationals, but a
+    # refusal names the theory on the command line
+    path = _cp2_with_class(tmp_path, "per", ["v*u1", "0", "0"])
+    for flags, kind in (
+        (["--theory", "ordinary"], "ordinary-integral"),
+        (["--theory", "mod-p", "--p", "3"], "ordinary-mod-p"),
+    ):
+        code, out, err = run_cli("integrate", path, *flags, "--class", "per")
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: {path}: class 'per' at vertex A: expression 'v*u1': "
+            f"theory {kind} has no periodicity generator 'v'\n"
+        )
 
 
 def test_cli_integrate_refuses_a_negative_power_of_a_non_unit(tmp_path):

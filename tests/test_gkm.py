@@ -378,45 +378,61 @@ def test_mod_p_unit_weights_match_rational_ranks():
 
 
 def test_character_classes_built_once_per_edge(monkeypatch):
-    # each kernel ideal builds the classes of its m adapted characters once;
-    # the residues of every monomial in every degree substitute those.  The
-    # edges of CP^2 carry distinct weights, so this is once per edge
-    import gkmcalc.classifying as classifying
+    # each kernel ideal asks for the classes of its m adapted characters,
+    # cut to u_m = 0 at order 1, and the law builds each character once.
+    # The edges of CP^2 carry distinct weights, so at most once per edge
+    from gkmcalc import kernel_ideal
 
-    calls = []
-    original = classifying.character_class
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(classifying, "character_class", counting)
+    th = helpers.morava(2, 1, trunc=6)
+    builds = helpers.count_class_builds(monkeypatch, th)
     g = helpers.cp2()
-    sol = solve_equivariant_cohomology(g, helpers.morava(2, 1, trunc=6), 6)
+    sol = solve_equivariant_cohomology(g, th, 6)
     assert check_formality(g, helpers.CP2_BETTI, sol).passed
-    assert len(calls) == g.rank * len(g.edges)
+    fgl = build_fgl(th)
+    asked = {
+        tuple(row[:-1]) + (0,) for e in g.edges for row in kernel_ideal(fgl, e.weight).basis_change
+    }
+    assert sorted(builds) == sorted(asked)
+    assert len(builds) <= g.rank * len(g.edges)
 
 
 def test_character_classes_built_once_per_distinct_weight(monkeypatch):
     # kernel ideals depend only on the weight, so the solve builds one per
-    # distinct weight, and each builds the classes of its m adapted
-    # characters once; Fl(3) has 9 edges but only 3 weights
-    import gkmcalc.classifying as classifying
-
-    calls = []
-    original = classifying.character_class
-
-    def counting(*args, **kwargs):
-        calls.append(args[1])
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(classifying, "character_class", counting)
+    # distinct weight, and no character class is built twice; Fl(3) has 9
+    # edges but only 3 weights
+    th = helpers.morava(2, 1, trunc=6)
+    builds = helpers.count_class_builds(monkeypatch, th)
     g = helpers.fl3()
     weights = {e.weight for e in g.edges}
     assert (len(g.edges), len(weights)) == (9, 3)
-    sol = solve_equivariant_cohomology(g, helpers.morava(2, 1, trunc=6), 6)
+    sol = solve_equivariant_cohomology(g, th, 6)
     assert check_formality(g, helpers.FL3_BETTI, sol).passed
-    assert len(calls) == g.rank * len(weights)
+    assert len(builds) == len(set(builds)) <= g.rank * len(weights)
+
+
+def test_cp4_solve_builds_at_most_four_character_classes(monkeypatch):
+    # every edge of CP^4 is primitive, so each ideal has order 1 and cuts its
+    # adapted rows to u_m = 0; the ten ideals ask for 40 adapted classes,
+    # whose cut rows are among four characters
+    th = helpers.morava(2, 1, trunc=6)
+    builds = helpers.count_class_builds(monkeypatch, th)
+    g = helpers.cpn(4)
+    sol = solve_equivariant_cohomology(g, th, 6)
+    assert check_formality(g, [(0, 1), (2, 1), (4, 1), (6, 1), (8, 1)], sol).passed
+    assert len(builds) == len(set(builds)) <= 4
+
+
+def test_exact_integer_divisors_match_invariant_factors():
+    # with no slack columns the solution lattice is saturated, so the solver
+    # reports 1s without computing them; they are the basis' invariant factors
+    from gkmcalc.lattice import invariant_factors
+
+    for path in GRAPH_FILES:
+        graph = load_graph_document(path).graph
+        for th in (helpers.ordinary(6), helpers.mult(6)):
+            sol = solve_equivariant_cohomology(graph, th, 6)
+            for q, (_monos, vecs) in sol.kernels.items():
+                assert sol.divisors[q] == invariant_factors(vecs), (path, th.kind, q)
 
 
 def test_solve_substitutions_grow_with_neither_degree_nor_truncation(monkeypatch):
