@@ -35,10 +35,17 @@ def character_class(fgl: FormalGroupLaw, weight, nvars: int | None = None) -> Tr
         out = TruncatedSeries.zero(th, m)
         for i, a in enumerate(weight):
             if a:
-                term = fgl.n_series(a).substitute([TruncatedSeries.variable(th, m, i)])
+                term = _on_variable(fgl.n_series(a), m, i)
                 out = term if out.is_zero() else fgl.sum(out, term)
         fgl.character_classes[weight] = out
     return out
+
+
+def _on_variable(f: TruncatedSeries, nvars: int, i: int) -> TruncatedSeries:
+    """The one-variable series f(u) as f(u_i) in nvars variables."""
+    before, after = (0,) * i, (0,) * (nvars - i - 1)
+    terms = {(before + a + after, k): c for (a, k), c in f.coeffs.items()}
+    return TruncatedSeries.from_raw(f.theory, nvars, terms)
 
 
 class CyclicRingPresentation(NamedTuple):
@@ -162,8 +169,7 @@ def kernel_ideal(fgl: FormalGroupLaw, weight) -> RestrictionIdeal:
     b = adapted_basis(theta)
     m = len(weight)
     ring = cyclic_classifying_ring(fgl, d)
-    terms = {((0,) * (m - 1) + a, k): c for (a, k), c in ring.relation.coeffs.items()}
-    gen = TruncatedSeries.from_raw(fgl.theory, m, terms)  # the relation on u_m
+    gen = _on_variable(ring.relation, m, m - 1)
     # an order-1 residue sets u_m = 0, which commutes with formal sums,
     # [ell]-series and the truncation: the classes of the rows cut there
     classes = [character_class(fgl, (*row[:-1], 0 if ring.rank == 1 else row[-1])) for row in b]
@@ -173,20 +179,12 @@ def kernel_ideal(fgl: FormalGroupLaw, weight) -> RestrictionIdeal:
 
 
 def _slice_monomials(theory: Theory, nvars: int, q: int):
-    """Monomial basis of the degree-q slice of the truncated series ring:
-    pairs (alpha, vexp) with |unit^vexp| + 2|alpha| = q."""
-    if q % 2:
-        return []
-    per = theory.period_degree
-    out = []
-    for alpha in exponent_vectors(nvars, theory.trunc):
-        t = 2 * sum(alpha) - q
-        if per == 0:
-            if t == 0:
-                out.append((alpha, 0))
-        elif t % per == 0:
-            out.append((alpha, t // per))
-    return out
+    """Monomial basis of the degree-q slice of the truncated series ring, in
+    print order: the pairs (alpha, k) with |alpha| <= theory.trunc and
+    theory.degree(|alpha|, k) = q, k read once per total degree."""
+    ks = [theory.unit_exponent(size, q) for size in range(theory.trunc + 1)]
+    vecs = exponent_vectors(nvars, theory.trunc)
+    return [(alpha, k) for alpha in vecs if (k := ks[sum(alpha)]) is not None]
 
 
 def ideal_multiples_basis(ideal: RestrictionIdeal, q: int):

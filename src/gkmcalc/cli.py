@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .classifying import cyclic_classifying_ring
+from .classifying import relation_order
 from .fgl import build_fgl
 from .gkm import (
     check_formality,
@@ -128,11 +128,12 @@ def cmd_solve(args, out, err) -> int:
     _banner_and_warnings(theory, doc.graph, out, err)
     try:
         solution = solve_equivariant_cohomology(doc.graph, theory, args.qmax)
-        # a proper multiple d of a weight adds the primitive-kernel solve, whose
-        # ranks are reported where they differ, unless each order-d ring is trivial
+        # a multiple d of a weight adds the primitive-kernel solve, whose ranks
+        # are reported where they differ, where [d]u has u-order other than 1:
+        # at order 1, ([d]u) = (u) over a field and over Q, where d is a unit
         variant = None
         multiples = {primitive_part(e.weight)[0] for e in doc.graph.edges}
-        if any(cyclic_classifying_ring(build_fgl(theory), d).rank != 1 for d in multiples):
+        if any(relation_order(build_fgl(theory), d) != 1 for d in multiples):
             variant = solve_equivariant_cohomology(doc.graph.primitive(), theory, args.qmax).ranks
     except ValueError as exc:
         raise _InputError(str(exc)) from exc

@@ -158,8 +158,10 @@ def _mod_p(theory: Theory, delta: int, numerators) -> dict:
     """The stored-format terms of sum N / delta * u^alpha over the (alpha, N)
     in numerators, reduced mod p once both theorems hold for each: the
     coefficient is p-integral (p^s | N, where delta = p^s delta'), and one that
-    survives mod p sits at a total degree 1 + k(p^n - 1), k its unit exponent."""
-    p, period = theory.p, theory.p ** theory.n - 1
+    survives mod p has degree 2, its unit exponent k read off its total degree
+    by theory.unit_exponent once per total degree."""
+    p = theory.p
+    ks = [theory.unit_exponent(size, 2) for size in range(theory.trunc + 1)]
     ps = 1
     while delta % (ps * p) == 0:
         ps *= p
@@ -170,11 +172,11 @@ def _mod_p(theory: Theory, delta: int, numerators) -> dict:
             raise AssertionError(f"p-integrality failure at {_mono(alpha)}: coefficient {Fraction(num, delta)}")
         cm = num // ps * inv % p
         if cm:
-            k, rem = divmod(sum(alpha) - 1, period)
-            if rem != 0:
+            k = ks[sum(alpha)]
+            if k is None:
                 raise AssertionError(
                     f"coefficient of {_mono(alpha)} survives mod {p} but "
-                    f"{period} does not divide {sum(alpha) - 1}"
+                    f"{theory.period_degree // 2} does not divide {sum(alpha) - 1}"
                 )
             terms[(alpha, k)] = cm
     return terms

@@ -244,15 +244,14 @@ def solve_equivariant_cohomology(graph: GKMGraph, theory: Theory, q_max: int) ->
     divisors: dict[int, list[int]] = {}
     provenance: dict[int, tuple[int, int]] = {}
 
-    # multiplying by the periodicity unit maps the degree-q system onto the
-    # degree-(q + period_degree) one, so periodic theories solve each class
-    # of q/2 modulo the step once
-    step = theory.period_degree // 2
-    systems: dict[int, tuple] = {}
+    # _solve_degree reads only the alpha of each slice key, and multiplying
+    # by the periodicity unit maps the degree-q slice onto the degree-(q +
+    # |unit|) one: degrees whose slices hold the same monomials share a solve
+    systems: dict[tuple, tuple] = {}
 
     for q in range(0, q_max + 1, 2):
         monos = _slice_monomials(theory, graph.rank, q)
-        key = (q // 2) % step if step else q
+        key = tuple(alpha for alpha, _k in monos)
         if key not in systems:
             systems[key] = _solve_degree(theory, graph, ideals, monos, q)
         vecs, nrows, divs = systems[key]
@@ -320,16 +319,13 @@ def _class_from_vector(theory, graph, monos, vec, q) -> EquivariantClass:
 
 def truncated_slice_count(theory: Theory, nvars: int, q: int, dmax: int) -> int:
     """Dimension over the degree-0 field of the degree-q slice of the series
-    ring truncated at variable degree dmax."""
-    if q % 2 or dmax < 0:
-        return 0
-    per = theory.period_degree
-    count = 0
-    for b in range(dmax + 1):
-        t = 2 * b - q
-        if (per == 0 and t == 0) or (per != 0 and t % per == 0):
-            count += math.comb(b + nvars - 1, nvars - 1)
-    return count
+    ring truncated at variable degree dmax: the length of the solver's own
+    slice at truncation dmax, counted per total degree."""
+    return sum(
+        math.comb(size + nvars - 1, nvars - 1)
+        for size in range(dmax + 1)
+        if theory.unit_exponent(size, q) is not None
+    )
 
 
 def formality_prediction(theory: Theory, nvars: int, betti, q: int) -> int:

@@ -79,7 +79,8 @@ class Theory(NamedTuple):
 
     The truncation degree bounds total variable exponents in every series
     built over this theory; it is fixed here so that all rings attached to
-    the theory agree on precision.
+    the theory agree on precision.  degree and unit_exponent hold the only
+    copy of the degree rule of a term c * unit^k * u^alpha.
     """
 
     kind: str
@@ -95,6 +96,19 @@ class Theory(NamedTuple):
         if self.kind == MORAVA:
             return 2 * (self.p ** self.n - 1)
         return 0
+
+    def degree(self, size: int, k: int) -> int:
+        """The degree 2 * size - k * |unit| of c * unit^k * u^alpha, where
+        size = |alpha| is the total variable degree."""
+        return 2 * size - k * self.period_degree
+
+    def unit_exponent(self, size: int, q: int) -> int | None:
+        """The k that puts a term of total variable degree size in degree q,
+        None when no k does."""
+        t, per = 2 * size - q, self.period_degree
+        if per == 0:
+            return 0 if t == 0 else None
+        return t // per if t % per == 0 else None
 
     @property
     def is_graded_field(self) -> bool:

@@ -163,8 +163,8 @@ class TruncatedSeries:
 
     def degrees(self) -> list[int]:
         """The cohomological degrees of the terms, ascending."""
-        per = self.theory.period_degree
-        return sorted({2 * sum(a) - per * k for a, k in self.coeffs})
+        degree = self.theory.degree
+        return sorted({degree(*pair) for pair in {(sum(a), k) for a, k in self.coeffs}})
 
     def homogeneous_degree(self) -> int | None:
         """The common cohomological degree of all terms, or None if mixed/zero."""
@@ -254,39 +254,25 @@ class TruncatedSeries:
         for g in args:
             if g.nvars != nout:
                 raise ValueError("substitution series disagree on variable count")
-        pow_cache: list[dict[int, TruncatedSeries]] = [
-            {0: TruncatedSeries.one(th, nout)} for _ in args
-        ]
+        # powers[i][e] is args[i]^e, grown on demand; a zero power repeats
+        one = TruncatedSeries.one(th, nout)
+        powers = [[one] for _ in args]
 
         def power(i, e):
-            cache = pow_cache[i]
-            if e in cache:
-                return cache[e]
-            top = max(cache)
-            cur = cache[top]
-            while top < e:
-                cur = cur * args[i]
-                top += 1
-                cache[top] = cur
-                if cur.is_zero():
-                    for rest in range(top + 1, e + 1):
-                        cache[rest] = cur
-                    break
-            return cache[e]
+            pw = powers[i]
+            while len(pw) <= e:
+                last = pw[-1]
+                pw.append(last if last.is_zero() else last * args[i])
+            return pw[e]
 
         parts = []
         for (alpha, k), c in self.coeffs.items():
-            term = None
+            term = one
             for i, e in enumerate(alpha):
-                if e == 0:
-                    continue
-                pw = power(i, e)
-                if pw.is_zero():
-                    term = pw
-                    break
-                term = pw if term is None else term * pw
-            if term is None:
-                term = TruncatedSeries.one(th, nout)
+                if e:
+                    term = power(i, e) if term is one else term * power(i, e)
+                    if term.is_zero():
+                        break
             parts.append((term, c, k))
         return TruncatedSeries.combination(th, nout, parts)
 

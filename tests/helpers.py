@@ -23,6 +23,7 @@ from gkmcalc import (
     make_theory,
 )
 from gkmcalc.classifying import _slice_monomials, ideal_multiples_basis
+from gkmcalc.series import monomial_key
 
 
 def ordinary(trunc=8):
@@ -114,6 +115,18 @@ CP2_BETTI = [(0, 1), (2, 1), (4, 1)]
 CP1XCP1_BETTI = [(0, 1), (2, 2), (4, 1)]
 CP3_BETTI = [(0, 1), (2, 1), (4, 1), (6, 1)]
 FL3_BETTI = [(0, 1), (2, 2), (4, 2), (6, 1)]
+
+
+def slice_by_brute_force(theory, nvars, q):
+    """Every (alpha, k) with |alpha| <= D and 2|alpha| - k * period_degree
+    = q, in print order, found by scanning every k that could fit; k is 0
+    in a theory without a periodicity unit."""
+    D, per = theory.trunc, theory.period_degree
+    reach = 2 * D + abs(q) + 1
+    ks = range(-reach, reach + 1) if per else (0,)
+    alphas = (a for a in itertools.product(range(D + 1), repeat=nvars) if sum(a) <= D)
+    found = [(a, k) for a in alphas for k in ks if 2 * sum(a) - k * per == q]
+    return sorted(found, key=lambda key: (monomial_key(key[0]), key[1]))
 
 
 def graph_json(graph) -> str:

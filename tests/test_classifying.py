@@ -13,6 +13,7 @@ from gkmcalc import (
     kernel_ideal,
 )
 from gkmcalc.classifying import _slice_monomials, ideal_multiples_basis, relation_order
+from gkmcalc.gkm import truncated_slice_count
 from gkmcalc.lattice import invariant_factors, vec_mat
 from gkmcalc.series import _term_key, exponent_vectors
 
@@ -81,25 +82,44 @@ def test_cyclic_ring_ordinary():
     assert ring.rank is None
 
 
-@pytest.mark.parametrize(
-    "th",
-    [
-        helpers.ordinary(),
-        helpers.rational(),
-        helpers.modp(3),
-        helpers.mult(),
-        helpers.morava(2, 1),
-        helpers.morava(2, 2),
-        helpers.morava(3, 1),
-    ],
-    ids=lambda th: f"{th.kind}-{th.p}-{th.n}",
-)
+SLICE_THEORIES = [
+    helpers.ordinary(),
+    helpers.rational(),
+    helpers.modp(3),
+    helpers.mult(),
+    helpers.morava(2, 1),
+    helpers.morava(2, 2),
+    helpers.morava(3, 1),
+]
+
+
+def _theory_id(th):
+    return f"{th.kind}-{th.p}-{th.n}"
+
+
+@pytest.mark.parametrize("th", SLICE_THEORIES, ids=_theory_id)
 def test_slice_monomials_come_in_print_order(th):
     # solve prints a slice's nonzero entries in index order, without a sort
     for m in range(1, 5):
         for q in range(9):
             keys = [_term_key((key, 1)) for key in _slice_monomials(th, m, q)]
             assert keys == sorted(set(keys))
+
+
+@pytest.mark.parametrize("th", SLICE_THEORIES, ids=_theory_id)
+def test_slice_monomials_match_a_brute_force_scan(th):
+    # the solver's slice, and the formality window counted at every
+    # truncation, are the terms of degree q, odd q and dmax < 0 included
+    for m in (1, 2, 3):
+        for D in (1, 4, 7):
+            th_d = th._replace(trunc=D)
+            for q in range(-6, 15):
+                expect = helpers.slice_by_brute_force(th_d, m, q)
+                assert _slice_monomials(th_d, m, q) == expect, (m, D, q)
+        for dmax in range(-2, 8):
+            for q in range(-6, 15):
+                expect = len(_slice_monomials(th._replace(trunc=dmax), m, q))
+                assert truncated_slice_count(th, m, q, dmax) == expect, (m, dmax, q)
 
 
 def test_kunneth_product_ranks():

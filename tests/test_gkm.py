@@ -457,6 +457,47 @@ def test_solve_substitutions_grow_with_neither_degree_nor_truncation(monkeypatch
         assert len(counts) == 1
 
 
+@pytest.mark.parametrize(
+    "th,solves",
+    [
+        pytest.param(helpers.ordinary(), 5, id="ordinary"),
+        pytest.param(helpers.rational(), 5, id="rational"),
+        pytest.param(helpers.modp(3), 5, id="mod3"),
+        pytest.param(helpers.mult(), 1, id="mult"),
+        pytest.param(helpers.morava(2, 1), 1, id="K1p2"),
+        pytest.param(helpers.morava(3, 1), 2, id="K1p3"),
+        pytest.param(helpers.morava(2, 2), 3, id="K2p2"),
+    ],
+)
+def test_degrees_with_the_same_slice_monomials_share_one_solve(monkeypatch, th, solves):
+    # q and q + |unit| have the same slice monomials, so CP^2's five degrees
+    # up to 8 need one solve per class of q modulo |unit|, five without a unit
+    import gkmcalc.gkm as gkm_module
+
+    calls = []
+    real = gkm_module._solve_degree
+    monkeypatch.setattr(gkm_module, "_solve_degree", lambda *args: calls.append(1) or real(*args))
+    solve_equivariant_cohomology(helpers.cp2(), th, 8)
+    assert len(calls) == solves
+
+
+def _scaled(graph, c):
+    return helpers.mapped(graph, [[c * (i == j) for j in range(graph.rank)] for i in range(graph.rank)])
+
+
+@pytest.mark.parametrize("th", [helpers.ordinary, helpers.mult], ids=["ordinary", "mult"])
+def test_weight_multiples_keep_the_primitive_ranks_over_z_and_z_b(th):
+    # [d]u has u-order 1 here, and over Q the ideal ([d]u_m) is (u_m): a
+    # free rank over Z or Z[b^-1] is the rank over Q, so `solve` skips the
+    # primitive graph's solve for these theories
+    graphs = [load_graph_document(os.path.join(GRAPHS, "cp2x2.json")).graph]
+    graphs += [_scaled(g, c) for g in (helpers.cp2(), helpers.cp3(), helpers.fl3()) for c in (2, 3)]
+    for D in (5, 6):
+        for graph in graphs:
+            ranks = solve_equivariant_cohomology(graph, th(D), 8).ranks
+            assert ranks == solve_equivariant_cohomology(graph.primitive(), th(D), 8).ranks, graph
+
+
 def test_equivariant_class_is_not_a_tuple():
     # a tuple record would make 2 * cls repeat the restrictions silently
     th = helpers.ordinary(trunc=4)

@@ -67,6 +67,34 @@ def test_degrees_morava_height_two():
     assert (v * v).homogeneous_degree() == -12
 
 
+@pytest.mark.parametrize(
+    "th",
+    [
+        helpers.ordinary(),
+        helpers.rational(),
+        helpers.modp(3),
+        helpers.mult(),
+        helpers.morava(2, 1),
+        helpers.morava(2, 2),
+        helpers.morava(3, 1),
+    ],
+    ids=lambda th: f"{th.kind}-{th.p}-{th.n}",
+)
+def test_degree_and_unit_exponent_invert_each_other(th):
+    per = th.period_degree
+    ks = range(-6, 7) if per else (0,)
+    for size in range(12):
+        for k in ks:
+            assert th.degree(size, k) == 2 * size - k * per
+            assert th.unit_exponent(size, th.degree(size, k)) == k
+        for q in range(-20, 25):
+            k = th.unit_exponent(size, q)
+            if k is None:
+                assert all(th.degree(size, j) != q for j in range(-30, 31)), (size, q)
+            else:
+                assert th.degree(size, k) == q, (size, q)
+
+
 def test_is_unit_ordinary():
     th = helpers.ordinary()
     assert not th.is_unit(2)
