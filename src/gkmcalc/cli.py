@@ -14,6 +14,7 @@ import sys
 from .classifying import relation_order
 from .fgl import build_fgl
 from .gkm import (
+    _ValidGraph,
     check_formality,
     mod_p_weight_warnings,
     solve_equivariant_cohomology,
@@ -91,13 +92,15 @@ class _InputError(Exception):
 
 
 def _load_valid_graph(args, err):
+    """The graph document, its graph marked valid so that the library does
+    not check it again."""
     doc = load_graph_document(args.graph)
     violations = validate_graph(doc.graph)
     if violations:
         for v in violations:
             print(f"violation: {v}", file=err)
         raise _GraphInvalid()
-    return doc
+    return doc._replace(graph=_ValidGraph(*doc.graph))
 
 
 class _GraphInvalid(Exception):

@@ -65,9 +65,17 @@ class GKMGraph(NamedTuple):
         return GKMGraph(self.rank, list(self.vertices), edges)
 
     def primitive(self) -> "GKMGraph":
-        """The graph with every weight replaced by its primitive part."""
+        """The graph with every weight replaced by its primitive part, of the
+        same class: scaling weights keeps every GKM condition."""
         edges = [GKMEdge(e.tail, e.head, primitive_part(e.weight)[1]) for e in self.edges]
-        return GKMGraph(self.rank, list(self.vertices), edges)
+        return type(self)(self.rank, list(self.vertices), edges)
+
+
+class _ValidGraph(GKMGraph):
+    """A graph that validate_graph has passed, which the library functions
+    take without checking it again."""
+
+    __slots__ = ()
 
 
 def _minors(a, b):
@@ -124,6 +132,14 @@ def validate_graph(graph: GKMGraph) -> list[str]:
     if len(valences) > 1:
         violations.append(f"vertices have unequal valences {sorted(valences)}")
     return violations
+
+
+def _refuse_invalid(graph: GKMGraph, error: type[Exception] = ValueError) -> None:
+    """Raise error naming the violations of a graph not known to be valid."""
+    if not isinstance(graph, _ValidGraph):
+        violations = validate_graph(graph)
+        if violations:
+            raise error("invalid GKM graph: " + "; ".join(violations))
 
 
 def mod_p_weight_warnings(graph: GKMGraph, p: int) -> list[str]:
@@ -224,9 +240,7 @@ class SolutionModule:
 
 
 def solve_equivariant_cohomology(graph: GKMGraph, theory: Theory, q_max: int) -> SolutionModule:
-    violations = validate_graph(graph)
-    if violations:
-        raise ValueError("invalid GKM graph: " + "; ".join(violations))
+    _refuse_invalid(graph)
     if q_max < 0 or q_max % 2:
         raise ValueError("q_max must be an even nonnegative integer")
     fgl = build_fgl(theory)

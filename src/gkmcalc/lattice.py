@@ -4,18 +4,27 @@ lattice answers for characters and torus subgroups.
 Matrices are plain lists of rows.  Every vector the eliminations take or
 return is sparse, {index: nonzero entry}, and every vector they return has
 its keys in increasing order, the format the solver hands on to the printer.
-Over the integers, hermite_basis puts the lattice spanned by some rows into
-its canonical row-Hermite form, and kernels, adapted coordinates and
-invariant factors are all read off Hermite forms of augmented or transposed
-matrices.  Over the graded fields' degree-0 parts, F_p and Q, field_kernel
-reads the kernel off the reduced row-echelon form.  Both normal forms are
-unique, so every answer is independent of the elimination order and
-downstream golden outputs are reproducible.
+
+Both eliminations run in two passes.  The forward pass, shared, lets rows
+wait under their leading column and fixes one pivot per column in
+increasing order; it never touches a row once it is a pivot row.  One final
+pass then reduces the kept rows from the last pivot back, each only against
+rows that are already final.  Over the integers the pivot comes out of a
+Euclid loop and the final pass reduces into [0, pivot), which gives the
+canonical row-Hermite form: hermite_basis.  Kernels, adapted coordinates
+and invariant factors are read off Hermite forms of augmented or transposed
+matrices, and integer_kernel back-reduces only the rows it keeps.  Over the
+graded fields' degree-0 parts, F_p and Q, the pivot is the shortest row,
+scaled to 1, and the final pass clears, which gives the reduced row-echelon
+form that field_kernel reads.  Both normal forms are unique, so every answer
+is independent of the elimination order and downstream golden outputs are
+reproducible.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd
 
 
@@ -33,43 +42,86 @@ def hermite_basis(rows: list[dict]) -> list[dict]:
 
     Pivots are positive, entries above each pivot are reduced into [0, pivot),
     and rows are ordered by pivot column, each with its keys in increasing
-    order.
+    order.  A forward echelon pass with the Euclid step fixes the pivots,
+    and one back-reduction then reduces every echelon row.
+    """
+    return _back_reduce(_echelon(rows, _euclid_step))
+
+
+def _echelon(rows: list[dict], step) -> dict[int, dict]:
+    """Row echelon form of sparse rows, as {pivot column: pivot row} in
+    increasing pivot column; consumes the rows.
 
     Rows wait under their leading column.  At each column, in increasing
-    order, a Euclid loop on the rows led there leaves a single pivot row, and
-    the others move on to their new leading columns.  As soon as the pivot is
-    fixed, the entries above it in the earlier basis rows are reduced into
-    [0, pivot), as in Kannan and Bachem's algorithm, so basis entries stay
-    below their pivots instead of growing through later steps.
+    order, step(j, live) turns the rows led there into one pivot row and the
+    rest, which have lost column j and move on to their new leading columns.
+    Echelon rows never take part in a later step, so nothing above a pivot
+    is touched here.
     """
     waiting: dict[int, list[dict]] = {}
-    for r in rows:
-        if r:
-            waiting.setdefault(min(r), []).append(r)
-    basis = []
-    while waiting:
-        j = min(waiting)
-        live = waiting.pop(j)
-        while len(live) > 1:
-            live.sort(key=lambda r: abs(r[j]))
-            head, *rest = live
-            live = [head]
-            for r in rest:
-                _subtract(r, head, r[j] // head[j])
-                if j in r:
-                    live.append(r)
-                elif r:
-                    waiting.setdefault(min(r), []).append(r)
-        pivot = live[0]
-        if pivot[j] < 0:
-            for k in pivot:
-                pivot[k] = -pivot[k]
-        for b in basis:
-            q = b.get(j, 0) // pivot[j]
+    heads: list[int] = []  # the keys of waiting, as a heap
+
+    def wait(batch):
+        for r in batch:
+            if r:
+                j = min(r)
+                if j in waiting:
+                    waiting[j].append(r)
+                else:
+                    waiting[j] = [r]
+                    heappush(heads, j)
+
+    wait(rows)
+    echelon = {}
+    while heads:
+        j = heappop(heads)
+        echelon[j], moved = step(j, waiting.pop(j))
+        wait(moved)
+    return echelon
+
+
+def _euclid_step(j: int, live: list[dict]) -> tuple[dict, list[dict]]:
+    """The integer step: a Euclid loop on the rows led at column j leaves a
+    single pivot row, made positive."""
+    moved = []
+    while len(live) > 1:
+        live.sort(key=lambda r: abs(r[j]))
+        head, *rest = live
+        live = [head]
+        for r in rest:
+            _subtract(r, head, r[j] // head[j])
+            (live if j in r else moved).append(r)
+    pivot = live[0]
+    if pivot[j] < 0:
+        for k in pivot:
+            pivot[k] = -pivot[k]
+    return pivot, moved
+
+
+def _back_reduce(echelon: dict[int, dict]) -> list[dict]:
+    """The Hermite rows of echelon rows {pivot column: row}, in increasing
+    pivot column and each with its keys in increasing order.
+
+    From the last pivot back, each row is reduced left to right into
+    [0, pivot) at the pivot columns it holds, against rows that are already
+    final.  Subtracting the row of pivot c changes entries right of c only,
+    so a heap of the row's pivot columns, fed the ones each subtraction
+    brings in, visits every column it must and no other.
+    """
+    for j in sorted(echelon, reverse=True):
+        row = echelon[j]
+        todo = [c for c in row if c != j and c in echelon]
+        heapify(todo)
+        while todo:
+            c = heappop(todo)
+            other = echelon[c]
+            q = row.get(c, 0) // other[c]
             if q:
-                _subtract(b, pivot, q)
-        basis.append(pivot)
-    return [dict(sorted(b.items())) for b in basis]
+                for k in other:
+                    if k not in row and k in echelon:
+                        heappush(todo, k)
+                _subtract(row, other, q)
+    return [dict(sorted(echelon[j].items())) for j in sorted(echelon)]
 
 
 def _subtract(row: dict, other: dict, q, p: int = 0) -> None:
@@ -89,16 +141,19 @@ def integer_kernel(rows: list[dict], cols: int) -> list[dict]:
     """Hermite basis of the right kernel {x in Z^cols : A @ x = 0}, where A is
     given by sparse rows {column: nonzero entry}.
 
-    Row j of [A^T | I] is (column j of A | e_j).  The rows of its Hermite form
-    whose A^T part is zero are (0 | k) with A @ k = 0; they span the kernel,
-    and their k parts are already its Hermite basis.
+    Row j of [A^T | I] is (column j of A | e_j).  The rows of its echelon
+    form whose pivot lies past A^T are (0 | k) with A @ k = 0, and they span
+    the kernel.  Each of them reduces only against rows of that same kind,
+    so only these are back-reduced, and their k parts are the kernel's
+    Hermite basis.
     """
     n = len(rows)
     aug = [{n + j: 1} for j in range(cols)]
     for i, row in enumerate(rows):
         for j, x in row.items():
             aug[j][i] = x
-    return [{j - n: x for j, x in r.items()} for r in hermite_basis(aug) if min(r) >= n]
+    kept = {j: r for j, r in _echelon(aug, _euclid_step).items() if j >= n}
+    return [{j - n: x for j, x in r.items()} for r in _back_reduce(kept)]
 
 
 def field_kernel(rows: list[dict], cols: int, p: int) -> list[dict]:
@@ -130,28 +185,23 @@ def _reduced_echelon(rows: list[dict], p: int) -> dict[int, dict]:
     as {pivot column: row with pivot entry 1} in increasing pivot column;
     consumes the rows.
 
-    Rows wait under their leading column, as in hermite_basis.  At each
-    column the shortest row led there becomes the pivot row, and the others
-    lose that column and move on.  A last pass clears the entries above the
+    The forward pass is hermite_basis's with the field step: the shortest
+    row led at a column becomes the pivot row, scaled to pivot 1, and the
+    others lose that column.  A last pass clears the entries above the
     pivots, from the last pivot back, so each row is reduced only against
     rows that are already final.
     """
-    waiting: dict[int, list[dict]] = {}
-    for r in rows:
-        if r:
-            waiting.setdefault(min(r), []).append(r)
-    echelon = {}
-    while waiting:
-        j = min(waiting)
-        pivot, *rest = sorted(waiting.pop(j), key=len)
+
+    def step(j, live):
+        pivot, *rest = sorted(live, key=len)
         inv = pow(pivot[j], -1, p) if p else 1 / pivot[j]
         for k in pivot:
             pivot[k] = pivot[k] * inv % p if p else pivot[k] * inv
         for r in rest:
             _subtract(r, pivot, r[j], p)
-            if r:
-                waiting.setdefault(min(r), []).append(r)
-        echelon[j] = pivot
+        return pivot, rest
+
+    echelon = _echelon(rows, step)
     for j in sorted(echelon, reverse=True):
         row = echelon[j]
         for c in [c for c in row if c != j and c in echelon]:

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 from .classifying import relation_order
 from .fgl import FormalGroupLaw, build_fgl
-from .gkm import EquivariantClass, GKMGraph, validate_graph
+from .gkm import EquivariantClass, GKMGraph, _refuse_invalid
 from .scalars import ORDINARY, Theory
 from .series import LaurentSeries, LeadingUnitError, TruncatedSeries
 
@@ -77,9 +77,7 @@ def iterate_generic_slopes(graph: GKMGraph, theory: Theory):
 
 
 def find_generic_slope(graph: GKMGraph, theory: Theory) -> GenericSlope:
-    violations = validate_graph(graph)
-    if violations:
-        raise LocalizationError("invalid GKM graph: " + "; ".join(violations))
+    _refuse_invalid(graph, LocalizationError)
     for slope in iterate_generic_slopes(graph, theory):
         return slope
     raise LocalizationError("generic slope search exhausted")  # pragma: no cover
@@ -174,9 +172,7 @@ def integrate(
     cls: EquivariantClass,
     slope: GenericSlope | None = None,
 ) -> IntegrationReport:
-    violations = validate_graph(graph)
-    if violations:
-        raise ValueError("invalid GKM graph: " + "; ".join(violations))
+    _refuse_invalid(graph)
     if len(cls.restrictions) != len(graph.vertices):
         raise ValueError("class has the wrong number of fixed-point restrictions")
     work = work_theory(theory)

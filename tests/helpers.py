@@ -358,6 +358,52 @@ def sparse(vec) -> dict:
     return {j: x for j, x in enumerate(vec) if x}
 
 
+def eager_hermite_basis(rows: list[dict]) -> list[dict]:
+    """Row-Hermite basis of sparse rows by Kannan and Bachem's eager loop,
+    the reference for lattice.hermite_basis; consumes the rows.
+
+    Rows wait under their leading column, and a Euclid loop leaves one pivot
+    row per column, made positive.  As soon as it is fixed, the entries
+    above it in every earlier basis row are reduced into [0, pivot).
+    """
+    def subtract(row, other, q):
+        for k, x in other.items():
+            y = row.get(k, 0) - q * x
+            if y:
+                row[k] = y
+            else:
+                del row[k]
+
+    waiting: dict[int, list[dict]] = {}
+    for r in rows:
+        if r:
+            waiting.setdefault(min(r), []).append(r)
+    basis = []
+    while waiting:
+        j = min(waiting)
+        live = waiting.pop(j)
+        while len(live) > 1:
+            live.sort(key=lambda r: abs(r[j]))
+            head, *rest = live
+            live = [head]
+            for r in rest:
+                subtract(r, head, r[j] // head[j])
+                if j in r:
+                    live.append(r)
+                elif r:
+                    waiting.setdefault(min(r), []).append(r)
+        pivot = live[0]
+        if pivot[j] < 0:
+            for k in pivot:
+                pivot[k] = -pivot[k]
+        for b in basis:
+            q = b.get(j, 0) // pivot[j]
+            if q:
+                subtract(b, pivot, q)
+        basis.append(pivot)
+    return [dict(sorted(b.items())) for b in basis]
+
+
 def reduce_vector_mod_lattice(vec, basis) -> tuple[int, ...]:
     """Canonical coset representative of vec modulo a Hermite row basis."""
     v = list(vec)

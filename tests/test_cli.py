@@ -125,6 +125,8 @@ GOLDEN_COMMANDS = {
     ),
     "integrate-cp2x2-ordinary-pt": ("integrate cp2x2.json --theory ordinary --trunc 8 --class pt", 0),
     "check-formality-cp2x2-ordinary": ("check-formality cp2x2.json --theory ordinary --qmax 4", 0),
+    # a Z[b, b^-1] system with slack columns: divisors up to 256
+    "solve-cp2x2-mult": ("solve cp2x2.json --theory mult --qmax 6", 0),
 }
 
 
@@ -626,25 +628,47 @@ def test_cli_integrate_refuses_a_bad_expression_by_location_before_any_output(tm
     assert err == f"error: {path}: class 'c' at vertex N: expression {expr!r}: {cause}\n"
 
 
-def test_cli_integrate_validates_the_graph_once_per_library_call(monkeypatch):
-    # once when the CLI loads the graph, once in localization.integrate; the
-    # slope search reuses that check
+VALIDATED_COMMANDS = {
+    # cp2x2.json's doubled weights make `solve` under mod-2 re-solve the
+    # primitive graph, which is valid because the graph is
+    "solve": "solve cp2x2.json --theory mod-p --p 2 --trunc 6 --qmax 4",
+    "check-formality": "check-formality cp2x2.json --theory mult --trunc 6 --qmax 4",
+    "integrate": "integrate cp2.json --theory ordinary --class H2",
+}
+
+
+@pytest.mark.parametrize("command", sorted(VALIDATED_COMMANDS))
+def test_cli_validates_the_graph_once_per_command(command, monkeypatch):
+    # the CLI checks the graph when it loads it, and the library functions
+    # it calls take that graph without checking it again
     import gkmcalc.cli as cli_module
-    import gkmcalc.localization as localization_module
+    import gkmcalc.gkm as gkm_module
 
     calls = []
-    real = localization_module.validate_graph
+    real = gkm_module.validate_graph
 
     def counting(graph):
         calls.append(1)
         return real(graph)
 
     monkeypatch.setattr(cli_module, "validate_graph", counting)
-    monkeypatch.setattr(localization_module, "validate_graph", counting)
-    argv = ["integrate", graph_path("cp2.json"), "--theory", "ordinary", "--class", "H2"]
+    monkeypatch.setattr(gkm_module, "validate_graph", counting)
+    words = VALIDATED_COMMANDS[command].split()
+    argv = [graph_path(a) if a.endswith(".json") else a for a in words]
     code, out, _ = run_cli(*argv)
-    assert code == 0 and "integral = 1" in out.splitlines()
-    assert len(calls) == 2
+    assert code == 0 and out
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("command", sorted(VALIDATED_COMMANDS))
+def test_cli_refuses_an_invalid_graph_with_exit_3(command, tmp_path):
+    path = tmp_path / "bad.json"
+    with open(graph_path("cp2.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["edges"][0]["weight"] = [0, 0]
+    path.write_text(json.dumps(doc))
+    argv = [str(path) if a.endswith(".json") else a for a in VALIDATED_COMMANDS[command].split()]
+    assert run_cli(*argv) == (3, "", "violation: edge 0: weight is zero\n")
 
 
 def test_cli_integrate_mod_p_refusal_names_the_vanishing_euler_class():

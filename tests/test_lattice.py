@@ -105,6 +105,63 @@ def test_integer_kernel_matches_sympy():
         assert len(kernel) == cols - Matrix(m).rank(), m
 
 
+ORACLE_ENTRIES = (1, 2, 3, 5, 7, -1, -2, -3, -5, -7)
+
+
+def sparse_matrices(seed, count=150):
+    """Seeded sparse integer matrices up to 25 x 40, with entries in
+    +-{1, 2, 3, 5, 7} and some zero rows and zero columns.  Every third one
+    is [A | -H], a solver system with slack columns, whose slack block H has
+    columns 2, 3 or 5 times a sparse vector, so that its Hermite pivots are
+    not all 1.  Yields (sparse rows, columns of A, width)."""
+    rng = random.Random(seed)
+    for i in range(count):
+        nrows, ncols = rng.randint(1, 25), rng.randint(1, 40)
+        density = rng.choice((0.05, 0.1, 0.2, 0.35))
+        zero_cols = set(rng.sample(range(ncols), rng.randint(0, ncols // 4)))
+        live = [j for j in range(ncols) if j not in zero_cols]
+        m = [
+            {j: rng.choice(ORACLE_ENTRIES) for j in live if rng.random() < density}
+            if rng.random() > 0.1 else {}
+            for _ in range(nrows)
+        ]
+        width = ncols
+        if i % 3 == 0:
+            for _ in range(rng.randint(1, 8)):
+                d = rng.choice((2, 3, 5))
+                for r in rng.sample(m, rng.randint(1, min(3, nrows))):
+                    r[width] = -d * rng.choice(ORACLE_ENTRIES[:3])
+                width += 1
+        yield m, ncols, width
+
+
+def test_eliminations_match_the_eager_kannan_bachem_loop(monkeypatch):
+    import gkmcalc.lattice as lattice
+
+    def copy(rows):
+        return [dict(r) for r in rows]
+
+    slack_pivots = set()
+    for m, ncols, width in sparse_matrices(113):
+        transpose = [{} for _ in range(width)]
+        for i, r in enumerate(m):
+            for j, x in r.items():
+                transpose[j][i] = x
+        for rows in (m, transpose):
+            assert hermite_basis(copy(rows)) == helpers.eager_hermite_basis(copy(rows)), rows
+        n = len(m)
+        aug = [dict(col) | {n + j: 1} for j, col in enumerate(transpose)]
+        kept = [r for r in helpers.eager_hermite_basis(aug) if min(r) >= n]
+        expected = [{j - n: x for j, x in r.items()} for r in kept]
+        assert integer_kernel(copy(m), width) == expected, m
+        slack_pivots.update(next(iter(r.values())) for r in hermite_basis(copy(transpose[ncols:])))
+        factors = invariant_factors(copy(m))
+        with monkeypatch.context() as patch:
+            patch.setattr(lattice, "hermite_basis", helpers.eager_hermite_basis)
+            assert factors == invariant_factors(copy(m)), m
+    assert {2, 3, 5} <= slack_pivots
+
+
 def sympy_free_column_basis(m, p):
     """The kernel basis read off sympy's reduced row-echelon form over GF(p)
     (QQ when p = 0): per free column f, 1 at f and -R[i][f] at pivot i."""

@@ -200,6 +200,21 @@ def test_non_generic_slope_rejected():
         integrate(helpers.cp2(), th, cls, slope=GenericSlope((1, 1)))
 
 
+def test_library_functions_refuse_an_invalid_graph():
+    # a graph the CLI has not marked valid is checked by every entry point
+    from gkmcalc import GKMEdge, GKMGraph
+
+    bad = GKMGraph(2, ["A", "B"], [GKMEdge(0, 1, (1, 0)), GKMEdge(0, 1, (2, 0))])
+    th = helpers.ordinary()
+    one = TruncatedSeries.one(th.rationalized(), 2)
+    with pytest.raises(ValueError, match="^invalid GKM graph: vertex A: dependent weights"):
+        integrate(bad, th, EquivariantClass((one, one), 0))
+    with pytest.raises(LocalizationError, match="^invalid GKM graph: vertex A: dependent weights"):
+        find_generic_slope(bad, th)
+    with pytest.raises(ValueError, match="^invalid GKM graph: vertex A: dependent weights"):
+        solve_equivariant_cohomology(bad, th, 2)
+
+
 def test_precision_budget_enforced():
     th = helpers.ordinary(trunc=3)
     tq = th.rationalized()
