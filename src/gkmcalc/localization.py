@@ -62,18 +62,14 @@ def iterate_generic_slopes(graph: GKMGraph, theory: Theory):
     """
     m = graph.rank
     p = theory.char or None
-    mod_p_possible = False
+    mod_p_generic = True
     if p is not None:
         box = product(range(1, p + 1), repeat=m)  # lazy: p^m points
-        mod_p_possible = any(_slope_ok(graph, lam, p) for lam in box)
-    if p is not None and mod_p_possible:
-        for lam in _box_points(m):
-            if _slope_ok(graph, lam, p):
-                yield GenericSlope(lam, True)
-    else:
-        for lam in _box_points(m):
-            if _slope_ok(graph, lam, None):
-                yield GenericSlope(lam, p is None)
+        if not any(_slope_ok(graph, lam, p) for lam in box):
+            p, mod_p_generic = None, False
+    for lam in _box_points(m):
+        if _slope_ok(graph, lam, p):
+            yield GenericSlope(lam, mod_p_generic)
 
 
 def find_generic_slope(graph: GKMGraph, theory: Theory) -> GenericSlope:
@@ -166,6 +162,25 @@ def _rationalize_class(cls: EquivariantClass, qtheory: Theory) -> EquivariantCla
     return EquivariantClass(parts, cls.degree)
 
 
+def _exhausted(graph: GKMGraph, eulers: list[VertexEuler], localized) -> str:
+    """The refusal of a sum known only below s^0, naming the vertex that needs
+    the largest truncation.  Both operands of f/e(v) are known below trunc + 1,
+    so by the division rule the quotient reaches s^0 once trunc is at least
+    the Euler order lg and 2*lg - ord f (lg alone when f is zero)."""
+
+    def need(eu, f):
+        lf = f.order()
+        return eu.order if lf is None else max(eu.order, 2 * eu.order - lf)
+
+    eu, f = max(zip(eulers, localized), key=lambda pair: need(*pair))
+    # the budget keeps every Euler order below trunc, so f is nonzero here
+    return (
+        f"precision exhausted before exponent 0: at vertex {graph.vertices[eu.vertex]} "
+        f"the Euler order is {eu.order} and the class order {f.order()}, so the "
+        f"smallest truncation degree that reaches it is {need(eu, f)}"
+    )
+
+
 def integrate(
     graph: GKMGraph,
     theory: Theory,
@@ -215,7 +230,7 @@ def integrate(
     is_integer = None
     if degree is not None and degree == top_degree:
         if total.prec is not None and total.prec <= 0:
-            raise LocalizationError("precision exhausted before exponent 0")
+            raise LocalizationError(_exhausted(graph, eulers, localized))
         integral = total.coefficient(0)
         if work != theory:
             is_integer = integral[0].denominator == 1

@@ -21,7 +21,8 @@ variables, formal sums through the two-variable laws at D <= 48, and
 localization at D <= 28, where class restrictions in m <= 4 variables are
 pushed down to one.  The Honda law itself is an integer table (see the fgl
 module): at K(1), p = 2 it builds in 0.03 s at D = 48 and 0.9 s at D = 128
-(2-core VM, Python 3.11).
+(2-core VM, Python 3.11).  A Laurent series is known below its precision;
+localization only adds them and divides them, by long division.
 """
 
 from __future__ import annotations
@@ -344,7 +345,8 @@ class LaurentSeries:
     {(e, k): c} in the format of TruncatedSeries.
 
     Coefficients are reliable for exponents below `prec` (exclusive);
-    prec=None means exact.  Only what localization needs is implemented.
+    prec=None means exact, and divide refuses it.  Only what localization
+    needs is implemented.
     """
 
     __slots__ = ("theory", "coeffs", "prec")
@@ -389,56 +391,20 @@ class LaurentSeries:
         """(c, k) of the term at s^e, as TruncatedSeries.coefficient."""
         return _coefficient_at(self.coeffs, e)
 
-    def __eq__(self, other):
-        if not isinstance(other, LaurentSeries):
-            return NotImplemented
-        return (
-            self.theory == other.theory
-            and self.coeffs == other.coeffs
-            and self.prec == other.prec
-        )
-
-    __hash__ = None
-
     def __add__(self, other: "LaurentSeries") -> "LaurentSeries":
         if self.theory != other.theory:
             raise ValueError("Laurent series belong to different theories")
         coeffs = _combine([(self.coeffs, 1, 0), (other.coeffs, 1, 0)], self.theory.char)
         return LaurentSeries.from_raw(self.theory, coeffs, _min_prec(self.prec, other.prec))
 
-    def __neg__(self):
-        coeffs = _combine([(self.coeffs, -1, 0)], self.theory.char)
-        return LaurentSeries.from_raw(self.theory, coeffs, self.prec)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other: "LaurentSeries") -> "LaurentSeries":
-        if self.theory != other.theory:
-            raise ValueError("Laurent series belong to different theories")
-        if self.is_zero() or other.is_zero():
-            zprec = None
-            for z, w in ((self, other), (other, self)):
-                if z.is_zero() and z.prec is not None:
-                    base = w.order() or 0
-                    cand = z.prec + base
-                    zprec = cand if zprec is None else min(zprec, cand)
-            return LaurentSeries.zero(self.theory, zprec)
-        pa = None if self.prec is None else self.prec + other.order()
-        pb = None if other.prec is None else other.prec + self.order()
-        prec = _min_prec(pa, pb)
-        acc = {}
-        for (e1, k1), c1 in self.coeffs.items():
-            for (e2, k2), c2 in other.coeffs.items():
-                e = e1 + e2
-                if prec is not None and e >= prec:
-                    continue
-                key = (e, k1 + k2)
-                acc[key] = acc.get(key, 0) + c1 * c2
-        return LaurentSeries.from_raw(self.theory, _clean(acc, self.theory.char), prec)
-
     def divide(self, g: "LaurentSeries") -> "LaurentSeries":
-        """Exact quotient self/g; g needs a unit leading coefficient."""
+        """self/g by long division; g leads with a unit lead * unit^k at s^lg:
+        q_e = (f_(e+lg) - sum_(j>=1) g_(lg+j) q_(e-j)) / (lead * unit^k) for
+        f = self.  q is known below min(f.prec - lg, g.prec - 2*lg + ord f), or
+        f.prec - lg when f is zero: what f and g, known below their precs, fix."""
+        for name, s in (("dividend", self), ("divisor", g)):
+            if s.prec is None:
+                raise ValueError(f"the {name} {s} has no precision to divide with")
         if g.is_zero():
             raise ZeroDivisionError("division of Laurent series by zero")
         th = self.theory
@@ -448,29 +414,27 @@ class LaurentSeries:
             lead = _format_terms(th, [(((0,), k), c) for k, c in sorted(leads)])
             raise LeadingUnitError(f"leading coefficient {lead} of the divisor is not a unit")
         lead_k, lead = leads[0]
-        rel_g = None if g.prec is None else g.prec - lg
-        if rel_g is None and len(g.coeffs) > 1:
-            # exact non-monomial divisor: expand to the ambient truncation
-            rel_g = th.trunc + 1
         if self.is_zero():
-            prec = None if self.prec is None else self.prec - lg
-            return LaurentSeries.zero(th, prec)
-        # g = s^lg unit^lead_k (lead + t), and the unit part's inverse is the
-        # power series w with w_0 = 1/lead and w_e = -(sum_j t_j w_(e-j))/lead
+            return LaurentSeries.zero(th, self.prec - lg)
+        lf = self.order()
+        prec = min(self.prec - lg, g.prec - 2 * lg + lf)
         inv_lead = th.inverse(lead)
-        if rel_g is None:
-            return self * LaurentSeries.from_raw(th, {(-lg, -lead_k): inv_lead}, None)
-        tail = [(e - lg, k - lead_k, c) for (e, k), c in g.coeffs.items() if e != lg]
-        w = [{0: inv_lead}]  # w[e] maps unit exponents to coefficients
-        for e in range(1, rel_g):
-            acc = {}
-            for j, kt, ct in tail:
-                if j <= e:
-                    for k, cw in w[e - j].items():
-                        acc[k + kt] = acc.get(k + kt, 0) - inv_lead * ct * cw
-            w.append(_clean(acc, th.char))
-        inv = {(e - lg, k - lead_k): c for e, we in enumerate(w) for k, c in we.items()}
-        return self * LaurentSeries.from_raw(th, inv, -lg + rel_g)
+        f_at, tail = {}, {}  # terms (k, c) by exponent: of f, and of g past s^lg
+        for (e, k), c in self.coeffs.items():
+            f_at.setdefault(e, []).append((k, c))
+        for (e, k), c in g.coeffs.items():
+            if e != lg:
+                tail.setdefault(e - lg, []).append((k, c))
+        q = {}  # q[e] maps unit exponents to the coefficients of s^e
+        for e in range(lf - lg, prec):
+            acc = dict(f_at.get(e + lg, ()))
+            for j, terms in tail.items():
+                for kq, cq in q.get(e - j, {}).items():
+                    for kt, ct in terms:
+                        acc[kt + kq] = acc.get(kt + kq, 0) - ct * cq
+            q[e] = _clean({k - lead_k: inv_lead * c for k, c in acc.items()}, th.char)
+        coeffs = {(e, k): c for e, qe in q.items() for k, c in qe.items()}
+        return LaurentSeries.from_raw(th, coeffs, prec)
 
     def negative_part_is_zero(self) -> bool:
         return all(e >= 0 for e, _k in self.coeffs)

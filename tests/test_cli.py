@@ -70,6 +70,9 @@ def test_expression_parser():
         parse_expression("w1", fgl, 2)
     with pytest.raises(GraphFileError):
         parse_expression("chi(1)", fgl, 2)
+    u1, u2 = (parse_expression(name, fgl, 2) for name in ("u1", "u2"))
+    assert parse_expression("-chi(1,0)", fgl, 2) == -u1
+    assert parse_expression("(u1 + u2)^2", fgl, 2) == (u1 + u2) * (u1 + u2)
 
 
 def test_build_class_checks_degree(tmp_path):
@@ -108,6 +111,7 @@ GOLDEN_COMMANDS = {
         "integrate cp2.json --theory morava --p 2 --n 2 --trunc 12 --class H2", 0,
     ),
     "integrate-cp1xcp1-mult-pt": ("integrate cp1xcp1.json --theory mult --trunc 10 --class pt", 0),
+    "integrate-cp2-modp3-h2": ("integrate cp2.json --theory mod-p --p 3 --trunc 8 --class H2", 0),
     # the Honda laws at the benchmark's fgl truncations, and [-1] on a large law
     "fgl-morava-p2n1-d32": ("fgl --theory morava --p 2 --n 1 --trunc 32 --ell 2", 0),
     "fgl-morava-p2n2-d32": ("fgl --theory morava --p 2 --n 2 --trunc 32 --ell 2", 0),
@@ -399,6 +403,15 @@ def test_cli_check_formality_pass():
     assert out.splitlines()[-1] == "RESULT PASS"
 
 
+def test_cli_check_formality_refuses_a_truncation_without_headroom():
+    # every kernel ideal of cp2.json has order 1, so --qmax 8 needs 8/2 + 1
+    flags = ["--theory", "morava", "--p", "2", "--n", "1", "--trunc", "4", "--qmax", "8"]
+    code, out, err = run_cli("check-formality", graph_path("cp2.json"), *flags)
+    assert (code, out) == (2, "")
+    assert err == "error: truncation degree 4 too small for q_max 8: residues need headroom 5\n"
+    assert run_cli("solve", graph_path("cp2.json"), *flags) == (code, out, err)
+
+
 def test_cli_check_formality_wrong_betti_fails(tmp_path):
     with open(graph_path("cp1.json"), encoding="utf-8") as fh:
         doc = json.load(fh)
@@ -483,6 +496,30 @@ def test_cli_integrate_names_the_precision_budget(tmp_path):
         )
         assert code == 4
         assert f"truncation degree {trunc} below the precision budget 28" in err
+
+
+def test_cli_integrate_names_the_vertex_that_exhausts_the_precision(tmp_path):
+    # the benchmark's H^n job on CP^4 under K(2) at p = 2: slope (1, 2, 3, 4)
+    # gives Euler orders [7, 10, 7, 22, 22] and class orders [-, 4, 16, 4, 4],
+    # so the quotient at L3 reaches s^0 from 2*22 - 4 = 40 on, past the budget
+    g = helpers.cpn(4)
+    hn = ["0"] * 5
+    for e in g.edges:
+        if e.tail == 0:
+            hn[e.head] = "chi(%s)^4" % ",".join(str(-a) for a in e.weight)
+    path = _write_graph(tmp_path / "cp4.json", g, {"Hn": {"degree": 8, "restrictions": hn}})
+    argv = ["integrate", path, "--theory", "morava", "--p", "2", "--n", "2", "--class", "Hn"]
+    for trunc in (28, 39):
+        code, out, err = run_cli(*argv, "--trunc", str(trunc))
+        assert (code, out) == (4, "")
+        assert err == (
+            "error: precision exhausted before exponent 0: at vertex L3 the Euler "
+            "order is 22 and the class order 4, so the smallest truncation degree "
+            "that reaches it is 40\n"
+        )
+    code, out, err = run_cli(*argv, "--trunc", "40")
+    assert code == 0 and err == ""
+    assert "integral = 1" in out.splitlines()
 
 
 def test_cli_integrate_refuses_a_mixed_degree_class_below_the_euler_order(tmp_path):
@@ -612,6 +649,9 @@ BAD_EXPRESSIONS = {
     "unclosed-parenthesis": ("(u1 + 1", "expected ')', found the end of the expression"),
     "trailing-operator": ("u1 +", "unexpected end of the expression"),
     "cut-by-truncation": ("u1^99", "nonzero factors multiply to zero at truncation degree 8"),
+    # refusals after a leading sign and after a closed parenthesis
+    "after-a-leading-sign": ("-chi(1) + x", "unknown symbol 'x'"),
+    "after-a-parenthesis": ("(u1 + 1)^2 * y", "unknown symbol 'y'"),
 }
 
 

@@ -193,14 +193,63 @@ def test_laurent_divide_requires_unit_over_z():
 
 
 def test_laurent_divide_roundtrip():
-    rng = random.Random(17)
     th = helpers.morava(2, 1, trunc=8)
     fgl = build_fgl(th)
-    g = LaurentSeries.from_truncated(fgl.n_series(2))  # v1 s^2
-    h = LaurentSeries.from_truncated(fgl.n_series(3))
-    q = (g * h).divide(g)
+    g, h = fgl.n_series(2), fgl.n_series(3)  # v1 s^2 + ..., s + ...
+    q = LaurentSeries.from_truncated(g * h).divide(LaurentSeries.from_truncated(g))
     for e in range(1, q.prec):
-        assert q.coefficient(e) == h.coefficient(e)
+        assert q.coefficient(e) == h.coefficient((e,))
+
+
+def _laurent_times(th, a: dict, b: dict) -> dict:
+    """The product of two stored-format Laurent dicts, every term kept."""
+    acc = {}
+    for (e1, k1), c1 in a.items():
+        for (e2, k2), c2 in b.items():
+            key = (e1 + e2, k1 + k2)
+            acc[key] = acc.get(key, 0) + c1 * c2
+    return {key: r for key, c in acc.items() if (r := th.reduce(c))}
+
+
+def _random_laurent(rng, th, order, length, lead=None):
+    """Terms at s^order .. s^(order + length - 1), with a unit-exponent spread
+    under morava; lead, when given, is the only term at s^order."""
+    units = (-1, 0, 1) if th.period_degree else (0,)
+    coeffs = {}
+    for e in range(order, order + length):
+        for k in units:
+            if rng.random() < 0.5:
+                coeffs[(e, k)] = rng.randrange(-4, 5)
+    if lead is not None:
+        coeffs = {key: c for key, c in coeffs.items() if key[0] != order}
+        coeffs[(order, rng.choice(units))] = lead
+    return coeffs
+
+
+def test_laurent_divide_is_long_division_under_the_precision_rule():
+    rng = random.Random(29)
+    theories = [helpers.rational(), helpers.modp(3), helpers.morava(2, 1), helpers.morava(2, 2)]
+    for th in theories:
+        for _ in range(60):
+            lf, lg = rng.randrange(-3, 4), rng.randrange(-2, 5)
+            lead = rng.choice([Fraction(-3, 2), 1, 2]) if th.char == 0 else rng.randrange(1, th.char)
+            f = LaurentSeries(th, _random_laurent(rng, th, lf, rng.randrange(0, 6)), lf + rng.randrange(1, 9))
+            g = LaurentSeries(th, _random_laurent(rng, th, lg, 6, lead), lg + rng.randrange(1, 9))
+            q = f.divide(g)
+            if f.is_zero():
+                assert q.is_zero() and q.prec == f.prec - lg
+                continue
+            assert q.prec == min(f.prec - lg, g.prec - 2 * lg + f.order())
+            # q * g is f wherever q and g determine it
+            known = q.prec + lg
+            product = _laurent_times(th, q.coeffs, g.coeffs)
+            assert {key: c for key, c in product.items() if key[0] < known} == {
+                key: c for key, c in f.coeffs.items() if key[0] < known
+            }
+        with pytest.raises(ValueError, match="dividend"):
+            LaurentSeries(th, f.coeffs).divide(g)
+        with pytest.raises(ValueError, match="divisor"):
+            f.divide(LaurentSeries(th, g.coeffs))
 
 
 def test_laurent_precision_bookkeeping():
