@@ -107,12 +107,16 @@ class _GraphInvalid(Exception):
     pass
 
 
-def _banner_and_warnings(theory, graph, out, err):
-    if theory.kind != MORAVA:
-        print("model: conjectural", file=out)
+def _warnings(theory, graph, err):
     if theory.char:
         for w in mod_p_weight_warnings(graph, theory.char):
             print(f"warning: {w}", file=err)
+
+
+def _banner(theory, out):
+    # printed once the answer exists, so that a refusal leaves stdout empty
+    if theory.kind != MORAVA:
+        print("model: conjectural", file=out)
 
 
 def cmd_fgl(args, out, err) -> int:
@@ -128,7 +132,7 @@ def cmd_fgl(args, out, err) -> int:
 def cmd_solve(args, out, err) -> int:
     theory = _theory_from_args(args)
     doc = _load_valid_graph(args, err)
-    _banner_and_warnings(theory, doc.graph, out, err)
+    _warnings(theory, doc.graph, err)
     try:
         solution = solve_equivariant_cohomology(doc.graph, theory, args.qmax)
         # a multiple d of a weight adds the primitive-kernel solve, whose ranks
@@ -140,6 +144,7 @@ def cmd_solve(args, out, err) -> int:
             variant = solve_equivariant_cohomology(doc.graph.primitive(), theory, args.qmax).ranks
     except ValueError as exc:
         raise _InputError(str(exc)) from exc
+    _banner(theory, out)
     for q in sorted(solution.ranks):
         print(f"{q} {solution.ranks[q]}", file=out)
     nvert = len(doc.graph.vertices)
@@ -163,8 +168,9 @@ def cmd_integrate(args, out, err) -> int:
     theory = _theory_from_args(args)
     doc = _load_valid_graph(args, err)
     cls = build_class(doc, args.class_name, build_fgl(work_theory(theory)))
-    _banner_and_warnings(theory, doc.graph, out, err)
+    _warnings(theory, doc.graph, err)
     report = integrate(doc.graph, theory, cls)
+    _banner(theory, out)
     print(f"slope: {report.slope.vector}", file=out)
     if not report.slope.mod_p_generic:
         print("slope note: no mod-p generic slope exists; using an integer-generic one", file=out)
@@ -189,11 +195,12 @@ def cmd_check_formality(args, out, err) -> int:
     doc = _load_valid_graph(args, err)
     if doc.betti is None:
         raise _InputError(f"{args.graph}: check-formality needs a betti block")
-    _banner_and_warnings(theory, doc.graph, out, err)
+    _warnings(theory, doc.graph, err)
     try:
         solution = solve_equivariant_cohomology(doc.graph, theory, args.qmax)
     except ValueError as exc:
         raise _InputError(str(exc)) from exc
+    _banner(theory, out)
     report = check_formality(doc.graph, doc.betti, solution)
     for q, rank, predicted, ok in report.rows:
         print(f"{q} {rank} {predicted} {'PASS' if ok else 'FAIL'}", file=out)

@@ -74,9 +74,7 @@ def iterate_generic_slopes(graph: GKMGraph, theory: Theory):
 
 def find_generic_slope(graph: GKMGraph, theory: Theory) -> GenericSlope:
     _refuse_invalid(graph, LocalizationError)
-    for slope in iterate_generic_slopes(graph, theory):
-        return slope
-    raise LocalizationError("generic slope search exhausted")  # pragma: no cover
+    return next(iterate_generic_slopes(graph, theory))
 
 
 class VertexEuler(NamedTuple):
@@ -162,23 +160,30 @@ def _rationalize_class(cls: EquivariantClass, qtheory: Theory) -> EquivariantCla
     return EquivariantClass(parts, cls.degree)
 
 
-def _exhausted(graph: GKMGraph, eulers: list[VertexEuler], localized) -> str:
-    """The refusal of a sum known only below s^0, naming the vertex that needs
-    the largest truncation.  Both operands of f/e(v) are known below trunc + 1,
-    so by the division rule the quotient reaches s^0 once trunc is at least
-    the Euler order lg and 2*lg - ord f (lg alone when f is zero)."""
+def _refuse_short_truncation(graph: GKMGraph, orders: list[int], localized, trunc: int, top: bool):
+    """Refuse a truncation the divisions f/e(v) cannot serve, naming the
+    vertex with the largest need.  Both operands are known below trunc + 1:
+    the Euler class keeps its leading term from trunc = lg on, and by the
+    division rule a read integral reaches s^0 from 2*lg - ord f on."""
 
-    def need(eu, f):
+    def need(lg, f):
         lf = f.order()
-        return eu.order if lf is None else max(eu.order, 2 * eu.order - lf)
+        return lg if lf is None or not top else max(lg, 2 * lg - lf)
 
-    eu, f = max(zip(eulers, localized), key=lambda pair: need(*pair))
-    # the budget keeps every Euler order below trunc, so f is nonzero here
-    return (
-        f"precision exhausted before exponent 0: at vertex {graph.vertices[eu.vertex]} "
-        f"the Euler order is {eu.order} and the class order {f.order()}, so the "
-        f"smallest truncation degree that reaches it is {need(eu, f)}"
-    )
+    lg, f, vertex = max(zip(orders, localized, graph.vertices), key=lambda t: need(t[0], t[1]))
+    smallest = need(lg, f)
+    if trunc < smallest == lg:
+        raise LocalizationError(
+            f"truncation degree {trunc} below the Euler order {lg} at vertex {vertex}, "
+            f"where the Euler class would lose its leading term, so the smallest "
+            f"truncation degree that keeps it is {lg}"
+        )
+    if trunc < smallest:
+        raise LocalizationError(
+            f"precision exhausted before exponent 0: at vertex {vertex} "
+            f"the Euler order is {lg} and the class order {f.order()}, so the "
+            f"smallest truncation degree that reaches it is {smallest}"
+        )
 
 
 def integrate(
@@ -196,28 +201,21 @@ def integrate(
         cls = _rationalize_class(cls, work)
     if slope is None:
         slope = next(iterate_generic_slopes(graph, theory))
+    elif len(slope.vector) != graph.rank:
+        raise LocalizationError(
+            f"slope {slope.vector} has {len(slope.vector)} entries for a torus of rank {graph.rank}"
+        )
     elif not _slope_ok(graph, slope.vector, None):
         raise LocalizationError(f"slope {slope.vector} is not generic for this graph")
     degree = cls.degree if cls.degree is not None else cls.computed_degree()
     top_degree = 2 * graph.valence(0)
-    # the budget is checked before the Euler classes are built, so that a
-    # truncation too small for them is refused as such
+    top = degree == top_degree
+    # checked before the Euler classes are built, so that a truncation too
+    # small for them is refused as such
     orders = _euler_orders(graph, fgl, slope)
-    if degree is not None:
-        need = degree // 2 + max(orders) + 2
-        if work.trunc < need:
-            raise LocalizationError(
-                f"truncation degree {work.trunc} below the precision "
-                f"budget {need} for a degree-{degree} class"
-            )
-    elif work.trunc < max(orders):
-        # below its order an Euler class truncates away its leading term
-        raise LocalizationError(
-            f"truncation degree {work.trunc} below the largest Euler "
-            f"order {max(orders)} for a class of mixed degree"
-        )
-    eulers = euler_classes(graph, fgl, slope)
     localized = localize_class(fgl, cls, slope)
+    _refuse_short_truncation(graph, orders, localized, work.trunc, top)
+    eulers = euler_classes(graph, fgl, slope)
     total = LaurentSeries.zero(work)
     for f, eu in zip(localized, eulers):
         try:
@@ -226,14 +224,8 @@ def integrate(
             raise LocalizationError(str(exc)) from exc
         total = total + term
     negative_clean = total.negative_part_is_zero()
-    integral = None
-    is_integer = None
-    if degree is not None and degree == top_degree:
-        if total.prec is not None and total.prec <= 0:
-            raise LocalizationError(_exhausted(graph, eulers, localized))
-        integral = total.coefficient(0)
-        if work != theory:
-            is_integer = integral[0].denominator == 1
+    integral = total.coefficient(0) if top else None
+    is_integer = integral[0].denominator == 1 if top and work != theory else None
     return IntegrationReport(
         slope, eulers, total, negative_clean, degree, top_degree, integral, is_integer
     )

@@ -412,6 +412,22 @@ def test_cli_check_formality_refuses_a_truncation_without_headroom():
     assert run_cli("solve", graph_path("cp2.json"), *flags) == (code, out, err)
 
 
+@pytest.mark.parametrize("command,theory,flags,exit_code", [
+    ("solve", "ordinary", ["--qmax", "3"], 2),
+    ("solve", "mult", ["--qmax", "3"], 2),
+    ("check-formality", "ordinary", ["--qmax", "3"], 2),
+    ("check-formality", "mult", ["--qmax", "3"], 2),
+    ("integrate", "ordinary", ["--trunc", "1", "--class", "H"], 4),
+    ("integrate", "mult", ["--trunc", "1", "--class", "H"], 4),
+    ("integrate", "mult", ["--class", "H2"], 4),
+])
+def test_cli_refusal_leaves_stdout_empty(command, theory, flags, exit_code):
+    # the banner is printed only once the answer exists
+    code, out, err = run_cli(command, graph_path("cp2.json"), "--theory", theory, *flags)
+    assert (code, out) == (exit_code, "")
+    assert err.startswith("error: ")
+
+
 def test_cli_check_formality_wrong_betti_fails(tmp_path):
     with open(graph_path("cp1.json"), encoding="utf-8") as fh:
         doc = json.load(fh)
@@ -446,13 +462,21 @@ def test_cli_integrate_product_point_class():
     assert "integral = 1" in out.splitlines()
 
 
-def test_cli_integrate_precision_exhausted_exit_4():
-    code, _, err = run_cli(
-        "integrate", graph_path("cp2.json"), "--theory", "ordinary",
-        "--trunc", "3", "--class", "H2",
-    )
-    assert code == 4
-    assert "precision" in err or "budget" in err
+def test_cli_integrate_precision_exhausted_exit_4(tmp_path):
+    code, out, err = run_cli(*_cp4_hn_argv(tmp_path), "--trunc", "39")
+    assert (code, out) == (4, "")
+    assert err.startswith("error: precision exhausted before exponent 0")
+
+
+@pytest.mark.parametrize("argv", [
+    ("cp2.json", "--theory", "ordinary", "--trunc", "2", "--class", "H2"),
+    ("cp1xcp1.json", "--theory", "morava", "--p", "2", "--n", "1", "--trunc", "5", "--class", "pt"),
+])
+def test_cli_integrate_answers_at_the_need(argv):
+    # both are below the old Euler-order budget, which asked 6 for each
+    code, out, err = run_cli("integrate", graph_path(argv[0]), *argv[1:])
+    assert (code, err) == (0, "")
+    assert "integral = 1" in out.splitlines()
 
 
 def _write_graph(path, graph, classes=None):
@@ -483,32 +507,41 @@ def test_cli_solve_refuses_relation_beyond_truncation(tmp_path):
     assert out.splitlines()[:2] == ["0 73", "2 58"]
 
 
-def test_cli_integrate_names_the_precision_budget(tmp_path):
-    # no slope is mod-2 generic on CP^4; the largest Euler order is 22
+def test_cli_integrate_names_the_euler_order_a_point_class_needs(tmp_path):
+    # no slope is mod-2 generic on CP^4; the largest Euler order is 22, at L3
     g = helpers.cpn(4)
     pt = "*".join("chi(%s)" % ",".join(map(str, w)) for w in g.outgoing_weights(0))
     classes = {"pt": {"degree": 8, "restrictions": [pt] + ["0"] * 4}}
     path = _write_graph(tmp_path / "cp4.json", g, classes)
-    for trunc in (8, 12, 16, 22):
-        code, _, err = run_cli(
-            "integrate", path, "--theory", "morava", "--p", "2", "--n", "2",
-            "--trunc", str(trunc), "--class", "pt",
-        )
-        assert code == 4
-        assert f"truncation degree {trunc} below the precision budget 28" in err
+    argv = ["integrate", path, "--theory", "morava", "--p", "2", "--n", "2", "--class", "pt"]
+    code, out, err = run_cli(*argv, "--trunc", "21")
+    assert (code, out) == (4, "")
+    assert err == (
+        "error: truncation degree 21 below the Euler order 22 at vertex L3, where "
+        "the Euler class would lose its leading term, so the smallest truncation "
+        "degree that keeps it is 22\n"
+    )
+    code, out, err = run_cli(*argv, "--trunc", "22")
+    assert (code, err) == (0, "")
+    assert "integral = 1" in out.splitlines()
 
 
-def test_cli_integrate_names_the_vertex_that_exhausts_the_precision(tmp_path):
-    # the benchmark's H^n job on CP^4 under K(2) at p = 2: slope (1, 2, 3, 4)
-    # gives Euler orders [7, 10, 7, 22, 22] and class orders [-, 4, 16, 4, 4],
-    # so the quotient at L3 reaches s^0 from 2*22 - 4 = 40 on, past the budget
+def _cp4_hn_argv(tmp_path):
+    """The benchmark's H^n job on CP^4 under K(2) at p = 2, without --trunc."""
     g = helpers.cpn(4)
     hn = ["0"] * 5
     for e in g.edges:
         if e.tail == 0:
             hn[e.head] = "chi(%s)^4" % ",".join(str(-a) for a in e.weight)
     path = _write_graph(tmp_path / "cp4.json", g, {"Hn": {"degree": 8, "restrictions": hn}})
-    argv = ["integrate", path, "--theory", "morava", "--p", "2", "--n", "2", "--class", "Hn"]
+    return ["integrate", path, "--theory", "morava", "--p", "2", "--n", "2", "--class", "Hn"]
+
+
+def test_cli_integrate_names_the_vertex_that_exhausts_the_precision(tmp_path):
+    # slope (1, 2, 3, 4) gives Euler orders [7, 10, 7, 22, 22] and class
+    # orders [-, 4, 16, 4, 4], so the quotient at L3 reaches s^0 from
+    # 2*22 - 4 = 40 on
+    argv = _cp4_hn_argv(tmp_path)
     for trunc in (28, 39):
         code, out, err = run_cli(*argv, "--trunc", str(trunc))
         assert (code, out) == (4, "")
@@ -535,12 +568,12 @@ def test_cli_integrate_refuses_a_mixed_degree_class_below_the_euler_order(tmp_pa
     ]
     for trunc in (3, 4):
         code, out, err = run_cli(*argv, "--trunc", str(trunc))
-        assert code == 4
-        assert out == ""
-        assert (
-            f"truncation degree {trunc} below the largest Euler order 5 "
-            "for a class of mixed degree"
-        ) in err
+        assert (code, out) == (4, "")
+        assert err == (
+            f"error: truncation degree {trunc} below the Euler order 5 at vertex A, where "
+            "the Euler class would lose its leading term, so the smallest truncation "
+            "degree that keeps it is 5\n"
+        )
     code, out, _ = run_cli(*argv, "--trunc", "5")
     assert code == 0
     assert "euler A: v2*s^5 + O(s^6)" in out

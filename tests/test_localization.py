@@ -1,6 +1,7 @@
 """Generic slopes, Euler classes, and the localization integral."""
 
 import random
+import re
 import tracemalloc
 from itertools import islice, product
 
@@ -215,14 +216,94 @@ def test_library_functions_refuse_an_invalid_graph():
         solve_equivariant_cohomology(bad, th, 2)
 
 
-def test_precision_budget_enforced():
-    th = helpers.ordinary(trunc=3)
-    tq = th.rationalized()
-    fq = build_fgl(tq)
-    zero = TruncatedSeries.zero(tq, 2)
-    cls = EquivariantClass((zero, character_class(fq, (1, 0)) ** 2, character_class(fq, (0, 1)) ** 2), 4)
-    with pytest.raises(LocalizationError):
-        integrate(helpers.cp2(), th, cls)
+def test_precision_need_enforced():
+    # Euler orders 2 and class orders 2: the sum reaches s^0 from trunc 2 on
+    for trunc in (1, 2, 3):
+        th = helpers.ordinary(trunc=trunc)
+        tq = th.rationalized()
+        fq = build_fgl(tq)
+        zero = TruncatedSeries.zero(tq, 2)
+        h1, h2 = character_class(fq, (1, 0)), character_class(fq, (0, 1))
+        cls = EquivariantClass((zero, h1 * h1, h2 * h2), 4)
+        if trunc == 1:
+            with pytest.raises(LocalizationError, match="below the Euler order 2 at vertex A"):
+                integrate(helpers.cp2(), th, cls)
+        else:
+            assert integrate(helpers.cp2(), th, cls).integral == (1, 0)
+
+
+def test_slope_of_the_wrong_length_rejected():
+    th = helpers.ordinary()
+    one = TruncatedSeries.one(th.rationalized(), 2)
+    cls = EquivariantClass((one, one, one), 0)
+    for vector in ((1, 2, 5), (1,)):
+        with pytest.raises(LocalizationError) as exc:
+            integrate(helpers.cp2(), th, cls, slope=GenericSlope(vector))
+        assert str(exc.value) == (
+            f"slope {vector} has {len(vector)} entries for a torus of rank 2"
+        )
+
+
+_NEED_THEORIES = (
+    helpers.ordinary,
+    lambda trunc: helpers.modp(2, trunc),
+    lambda trunc: helpers.modp(3, trunc),
+    helpers.mult,
+    lambda trunc: helpers.morava(2, 1, trunc),
+    lambda trunc: helpers.morava(3, 1, trunc),
+    lambda trunc: helpers.morava(2, 2, trunc),
+)
+
+
+def _need_classes(g, fgl, vertex):
+    """The point class at vertex and c1^n, where c1 restricts to chi of the
+    sum of the outgoing weights (two ends of an edge differ by a multiple of
+    its weight, so c1 is a class in every theory)."""
+    m, n = g.rank, g.valence(0)
+    zero = TruncatedSeries.zero(fgl.theory, m)
+    pt = [zero] * len(g.vertices)
+    pt[vertex] = TruncatedSeries.one(fgl.theory, m)
+    for w in g.outgoing_weights(vertex):
+        pt[vertex] = pt[vertex] * character_class(fgl, w)
+    c1 = [
+        character_class(fgl, tuple(map(sum, zip(*g.outgoing_weights(v))))) ** n
+        for v in range(len(g.vertices))
+    ]
+    return [EquivariantClass(tuple(pt), 2 * n), EquivariantClass(tuple(c1), 2 * n)]
+
+
+def _integrate_at(g, make_theory, trunc, vertex, which):
+    th = make_theory(trunc)
+    cls = _need_classes(g, build_fgl(th), vertex)[which]
+    try:
+        return integrate(g, th, cls)
+    except LocalizationError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("name", ["cp1", "cp2", "cp1xcp1", "cp3", "fl3"])
+def test_smallest_accepted_truncation_is_the_need(name):
+    # one step below the smallest truncation that answers, the refusal names
+    # that truncation; from there on the integral and the negative-part
+    # verdict no longer change
+    g = getattr(helpers, name)()
+    rng = random.Random(f"need-{name}")
+    for make_theory in _NEED_THEORIES:
+        vertex = rng.randrange(len(g.vertices))
+        for which in (0, 1):
+            trunc, below = 1, None
+            while isinstance(got := _integrate_at(g, make_theory, trunc, vertex, which), str):
+                if not got.startswith(("truncation degree", "precision exhausted")):
+                    break
+                trunc, below = trunc + 1, got
+            if isinstance(got, str):
+                # a refusal no truncation mends: mult scalars, a vanishing mod-p class
+                assert _integrate_at(g, make_theory, trunc + 6, vertex, which) == got
+                continue
+            if below is not None:
+                assert re.search(f"smallest truncation degree that (keeps|reaches) it is {trunc}$", below)
+            later = _integrate_at(g, make_theory, trunc + 6, vertex, which)
+            assert (got.integral, got.negative_clean) == (later.integral, later.negative_clean)
 
 
 def test_top_degree_solver_basis_localizes_cleanly():
