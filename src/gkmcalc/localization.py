@@ -160,15 +160,15 @@ def _rationalize_class(cls: EquivariantClass, qtheory: Theory) -> EquivariantCla
     return EquivariantClass(parts, cls.degree)
 
 
-def _refuse_short_truncation(graph: GKMGraph, orders: list[int], localized, trunc: int, top: bool):
-    """Refuse a truncation the divisions f/e(v) cannot serve, naming the
-    vertex with the largest need.  Both operands are known below trunc + 1:
-    the Euler class keeps its leading term from trunc = lg on, and by the
-    division rule a read integral reaches s^0 from 2*lg - ord f on."""
+def _refuse_short_truncation(graph: GKMGraph, orders: list[int], localized, trunc: int, last: int):
+    """Refuse a truncation the divisions f/e(v) cannot serve up to s^last,
+    naming the vertex with the largest need.  Both operands are known below
+    trunc + 1: the Euler class keeps its leading term from trunc = lg on, and
+    by the division rule the quotient reaches s^last from 2*lg - ord f + last on."""
 
     def need(lg, f):
         lf = f.order()
-        return lg if lf is None or not top else max(lg, 2 * lg - lf)
+        return lg if lf is None else max(lg, 2 * lg - lf + last)
 
     lg, f, vertex = max(zip(orders, localized, graph.vertices), key=lambda t: need(t[0], t[1]))
     smallest = need(lg, f)
@@ -180,7 +180,7 @@ def _refuse_short_truncation(graph: GKMGraph, orders: list[int], localized, trun
         )
     if trunc < smallest:
         raise LocalizationError(
-            f"precision exhausted before exponent 0: at vertex {vertex} "
+            f"precision exhausted before exponent {last}: at vertex {vertex} "
             f"the Euler order is {lg} and the class order {f.order()}, so the "
             f"smallest truncation degree that reaches it is {smallest}"
         )
@@ -210,11 +210,11 @@ def integrate(
     degree = cls.degree if cls.degree is not None else cls.computed_degree()
     top_degree = 2 * graph.valence(0)
     top = degree == top_degree
-    # checked before the Euler classes are built, so that a truncation too
-    # small for them is refused as such
+    # checked before the Euler classes are built, which a short truncation
+    # would cut; the answer reads s^0 at top degree, below it s^-1 (the verdict)
     orders = _euler_orders(graph, fgl, slope)
     localized = localize_class(fgl, cls, slope)
-    _refuse_short_truncation(graph, orders, localized, work.trunc, top)
+    _refuse_short_truncation(graph, orders, localized, work.trunc, 0 if top else -1)
     eulers = euler_classes(graph, fgl, slope)
     total = LaurentSeries.zero(work)
     for f, eu in zip(localized, eulers):

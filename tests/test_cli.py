@@ -463,9 +463,21 @@ def test_cli_integrate_product_point_class():
 
 
 def test_cli_integrate_precision_exhausted_exit_4(tmp_path):
-    code, out, err = run_cli(*_cp4_hn_argv(tmp_path), "--trunc", "39")
-    assert (code, out) == (4, "")
-    assert err.startswith("error: precision exhausted before exponent 0")
+    # below top degree the negative-part verdict needs every quotient known
+    # through s^-1: the unit class (class order 0) needs 2*lg - 1
+    path = _cp2_with_class(tmp_path, "one", {"degree": 0, "restrictions": ["1", "1", "1"]})
+    for flags, trunc, need in (
+        (["--theory", "ordinary"], 2, 3),
+        (["--theory", "morava", "--p", "2", "--n", "2"], 8, 9),
+    ):
+        argv = ["integrate", path, *flags, "--class", "one"]
+        code, out, err = run_cli(*argv, "--trunc", str(trunc))
+        assert (code, out) == (4, "")
+        assert err.startswith("error: precision exhausted before exponent -1: at vertex A ")
+        assert err.endswith(f"class order 0, so the smallest truncation degree that reaches it is {need}\n")
+        code, out, err = run_cli(*argv, "--trunc", str(need))
+        assert (code, err) == (0, "")
+        assert out.splitlines()[-2:] == ["sum: 0 + O(s^0)", "negative part: clean"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -557,23 +569,17 @@ def test_cli_integrate_names_the_vertex_that_exhausts_the_precision(tmp_path):
 
 def test_cli_integrate_refuses_a_mixed_degree_class_below_the_euler_order(tmp_path):
     # slope (1, 2): vertex A pairs to 1 and 2, so its Euler class is [1]u*[2]u
-    # = v2*u^5 + ... under K(2) at p = 2, and a degree-4 truncation loses it
-    with open(graph_path("cp2.json"), encoding="utf-8") as fh:
-        doc = json.load(fh)
-    doc["classes"]["mixed"] = {"restrictions": ["chi(1,0)*chi(0,1) + chi(1,0)", "0", "0"]}
-    path = tmp_path / "cp2.json"
-    path.write_text(json.dumps(doc))
-    argv = [
-        "integrate", str(path), "--theory", "morava", "--p", "2", "--n", "2", "--class", "mixed",
-    ]
-    for trunc in (3, 4):
-        code, out, err = run_cli(*argv, "--trunc", str(trunc))
-        assert (code, out) == (4, "")
-        assert err == (
-            f"error: truncation degree {trunc} below the Euler order 5 at vertex A, where "
-            "the Euler class would lose its leading term, so the smallest truncation "
-            "degree that keeps it is 5\n"
-        )
+    # = v2*u^5 + ... under K(2) at p = 2, and a degree-4 truncation loses it;
+    # the class order 4 keeps the need at the Euler order, max(5, 2*5 - 4 - 1)
+    path = _cp2_with_class(tmp_path, "mixed", ["v2*chi(1,0)^4 + chi(1,0)^4", "0", "0"])
+    argv = ["integrate", path, "--theory", "morava", "--p", "2", "--n", "2", "--class", "mixed"]
+    code, out, err = run_cli(*argv, "--trunc", "4")
+    assert (code, out) == (4, "")
+    assert err == (
+        "error: truncation degree 4 below the Euler order 5 at vertex A, where "
+        "the Euler class would lose its leading term, so the smallest truncation "
+        "degree that keeps it is 5\n"
+    )
     code, out, _ = run_cli(*argv, "--trunc", "5")
     assert code == 0
     assert "euler A: v2*s^5 + O(s^6)" in out

@@ -256,20 +256,24 @@ _NEED_THEORIES = (
 
 
 def _need_classes(g, fgl, vertex):
-    """The point class at vertex and c1^n, where c1 restricts to chi of the
-    sum of the outgoing weights (two ends of an edge differ by a multiple of
-    its weight, so c1 is a class in every theory)."""
+    """The point class at vertex, c1^n, where c1 restricts to chi of the sum
+    of the outgoing weights (two ends of an edge differ by a multiple of its
+    weight, so c1 is a class in every theory), and the unit class."""
     m, n = g.rank, g.valence(0)
-    zero = TruncatedSeries.zero(fgl.theory, m)
+    zero, one = TruncatedSeries.zero(fgl.theory, m), TruncatedSeries.one(fgl.theory, m)
     pt = [zero] * len(g.vertices)
-    pt[vertex] = TruncatedSeries.one(fgl.theory, m)
+    pt[vertex] = one
     for w in g.outgoing_weights(vertex):
         pt[vertex] = pt[vertex] * character_class(fgl, w)
     c1 = [
         character_class(fgl, tuple(map(sum, zip(*g.outgoing_weights(v))))) ** n
         for v in range(len(g.vertices))
     ]
-    return [EquivariantClass(tuple(pt), 2 * n), EquivariantClass(tuple(c1), 2 * n)]
+    return [
+        EquivariantClass(tuple(pt), 2 * n),
+        EquivariantClass(tuple(c1), 2 * n),
+        EquivariantClass((one,) * len(g.vertices), 0),
+    ]
 
 
 def _integrate_at(g, make_theory, trunc, vertex, which):
@@ -290,7 +294,7 @@ def test_smallest_accepted_truncation_is_the_need(name):
     rng = random.Random(f"need-{name}")
     for make_theory in _NEED_THEORIES:
         vertex = rng.randrange(len(g.vertices))
-        for which in (0, 1):
+        for which in (0, 1, 2):
             trunc, below = 1, None
             while isinstance(got := _integrate_at(g, make_theory, trunc, vertex, which), str):
                 if not got.startswith(("truncation degree", "precision exhausted")):
@@ -302,6 +306,8 @@ def test_smallest_accepted_truncation_is_the_need(name):
                 continue
             if below is not None:
                 assert re.search(f"smallest truncation degree that (keeps|reaches) it is {trunc}$", below)
+            # the sum is known through every exponent the answer reads
+            assert got.total.prec > (-1 if which == 2 else 0)
             later = _integrate_at(g, make_theory, trunc + 6, vertex, which)
             assert (got.integral, got.negative_clean) == (later.integral, later.negative_clean)
 
