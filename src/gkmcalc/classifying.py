@@ -10,17 +10,22 @@ leading coefficient it is u_m^nu times a unit, so the residue of a series is
 its cut at u_m-exponent nu.  Which theories pin this model down and which
 expose it as conjectural is the README's `model: conjectural` paragraph.
 A monomial's residue is a product of adapted classes taken in the cut ring,
-cut after each factor when nu > 1; at nu = 1 the cut sets u_m to 0.
+cut after each factor when nu > 1; at nu = 1 the cut sets u_m to 0.  Each
+ideal keeps these residues in one table of stored-format term dicts, filled
+in order of total degree from the term lists of the adapted classes: one
+factor per monomial, so a one-term class is a shift of exponents.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+from operator import add
 from typing import NamedTuple
 
 from .fgl import FormalGroupLaw
 from .lattice import adapted_basis, hermite_basis, primitive_part
 from .scalars import MORAVA, Theory
-from .series import TruncatedSeries, exponent_vectors
+from .series import TruncatedSeries, _clean, exponent_vectors
 
 
 def character_class(fgl: FormalGroupLaw, weight, nvars: int | None = None) -> TruncatedSeries:
@@ -104,7 +109,8 @@ class RestrictionIdeal:
     u_m^order.  basis_change moves the ambient ring into the adapted
     coordinates, where the variables become the classes in adapted_classes,
     taken in the cut ring (u_m = 0) at order 1, so a monomial's image is a
-    product of them.  It memoizes images per monomial, multiples per degree.
+    product of them.  It keeps a table of monomial images, filled on demand,
+    and the Hermite bases of its multiples, per degree.
     """
 
     def __init__(
@@ -128,7 +134,12 @@ class RestrictionIdeal:
         self.generator = generator
         self.order = order
         self.leading_unit = leading_unit
-        self._images = {}
+        self._images = {(0,) * len(weight): {((0,) * len(weight), 0): 1}}
+        # the term lists (|beta|, beta, k, c) of the adapted classes, by
+        # ascending |beta| so that a product can stop at the truncation
+        self._factors = [
+            sorted((sum(b), b, k, c) for (b, k), c in f.coeffs.items()) for f in adapted_classes
+        ]
         self._hermite_cache = {}
 
     @property
@@ -141,24 +152,61 @@ class RestrictionIdeal:
         as every nonzero one has over a graded field."""
         return self.generator.is_zero() or self.leading_unit
 
-    def monomial_image(self, alpha) -> TruncatedSeries:
-        """u^alpha in the adapted coordinates, cut below u_m^order for a
-        unit-lead generator (its residue when the residue is linear): the
-        image of u^(alpha - e_i) times the i-th adapted class, i the last
-        variable in alpha, cut again above order 1; both steps are ring maps."""
-        img = self._images.get(alpha)
-        if img is None:
-            if not any(alpha):
-                img = TruncatedSeries.one(self.fgl.theory, self.nvars)
-            else:
-                i = max(j for j, e in enumerate(alpha) if e)
-                lower = alpha[:i] + (alpha[i] - 1,) + alpha[i + 1:]
-                img = self.monomial_image(lower) * self.adapted_classes[i]
-                if self.leading_unit and self.order > 1:
-                    cut = {key: c for key, c in img.coeffs.items() if key[0][-1] < self.order}
-                    img = TruncatedSeries.from_raw(img.theory, self.nvars, cut)
-            self._images[alpha] = img
-        return img
+    def monomial_images(self, alphas) -> list[dict]:
+        """The images of the u^alpha in the adapted coordinates, as
+        stored-format term dicts {(beta, k): c}, cut below u_m^order for a
+        unit-lead generator (the residue when the residue is linear).  The
+        table grows in order of total degree, so the image of u^alpha is
+        that of u^(alpha - e_i), i the last variable in alpha, times the
+        i-th adapted class, cut again above order 1: both steps are ring
+        maps.  The dicts are the table's own; callers only read them."""
+        table = self._images
+        steps = _image_steps(self.nvars, max(map(sum, alphas), default=0))
+        # the table holds the zero vector and a prefix of the steps
+        if len(table) <= len(steps):
+            th = self.fgl.theory
+            cut = self.order if self.leading_unit and self.order > 1 else th.trunc + 1
+            for alpha, i, lower in steps[len(table) - 1:]:
+                table[alpha] = _times_class(table[lower], self._factors[i], th.char, th.trunc, cut)
+        return [table[alpha] for alpha in alphas]
+
+
+@lru_cache(maxsize=None)
+def _image_steps(nvars: int, dmax: int) -> tuple:
+    """(alpha, i, alpha - e_i) for the nonzero exponent vectors of total
+    degree <= dmax in canonical order, i the last variable in alpha."""
+    steps = []
+    for alpha in exponent_vectors(nvars, dmax)[1:]:
+        i = max(j for j, e in enumerate(alpha) if e)
+        steps.append((alpha, i, alpha[:i] + (alpha[i] - 1,) + alpha[i + 1:]))
+    return tuple(steps)
+
+
+def _times_class(image: dict, factor: list, p: int, trunc: int, cut: int) -> dict:
+    """The term dict image times the class with the term list factor, mod p
+    when p is nonzero, without terms above trunc or at u_m-exponent >= cut."""
+    if len(factor) == 1:
+        # a shift of exponents and a scaling: no two terms meet, and a
+        # product of nonzero coefficients is nonzero over Z and mod p
+        (size_b, b, kb, cb), = factor
+        out = {}
+        for (a, ka), ca in image.items():
+            if sum(a) + size_b <= trunc:
+                beta = tuple(map(add, a, b))
+                if beta[-1] < cut:
+                    out[beta, ka + kb] = ca * cb % p if p else ca * cb
+        return out
+    acc = {}
+    for (a, ka), ca in image.items():
+        room = trunc - sum(a)
+        for size_b, b, kb, cb in factor:
+            if size_b > room:
+                break
+            beta = tuple(map(add, a, b))
+            if beta[-1] < cut:
+                key = (beta, ka + kb)
+                acc[key] = acc.get(key, 0) + ca * cb
+    return _clean(acc, p)
 
 
 def kernel_ideal(fgl: FormalGroupLaw, weight) -> RestrictionIdeal:

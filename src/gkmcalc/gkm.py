@@ -38,15 +38,19 @@ class GKMGraph(NamedTuple):
     def incident(self, i: int) -> list[GKMEdge]:
         return [e for e in self.edges if i in (e.tail, e.head)]
 
+    def adjacency(self) -> list[list[tuple[int, tuple[int, ...]]]]:
+        """For each vertex, the pairs (other endpoint, weight oriented away
+        from the vertex) of the edges at it, in edge order: one pass over
+        the edges, whose endpoints must be vertex indices."""
+        out = [[] for _ in self.vertices]
+        for e in self.edges:
+            out[e.tail].append((e.head, e.weight))
+            out[e.head].append((e.tail, tuple(-a for a in e.weight)))
+        return out
+
     def outgoing_weights(self, i: int) -> list[tuple[int, ...]]:
         """Weights of edges at vertex i, oriented away from it."""
-        out = []
-        for e in self.edges:
-            if e.tail == i:
-                out.append(e.weight)
-            if e.head == i:
-                out.append(tuple(-a for a in e.weight))
-        return out
+        return [w for _j, w in self.adjacency()[i]]
 
     def valence(self, i: int) -> int:
         return len(self.incident(i))
@@ -106,8 +110,9 @@ def validate_graph(graph: GKMGraph) -> list[str]:
             violations.append(f"edge {idx}: loop at vertex {graph.vertices[e.tail]}")
     if violations:
         return violations
-    for i in range(k):
-        ws = graph.outgoing_weights(i)
+    adjacency = graph.adjacency()
+    for i, star in enumerate(adjacency):
+        ws = [w for _j, w in star]
         for a in range(len(ws)):
             for b in range(a + 1, len(ws)):
                 if not any(_minors(ws[a], ws[b])):
@@ -119,16 +124,14 @@ def validate_graph(graph: GKMGraph) -> list[str]:
     seen = {0}
     frontier = [0]
     while frontier:
-        v = frontier.pop()
-        for e in graph.edges:
-            if v in (e.tail, e.head):
-                other = e.head if v == e.tail else e.tail
-                if other not in seen:
-                    seen.add(other)
-                    frontier.append(other)
+        for other, _w in adjacency[frontier.pop()]:
+            if other not in seen:
+                seen.add(other)
+                frontier.append(other)
     if len(seen) != k:
         violations.append("graph is not connected")
-    valences = {graph.valence(i) for i in range(k)}
+    # no edge is a loop here, so each edge at a vertex is one entry of its star
+    valences = {len(star) for star in adjacency}
     if len(valences) > 1:
         violations.append(f"vertices have unequal valences {sorted(valences)}")
     return violations
@@ -149,19 +152,20 @@ def mod_p_weight_warnings(graph: GKMGraph, p: int) -> list[str]:
     either way, but mod-p degenerations are worth surfacing because torsion
     edges behave differently at different heights.
     """
+    _refuse_invalid(graph)
     warnings = []
-    for i in range(len(graph.vertices)):
-        ws = graph.outgoing_weights(i)
+    for name, star in zip(graph.vertices, graph.adjacency()):
+        ws = [w for _j, w in star]
         for a in range(len(ws)):
             if all(x % p == 0 for x in ws[a]):
                 warnings.append(
-                    f"vertex {graph.vertices[i]}: weight {ws[a]} vanishes mod {p}"
+                    f"vertex {name}: weight {ws[a]} vanishes mod {p}"
                 )
         for a in range(len(ws)):
             for b in range(a + 1, len(ws)):
                 if all(x % p == 0 for x in _minors(ws[a], ws[b])):
                     warnings.append(
-                        f"vertex {graph.vertices[i]}: weights {ws[a]} and {ws[b]} "
+                        f"vertex {name}: weights {ws[a]} and {ws[b]} "
                         f"dependent mod {p}"
                     )
     return list(dict.fromkeys(warnings))
@@ -279,8 +283,12 @@ def solve_equivariant_cohomology(graph: GKMGraph, theory: Theory, q_max: int) ->
 
 def _solve_degree(theory, graph, ideals, monos, q):
     """Kernel basis, constraint row count and elementary divisors of the
-    degree-q congruence system."""
+    degree-q congruence system.  Each distinct weight's ideal gives the
+    images of the slice's monomials once, as term dicts that every edge of
+    that weight reads."""
     ncols = len(graph.vertices) * len(monos)
+    alphas = [alpha for alpha, _k in monos]
+    images = {w: ideal.monomial_images(alphas) for w, ideal in ideals.items()}
     rows = []
     width = ncols
     for edge in graph.edges:
@@ -300,8 +308,8 @@ def _solve_degree(theory, graph, ideals, monos, q):
                     rowmap.setdefault(ad_monos[i][0], {})[width] = -c
                 width += 1
         tail, head = edge.tail * len(monos), edge.head * len(monos)
-        for j, (alpha, _v) in enumerate(monos):
-            for (beta, _k), c in ideal.monomial_image(alpha).coeffs.items():
+        for j, image in enumerate(images[edge.weight]):
+            for (beta, _k), c in image.items():
                 row = rowmap.setdefault(beta, {})
                 row[tail + j] = c
                 row[head + j] = -c

@@ -89,9 +89,9 @@ def _euler_orders(graph: GKMGraph, fgl: FormalGroupLaw, slope: GenericSlope) -> 
     built: the sum of the orders of the cyclic rings' relations [t]u.  Only
     an additive mod-p relation vanishes (p | t), and that is refused."""
     out = []
-    for i, v in enumerate(graph.vertices):
+    for v, star in zip(graph.vertices, graph.adjacency()):
         out.append(0)
-        for w in graph.outgoing_weights(i):
+        for _j, w in star:
             t = pairing(w, slope.vector)
             order = relation_order(fgl, abs(t))
             if order is None:
@@ -110,8 +110,8 @@ def _euler_orders(graph: GKMGraph, fgl: FormalGroupLaw, slope: GenericSlope) -> 
 def euler_classes(graph: GKMGraph, fgl: FormalGroupLaw, slope: GenericSlope) -> list[VertexEuler]:
     th = fgl.theory
     out = []
-    for i in range(len(graph.vertices)):
-        pairings = [pairing(w, slope.vector) for w in graph.outgoing_weights(i)]
+    for i, star in enumerate(graph.adjacency()):
+        pairings = [pairing(w, slope.vector) for _j, w in star]
         if any(t == 0 for t in pairings):
             raise LocalizationError(
                 f"slope {slope.vector} pairs to zero with a weight at vertex "

@@ -426,6 +426,44 @@ def cut(f, ideal):
     )
 
 
+def series_product_image(ideal, alpha):
+    """The oracle for the ideal's image table: u^alpha in the adapted
+    coordinates as a series product, the image of u^(alpha - e_i) times the
+    i-th adapted class, i the last variable in alpha, cut after each factor."""
+    m = ideal.nvars
+    if not any(alpha):
+        return TruncatedSeries.one(ideal.fgl.theory, m)
+    i = max(j for j, e in enumerate(alpha) if e)
+    lower = alpha[:i] + (alpha[i] - 1,) + alpha[i + 1:]
+    return cut(series_product_image(ideal, lower) * ideal.adapted_classes[i], ideal)
+
+
+def congruence_rows(graph, ideals, monos, q):
+    """The solver's degree-q rows assembled from series-product images: per
+    edge, one row per adapted exponent beta, with the edge's lattice of
+    truncated multiples in slack columns after the x columns when its
+    residue is not linear."""
+    rows = []
+    width = len(graph.vertices) * len(monos)
+    for edge in graph.edges:
+        ideal = ideals[edge.weight]
+        rowmap = {}
+        if not ideal.residue_is_linear:
+            ad_monos, multiples = ideal_multiples_basis(ideal, q)
+            for h in multiples:
+                for i, c in h.items():
+                    rowmap.setdefault(ad_monos[i][0], {})[width] = -c
+                width += 1
+        tail, head = edge.tail * len(monos), edge.head * len(monos)
+        for j, (alpha, _k) in enumerate(monos):
+            for (beta, _k2), c in series_product_image(ideal, alpha).coeffs.items():
+                row = rowmap.setdefault(beta, {})
+                row[tail + j] = c
+                row[head + j] = -c
+        rows.extend(rowmap.values())
+    return rows
+
+
 def reduce_adapted(g, ideal):
     """The canonical residue of g, a series in the ideal's adapted
     coordinates: the cut when the residue is linear, else each homogeneous

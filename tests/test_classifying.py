@@ -223,17 +223,38 @@ def test_adapted_classes_are_taken_in_the_cut_ring():
             ideal = kernel_ideal(fgl, tuple(d * a for a in theta))
             full = [character_class(fgl, tuple(row)) for row in ideal.basis_change]
             m = len(theta)
-            firsts = [ideal.monomial_image(tuple(int(i == j) for j in range(m))) for i in range(m)]
-            assert firsts == [helpers.cut(c, ideal) for c in full]
+            firsts = ideal.monomial_images([tuple(int(i == j) for j in range(m)) for i in range(m)])
+            assert firsts == [helpers.cut(c, ideal).coeffs for c in full]
             if ideal.leading_unit:
                 orders.add(ideal.order)
             if ideal.leading_unit and ideal.order == 1:
                 exponents = {alpha[-1] for c in ideal.adapted_classes for alpha, _k in c.coeffs}
                 assert exponents == {0}
-                assert ideal.adapted_classes == firsts
+                assert [c.coeffs for c in ideal.adapted_classes] == firsts
             else:
                 assert ideal.adapted_classes == full
     assert orders == {1, 2, 4}
+
+
+def test_image_table_matches_series_products_and_full_substitution():
+    # the table is filled from several slices' requests in any order; every
+    # image equals the series product of the adapted classes, cut after each
+    # factor, and the cut of the monomial moved by one full substitution
+    for th, d in IDEAL_CASES:
+        fgl = build_fgl(th)
+        for theta in ((-1, 2), (2, -1, -1), (1, 1, 1)):
+            ideal = kernel_ideal(fgl, tuple(d * a for a in theta))
+            m = len(theta)
+            alphas = exponent_vectors(m, th.trunc)
+            for size in (2, 0, th.trunc, 1):
+                part = [alpha for alpha in alphas if sum(alpha) == size]
+                ideal.monomial_images(part)
+            images = ideal.monomial_images(alphas)
+            assert ideal.monomial_images(alphas[::-1]) == images[::-1]
+            for alpha, image in zip(alphas, images):
+                mono = TruncatedSeries(th, m, {(alpha, 0): 1})
+                moved = helpers.cut(helpers.transport(fgl, mono, ideal.basis_change), ideal)
+                assert image == moved.coeffs == helpers.series_product_image(ideal, alpha).coeffs
 
 
 def test_generator_is_the_relation_on_the_last_variable():
@@ -331,15 +352,20 @@ def test_residues_match_full_substitution(th, d, linear):
         ideal = kernel_ideal(fgl, tuple(d * a for a in theta))
         assert ideal.residue_is_linear == linear
         m = len(theta)
-        for alpha in exponent_vectors(m, th.trunc):
+        alphas = exponent_vectors(m, th.trunc)
+        table = dict(zip(alphas, ideal.monomial_images(alphas)))
+        for alpha in alphas:
             mono = TruncatedSeries(th, m, {(alpha, 0): 1})
             expect = helpers.cut(helpers.transport(fgl, mono, ideal.basis_change), ideal)
-            assert ideal.monomial_image(alpha) == expect
+            assert table[alpha] == expect.coeffs
         # the solver's rows are the images of f's monomials, with the
         # lattice of multiples in slack columns for a lattice edge
         for _ in range(4):
             f = helpers.random_series(rng, th, m, terms=5)
-            images = ((ideal.monomial_image(alpha), c, k) for (alpha, k), c in f.coeffs.items())
+            images = (
+                (TruncatedSeries.from_raw(th, m, table[alpha]), c, k)
+                for (alpha, k), c in f.coeffs.items()
+            )
             adapted = TruncatedSeries.combination(th, m, images)
             assert helpers.reduce_adapted(adapted, ideal) == helpers.ideal_residue(f, ideal)
 

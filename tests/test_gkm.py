@@ -528,3 +528,105 @@ def test_kernel_vectors_are_sparse_with_ascending_keys(path, theory):
         for vec in vecs:
             assert vec and list(vec) == sorted(vec) and set(vec) <= set(range(ncols)), q
             assert all(c and theory.reduce(c) == c for c in vec.values()), q
+
+
+SEVEN_THEORIES = [
+    pytest.param(helpers.ordinary(6), id="ordinary"),
+    pytest.param(helpers.modp(2, 6), id="mod2"),
+    pytest.param(helpers.modp(3, 6), id="mod3"),
+    pytest.param(helpers.mult(6), id="mult"),
+    pytest.param(helpers.morava(2, 1, 6), id="K1p2"),
+    pytest.param(helpers.morava(3, 1, 6), id="K1p3"),
+    pytest.param(helpers.morava(2, 2, 6), id="K2p2"),
+]
+
+
+@pytest.mark.parametrize("theory", SEVEN_THEORIES)
+@pytest.mark.parametrize("path", GRAPH_FILES, ids=os.path.basename)
+def test_congruence_rows_match_series_product_assembly(monkeypatch, path, theory):
+    # the rows the elimination receives, as sorted (column, entry) tuples,
+    # equal the rows built from one series product per monomial image
+    import gkmcalc.gkm as gkm_module
+
+    from gkmcalc import kernel_ideal
+
+    systems, rows = [], []
+    real_solve = gkm_module._solve_degree
+
+    def solve_degree(th, graph, ideals, monos, q):
+        systems.append((graph, monos, q))
+        return real_solve(th, graph, ideals, monos, q)
+
+    def capture(real):
+        return lambda matrix, *rest: rows.append([dict(r) for r in matrix]) or real(matrix, *rest)
+
+    monkeypatch.setattr(gkm_module, "_solve_degree", solve_degree)
+    monkeypatch.setattr(gkm_module, "field_kernel", capture(gkm_module.field_kernel))
+    monkeypatch.setattr(gkm_module, "integer_kernel", capture(gkm_module.integer_kernel))
+    graph = load_graph_document(path).graph
+    solve_equivariant_cohomology(graph, theory, 4)
+    fgl = build_fgl(theory)
+    ideals = {e.weight: kernel_ideal(fgl, e.weight) for e in graph.edges}
+    assert len(systems) == len(rows) > 0
+    for (g, monos, q), got in zip(systems, rows):
+        expect = helpers.congruence_rows(g, ideals, monos, q)
+        assert sorted(tuple(sorted(r.items())) for r in got) == sorted(
+            tuple(sorted(r.items())) for r in expect
+        ), q
+
+
+def test_cp4_rows_take_no_series_product(monkeypatch):
+    # every adapted class of CP^4 under K(1) at p = 2 is u1, u2, u3 or 0, so
+    # each image is an exponent shift of the one below it
+    import gkmcalc.gkm as gkm_module
+
+    inside, products = [], []
+    real_mul, real_solve = TruncatedSeries.__mul__, gkm_module._solve_degree
+
+    def solve_degree(*args):
+        inside.append(1)
+        try:
+            return real_solve(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(gkm_module, "_solve_degree", solve_degree)
+    monkeypatch.setattr(
+        TruncatedSeries, "__mul__", lambda a, b: (inside and products.append(1)) or real_mul(a, b)
+    )
+    sol = solve_equivariant_cohomology(helpers.cpn(4), helpers.morava(2, 1, trunc=4), 6)
+    assert sol.ranks and not inside and products == []
+
+
+@pytest.mark.parametrize(
+    "graph,theory",
+    [
+        pytest.param(helpers.cpn(4), helpers.morava(3, 1, trunc=4), id="CP4-K1p3"),
+        pytest.param(helpers.fl3(), helpers.ordinary(trunc=4), id="Fl3-ordinary"),
+        pytest.param(helpers.fl3(), helpers.morava(2, 2, trunc=6), id="Fl3-K2p2"),
+    ],
+)
+def test_each_monomial_image_is_computed_once_per_solve(monkeypatch, graph, theory):
+    # the slices of the distinct solves read the images of their monomials
+    # from one table per weight; a product is taken only for a new entry
+    import gkmcalc.classifying as classifying_module
+    import gkmcalc.gkm as gkm_module
+
+    ideals, products, asked = [], [], []
+    real_ideal, real_times = gkm_module.kernel_ideal, classifying_module._times_class
+    monkeypatch.setattr(
+        gkm_module, "kernel_ideal", lambda *a: ideals.append(real_ideal(*a)) or ideals[-1]
+    )
+    monkeypatch.setattr(
+        classifying_module, "_times_class", lambda *a: products.append(1) or real_times(*a)
+    )
+    real_solve = gkm_module._solve_degree
+    monkeypatch.setattr(
+        gkm_module, "_solve_degree", lambda *a: asked.append(a[3]) or real_solve(*a)
+    )
+    solve_equivariant_cohomology(graph, theory, 6)
+    assert len(asked) > 1 and len(ideals) == len({e.weight for e in graph.edges})
+    for ideal in ideals:
+        table = ideal._images
+        assert all(alpha in table for monos in asked for alpha, _k in monos)
+    assert len(products) == sum(len(ideal._images) - 1 for ideal in ideals)
