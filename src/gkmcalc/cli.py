@@ -20,9 +20,9 @@ from .gkm import (
     solve_equivariant_cohomology,
     validate_graph,
 )
-from .graphio import GraphFileError, build_class, load_graph_document
+from .graphio import GraphFileError, class_at_slope, load_graph_document
 from .lattice import primitive_part
-from .localization import LocalizationError, integrate, work_theory
+from .localization import LocalizationError, integrate_at_slope, iterate_generic_slopes, work_theory
 from .scalars import (
     MOD_P,
     MORAVA,
@@ -167,9 +167,13 @@ def cmd_solve(args, out, err) -> int:
 def cmd_integrate(args, out, err) -> int:
     theory = _theory_from_args(args)
     doc = _load_valid_graph(args, err)
-    cls = build_class(doc, args.class_name, build_fgl(work_theory(theory)))
+    # the slope search never refuses a valid graph, so the class's refusals
+    # still come first
+    slope = next(iterate_generic_slopes(doc.graph, theory))
+    fgl = build_fgl(work_theory(theory))
+    localized, degree = class_at_slope(doc, args.class_name, fgl, slope.vector)
     _warnings(theory, doc.graph, err)
-    report = integrate(doc.graph, theory, cls)
+    report = integrate_at_slope(doc.graph, theory, slope, localized, degree)
     _banner(theory, out)
     print(f"slope: {report.slope.vector}", file=out)
     if not report.slope.mod_p_generic:

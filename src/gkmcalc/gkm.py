@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 from .classifying import _slice_monomials, ideal_multiples_basis, kernel_ideal
 from .fgl import build_fgl
-from .lattice import field_kernel, integer_kernel, invariant_factors, primitive_part, vec_mat
+from .lattice import field_kernel, integer_kernel, invariant_factors, primitive_part
 from .scalars import Theory
 from .series import TruncatedSeries
 
@@ -48,25 +48,8 @@ class GKMGraph(NamedTuple):
             out[e.head].append((e.tail, tuple(-a for a in e.weight)))
         return out
 
-    def outgoing_weights(self, i: int) -> list[tuple[int, ...]]:
-        """Weights of edges at vertex i, oriented away from it."""
-        return [w for _j, w in self.adjacency()[i]]
-
     def valence(self, i: int) -> int:
         return len(self.incident(i))
-
-    def relabel(self, perm: list[int]) -> "GKMGraph":
-        """New graph with vertex i renamed to position perm[i]."""
-        names = [None] * len(self.vertices)
-        for i, name in enumerate(self.vertices):
-            names[perm[i]] = name
-        edges = [GKMEdge(perm[e.tail], perm[e.head], e.weight) for e in self.edges]
-        return GKMGraph(self.rank, names, edges)
-
-    def change_coordinates(self, w) -> "GKMGraph":
-        """Transform all edge weights by the unimodular matrix w (a -> a @ w)."""
-        edges = [GKMEdge(e.tail, e.head, vec_mat(e.weight, w)) for e in self.edges]
-        return GKMGraph(self.rank, list(self.vertices), edges)
 
     def primitive(self) -> "GKMGraph":
         """The graph with every weight replaced by its primitive part, of the
@@ -199,12 +182,19 @@ class EquivariantClass:
         return EquivariantClass(parts, deg)
 
     def computed_degree(self) -> int | None:
-        degs = {f.homogeneous_degree() for f in self.restrictions if not f.is_zero()}
-        if len(degs) == 1:
-            return degs.pop()
-        if not degs:
-            return 0
-        return None
+        return common_degree(f.degrees() for f in self.restrictions)
+
+
+def common_degree(degree_lists) -> int | None:
+    """The degree of a class from the degree lists of its restrictions: the
+    one degree of its nonzero ones, 0 when all are zero, None when they
+    differ or one mixes degrees."""
+    degs = {d[0] if len(d) == 1 else None for d in degree_lists if d}
+    if len(degs) == 1:
+        return degs.pop()
+    if not degs:
+        return 0
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -369,12 +359,6 @@ def formality_prediction(theory: Theory, nvars: int, betti, q: int) -> int:
 class FormalityReport(NamedTuple):
     rows: list[tuple[int, int, int, bool]]  # (q, solver rank, predicted, ok)
     passed: bool
-
-    def first_failure(self) -> int | None:
-        for q, _, _, ok in self.rows:
-            if not ok:
-                return q
-        return None
 
 
 def check_formality(graph: GKMGraph, betti, solution: SolutionModule) -> FormalityReport:

@@ -4,7 +4,9 @@ A graph file is a JSON document with keys torus_rank, vertices, edges, and
 optionally betti and classes.  Class restrictions are small polynomial
 expressions in u1..um; chi(a1,...,am) names the Euler class of a character,
 which keeps the files meaningful across theories, and v (resp. b) names the
-periodicity generator when the theory has one.
+periodicity generator when the theory has one.  build_class expands a class
+in the torus variables; class_at_slope evaluates it at an integration slope,
+in one variable, with the same refusals.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import NamedTuple
 
 from .fgl import FormalGroupLaw
 from .classifying import character_class
-from .gkm import EquivariantClass, GKMEdge, GKMGraph
+from .gkm import EquivariantClass, GKMEdge, GKMGraph, common_degree
 from .scalars import ORDINARY, RATIONAL
 from .series import TruncatedSeries
 
@@ -148,15 +150,17 @@ def parse_graph_document(doc, origin: str = "<graph>") -> GraphDocument:
     return GraphDocument(graph, betti, classes, origin)
 
 
-def build_class(doc: GraphDocument, name: str, fgl: FormalGroupLaw) -> EquivariantClass:
+def _class_parts(doc: GraphDocument, name: str, restriction) -> tuple[int | None, list]:
+    """The class's degree tag and restriction(expr) at each vertex, where
+    restriction returns a value and the degrees of its torus expansion,
+    ascending; every refusal names the file, the class and the vertex."""
     if name not in doc.classes:
         raise GraphFileError(f"{doc.origin}: class {name!r} is not defined in the graph file")
     degree, exprs = doc.classes[name]
-    m = doc.graph.rank
     parts = []
     for vertex, expr in zip(doc.graph.vertices, exprs):
         try:
-            series = parse_expression(expr, fgl, m)
+            value, degs = restriction(expr)
         except GraphFileError as exc:
             raise GraphFileError(
                 f"{doc.origin}: class {name!r} at vertex {vertex}: expression {expr!r}: {exc}"
@@ -165,7 +169,6 @@ def build_class(doc: GraphDocument, name: str, fgl: FormalGroupLaw) -> Equivaria
             raise GraphFileError(
                 f"{doc.origin}: class {name!r} at vertex {vertex}: expression nests too deeply"
             ) from exc
-        degs = series.degrees()
         if degree is not None and degs and degs != [degree]:
             if len(degs) == 1:
                 found = f"has degree {degs[0]}"
@@ -174,8 +177,47 @@ def build_class(doc: GraphDocument, name: str, fgl: FormalGroupLaw) -> Equivaria
             raise GraphFileError(
                 f"{doc.origin}: class {name!r} at vertex {vertex}: expression {found}, tagged {degree}"
             )
-        parts.append(series)
-    return EquivariantClass(tuple(parts), degree)
+        parts.append((value, degs))
+    return degree, parts
+
+
+def build_class(doc: GraphDocument, name: str, fgl: FormalGroupLaw) -> EquivariantClass:
+    m = doc.graph.rank
+
+    def restriction(expr):
+        series = parse_expression(expr, fgl, m)
+        return series, series.degrees()
+
+    degree, parts = _class_parts(doc, name, restriction)
+    return EquivariantClass(tuple(series for series, _degs in parts), degree)
+
+
+def class_at_slope(
+    doc: GraphDocument, name: str, fgl: FormalGroupLaw, slope
+) -> tuple[list[TruncatedSeries], int | None]:
+    """The restrictions of the named class under u_i -> [slope_i](s), as
+    one-variable series, and the class's degree: its tag, else the one
+    degree of its nonzero restrictions (see common_degree).  They equal
+    localize_class of build_class, which refuses the same inputs with the
+    same messages.  An expression without a sum is evaluated at the slope
+    (see _SlopeParser); one with a sum is expanded in the torus variables,
+    where alone a cancellation shows, and then substituted."""
+    m = doc.graph.rank
+    images = [fgl.n_series(a) for a in slope]
+
+    def restriction(expr):
+        tokens = _tokenize(expr)
+        try:
+            image = _SlopeParser(tokens, fgl, m, slope).parse()
+        except _HasSum:
+            series = _Parser(tokens, fgl, m).parse()
+            return series.substitute(images), series.degrees()
+        return image.series, [] if image.order is None else [image.degree]
+
+    degree, parts = _class_parts(doc, name, restriction)
+    if degree is None:
+        degree = common_degree(degs for _series, degs in parts)
+    return [series for series, _degs in parts], degree
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +249,10 @@ def _tokenize(text: str):
 
 
 class _Parser:
+    """The grammar of class expressions, evaluated as series in the torus
+    variables.  _SlopeParser replaces the atoms (constant, variable, chi)
+    and the scalar check; its values bring their own arithmetic."""
+
     def __init__(self, tokens, fgl: FormalGroupLaw, nvars: int):
         self.tokens = tokens
         self.pos = 0
@@ -228,13 +274,13 @@ class _Parser:
             found = "the end of the expression" if kind == "end" else repr(val)
             raise GraphFileError(f"expected {op!r}, found {found}")
 
-    def parse(self) -> TruncatedSeries:
+    def parse(self):
         out = self.expr()
         if self.peek()[0] != "end":
             raise GraphFileError(f"unexpected trailing token {self.peek()[1]!r}")
         return out
 
-    def expr(self) -> TruncatedSeries:
+    def expr(self):
         negate = False
         kind, val = self.peek()
         if kind == "op" and val in "+-":
@@ -252,7 +298,7 @@ class _Parser:
             else:
                 return acc
 
-    def term(self) -> TruncatedSeries:
+    def term(self):
         acc = self.factor()
         while True:
             kind, val = self.peek()
@@ -263,7 +309,7 @@ class _Parser:
             else:
                 return acc
 
-    def factor(self) -> TruncatedSeries:
+    def factor(self):
         base = self.atom()
         kind, val = self.peek()
         if kind == "op" and val == "^":
@@ -272,16 +318,13 @@ class _Parser:
             if e >= 0:
                 return self.uncut(base ** e, base)
             # negative powers only make sense for unit scalars
-            if len(base.coeffs) > 1 or base.order():
-                raise GraphFileError("negative exponents need a scalar base")
-            c, k = base.coefficient((0,) * self.nvars)
+            c, k = self.scalar(base)
             if not self.theory.is_unit(c):
                 raise GraphFileError(f"negative exponent of the non-unit {base}")
-            out = self.constant(self.theory.inverse(c), -k)
-            return out ** (-e) if -e > 1 else out
+            return self.constant(self.theory.inverse(c), -k) ** -e
         return base
 
-    def uncut(self, result: TruncatedSeries, *factors) -> TruncatedSeries:
+    def uncut(self, result, *factors):
         """result, the product of factors, refused when the truncation cut it
         to zero: the coefficient rings are domains, so only the truncation
         can have."""
@@ -307,7 +350,7 @@ class _Parser:
         self.take()
         return sign * val
 
-    def atom(self) -> TruncatedSeries:
+    def atom(self):
         kind, val = self.take()
         if kind == "int":
             return self.constant(val)
@@ -327,13 +370,13 @@ class _Parser:
                     raise GraphFileError(
                         f"chi takes {self.nvars} components, found {len(weight)}"
                     )
-                return character_class(self.fgl, tuple(weight), self.nvars)
+                return self.chi(tuple(weight))
             mu = re.fullmatch(r"u(\d+)", val)
             if mu:
                 i = int(mu.group(1))
                 if not 1 <= i <= self.nvars:
                     raise GraphFileError(f"variable {val} out of range 1..{self.nvars}")
-                return TruncatedSeries.variable(self.theory, self.nvars, i - 1)
+                return self.variable(i - 1)
             unit = self.theory.unit_name
             if val == unit or (val == "v" and unit and unit.startswith("v")):
                 return self.constant(1, 1)
@@ -345,6 +388,94 @@ class _Parser:
         if kind == "end":
             raise GraphFileError("unexpected end of the expression")
         raise GraphFileError(f"unexpected token {val!r}")
+
+    def variable(self, i: int) -> TruncatedSeries:
+        return TruncatedSeries.variable(self.theory, self.nvars, i)
+
+    def chi(self, weight) -> TruncatedSeries:
+        return character_class(self.fgl, weight, self.nvars)
+
+    def scalar(self, base: TruncatedSeries) -> tuple:
+        """(c, k) of a constant base c * unit^k."""
+        if len(base.coeffs) > 1 or base.order():
+            raise GraphFileError("negative exponents need a scalar base")
+        return base.coefficient((0,) * self.nvars)
+
+
+class _HasSum(Exception):
+    """The expression has a binary + or -, which _SlopeParser leaves to the
+    torus expansion."""
+
+
+class _Image:
+    """A sum-free expression at the slope: its one-variable image, and the
+    order (None when it is zero) and degree of its torus expansion.  A
+    product of nonzero factors has the sums of their orders and degrees, and
+    it is zero exactly when that order passes the truncation, since the
+    rings are domains; the image is then zero too."""
+
+    __slots__ = ("series", "order", "degree")
+
+    def __init__(self, series: TruncatedSeries, order: int | None, degree: int):
+        if order is not None and order > series.theory.trunc:
+            order = None
+        self.series, self.order, self.degree = series, order, degree
+
+    def is_zero(self) -> bool:
+        return self.order is None
+
+    def __neg__(self):
+        return _Image(-self.series, self.order, self.degree)
+
+    def __add__(self, other):
+        raise _HasSum
+
+    __sub__ = __add__
+
+    def __mul__(self, other):
+        if self.order is None or other.order is None:
+            return self if self.order is None else other
+        order, degree = self.order + other.order, self.degree + other.degree
+        return _Image(self.series * other.series, order, degree)
+
+    def __pow__(self, e: int):
+        if e == 0 or self.order is None:
+            return _Image(self.series ** e, 0 if e == 0 else None, 0)
+        return _Image(self.series ** e, e * self.order, e * self.degree)
+
+    def __str__(self):
+        return str(self.series)
+
+
+class _SlopeParser(_Parser):
+    """The grammar of _Parser evaluated at a slope, u_i -> [slope_i](s), in
+    one variable.  This is a ring map that commutes with the formal sum, and
+    [a]([b]s) = [ab]s, so chi(w) goes to [<w, slope>](s); the images have no
+    constant term, so truncation by total degree commutes with it.  The
+    checks need no expansion (see _Image): chi(w) has the least order of the
+    [w_i]u and every atom is homogeneous.  A binary sum raises _HasSum."""
+
+    def __init__(self, tokens, fgl: FormalGroupLaw, nvars: int, slope):
+        super().__init__(tokens, fgl, nvars)
+        self.slope = slope
+
+    def constant(self, c, k: int = 0) -> _Image:
+        series = TruncatedSeries(self.theory, 1, {((0,), k): c})
+        return _Image(series, None if series.is_zero() else 0, self.theory.degree(0, k))
+
+    def variable(self, i: int) -> _Image:
+        return _Image(self.fgl.n_series(self.slope[i]), 1, 2)
+
+    def chi(self, weight) -> _Image:
+        n_series = self.fgl.n_series
+        orders = [o for a in weight if a and (o := n_series(a).order()) is not None]
+        t = sum(a * s for a, s in zip(weight, self.slope))
+        return _Image(n_series(t), min(orders, default=None), 2)
+
+    def scalar(self, base: _Image) -> tuple:
+        if base.order:
+            raise GraphFileError("negative exponents need a scalar base")
+        return base.series.coefficient((0,))
 
 
 def parse_expression(text: str, fgl: FormalGroupLaw, nvars: int) -> TruncatedSeries:

@@ -4,7 +4,9 @@ Instead of building the fraction field of the torus ring, everything is
 pushed down to one variable along a slope pairing nontrivially with every
 edge weight.  Each Euler class then starts with a unit times a power of the
 variable, so the integration formula becomes exact Laurent arithmetic with
-tracked precision.
+tracked precision.  integrate substitutes the slope into the restrictions of
+an EquivariantClass; the CLI evaluates a graph file's class at the slope
+directly (graphio.class_at_slope).  Both then run integrate_at_slope.
 """
 
 from __future__ import annotations
@@ -208,12 +210,25 @@ def integrate(
     elif not _slope_ok(graph, slope.vector, None):
         raise LocalizationError(f"slope {slope.vector} is not generic for this graph")
     degree = cls.degree if cls.degree is not None else cls.computed_degree()
+    return integrate_at_slope(graph, theory, slope, localize_class(fgl, cls, slope), degree)
+
+
+def integrate_at_slope(
+    graph: GKMGraph,
+    theory: Theory,
+    slope: GenericSlope,
+    localized: list[TruncatedSeries],
+    degree: int | None,
+) -> IntegrationReport:
+    """The integral of a class of the given degree whose restrictions at the
+    slope, one-variable series over the work theory, are localized."""
+    work = work_theory(theory)
+    fgl = build_fgl(work)
     top_degree = 2 * graph.valence(0)
     top = degree == top_degree
     # checked before the Euler classes are built, which a short truncation
     # would cut; the answer reads s^0 at top degree, below it s^-1 (the verdict)
     orders = _euler_orders(graph, fgl, slope)
-    localized = localize_class(fgl, cls, slope)
     _refuse_short_truncation(graph, orders, localized, work.trunc, 0 if top else -1)
     eulers = euler_classes(graph, fgl, slope)
     total = LaurentSeries.zero(work)

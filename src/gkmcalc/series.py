@@ -18,10 +18,11 @@ scale multiplies by c * unit^k.
 Products are plain convolution (bucketed by total degree), which is easy to
 audit.  The envelope this is measured on: the solver at D <= 4 in m <= 4
 variables, formal sums through the two-variable laws at D <= 48, and
-localization at D <= 28, where class restrictions in m <= 4 variables are
-pushed down to one.  The Honda law itself is an integer table (see the fgl
-module): at K(1), p = 2 it builds in 0.03 s at D = 48 and 0.9 s at D = 128
-(2-core VM, Python 3.11).  A Laurent series is known below its precision;
+localization at D <= 42, where a class restriction is evaluated in the one
+slope variable and only an expression with a sum is first expanded in its
+torus variables (m <= 4 measured).  The Honda law itself is an integer
+table (see the fgl module): at K(1), p = 2 it builds in 0.03 s at D = 48
+and 0.9 s at D = 128 (2-core VM, Python 3.11).  A Laurent series is known below its precision;
 localization only adds them and divides them, by long division.
 """
 

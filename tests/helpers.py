@@ -91,23 +91,61 @@ def cp3():
 
 
 def fl3():
-    """Permutations of 012, joined by right multiplication with a transposition."""
-    perms = list(itertools.permutations(range(3)))
+    return flag_variety(3)
+
+
+def flag_variety(n):
+    """Fl(n): permutations of 0..n-1, joined by right multiplication with a
+    transposition."""
+    perms = list(itertools.permutations(range(n)))
     edges = []
     for a, s in enumerate(perms):
-        for i, j in itertools.combinations(range(3), 2):
+        for i, j in itertools.combinations(range(n), 2):
             t = list(s)
             t[i], t[j] = t[j], t[i]
             b = perms.index(tuple(t))
             if a < b:
-                edges.append(GKMEdge(a, b, _root(3, s[i], s[j])))
-    return GKMGraph(2, ["P" + "".join(map(str, s)) for s in perms], edges)
+                edges.append(GKMEdge(a, b, _root(n, s[i], s[j])))
+    return GKMGraph(n - 1, ["P" + "".join(map(str, s)) for s in perms], edges)
+
+
+def grassmannian(k, n):
+    """Gr(k, n): coordinate k-planes, joined when they differ by one swap."""
+    subsets = list(itertools.combinations(range(n), k))
+    edges = []
+    for a, s in enumerate(subsets):
+        for i, j in itertools.product(s, range(n)):
+            if j in s:
+                continue
+            b = subsets.index(tuple(sorted(set(s) - {i} | {j})))
+            if a < b:
+                edges.append(GKMEdge(a, b, _root(n, i, j)))
+    return GKMGraph(n - 1, ["S" + "".join(map(str, s)) for s in subsets], edges)
 
 
 def mapped(graph, w):
     """The graph with every weight a replaced by a @ w (w need not be unimodular)."""
     edges = [GKMEdge(e.tail, e.head, tuple(matmul([e.weight], w)[0])) for e in graph.edges]
     return GKMGraph(graph.rank, list(graph.vertices), edges)
+
+
+def outgoing_weights(graph, i):
+    """The weights of the edges at vertex i, oriented away from it."""
+    return [w for _j, w in graph.adjacency()[i]]
+
+
+def relabel(graph, perm):
+    """The graph with vertex i moved to position perm[i]."""
+    names = [None] * len(graph.vertices)
+    for i, name in enumerate(graph.vertices):
+        names[perm[i]] = name
+    edges = [GKMEdge(perm[e.tail], perm[e.head], e.weight) for e in graph.edges]
+    return GKMGraph(graph.rank, names, edges)
+
+
+def first_failure(report):
+    """The first degree whose rank misses the formality prediction, or None."""
+    return next((q for q, _rank, _predicted, ok in report.rows if not ok), None)
 
 
 CP1_BETTI = [(0, 1), (2, 1)]

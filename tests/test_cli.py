@@ -522,7 +522,7 @@ def test_cli_solve_refuses_relation_beyond_truncation(tmp_path):
 def test_cli_integrate_names_the_euler_order_a_point_class_needs(tmp_path):
     # no slope is mod-2 generic on CP^4; the largest Euler order is 22, at L3
     g = helpers.cpn(4)
-    pt = "*".join("chi(%s)" % ",".join(map(str, w)) for w in g.outgoing_weights(0))
+    pt = "*".join("chi(%s)" % ",".join(map(str, w)) for w in helpers.outgoing_weights(g, 0))
     classes = {"pt": {"degree": 8, "restrictions": [pt] + ["0"] * 4}}
     path = _write_graph(tmp_path / "cp4.json", g, classes)
     argv = ["integrate", path, "--theory", "morava", "--p", "2", "--n", "2", "--class", "pt"]
@@ -674,6 +674,29 @@ def test_cli_integrate_refuses_a_product_cut_to_zero_by_the_truncation(tmp_path)
     # a zero factor makes a zero class, not a refusal
     code, out, _ = run_cli(*argv, "zero")
     assert code == 0 and "sum: 0 + O(s^8)" in out.splitlines()
+
+
+@pytest.mark.parametrize("graph_file", ["cp2.json", "cp2x2.json"])
+def test_cli_integrate_refuses_a_class_before_the_slope_warnings(tmp_path, graph_file):
+    # no slope pairs nonzero mod 2 with every weight here, so the slope
+    # search, which now runs before the class is read, falls back; the class
+    # is still refused first, before any warning and with stdout empty
+    with open(graph_path(graph_file), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["classes"]["bad"] = ["u1 +", "0", "0"]
+    path = tmp_path / graph_file
+    path.write_text(json.dumps(doc))
+    argv = ["integrate", str(path), "--theory", "mod-p", "--p", "2", "--class"]
+    for name, cause in (
+        ("bad", "class 'bad' at vertex A: expression 'u1 +': unexpected end of the expression"),
+        ("missing", "class 'missing' is not defined in the graph file"),
+    ):
+        assert run_cli(*argv, name) == (2, "", f"error: {path}: {cause}\n")
+    # a class that loads meets the warnings (cp2x2 has them) and then exit 4
+    code, out, err = run_cli(*argv, next(iter(json.loads(path.read_text())["classes"])))
+    assert (code, out) == (4, "")
+    assert err.splitlines()[-1].startswith("error: no slope pairs nonzero mod 2 with every weight")
+    assert ("warning:" in err) == (graph_file == "cp2x2.json")
 
 
 def test_expression_whitespace_is_skipped_around_every_token():

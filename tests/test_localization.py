@@ -263,10 +263,10 @@ def _need_classes(g, fgl, vertex):
     zero, one = TruncatedSeries.zero(fgl.theory, m), TruncatedSeries.one(fgl.theory, m)
     pt = [zero] * len(g.vertices)
     pt[vertex] = one
-    for w in g.outgoing_weights(vertex):
+    for w in helpers.outgoing_weights(g, vertex):
         pt[vertex] = pt[vertex] * character_class(fgl, w)
     c1 = [
-        character_class(fgl, tuple(map(sum, zip(*g.outgoing_weights(v))))) ** n
+        character_class(fgl, tuple(map(sum, zip(*helpers.outgoing_weights(g, v))))) ** n
         for v in range(len(g.vertices))
     ]
     return [
