@@ -2,14 +2,17 @@
 
 Exit codes: 0 success, 2 input error, 3 invalid graph, 4 localization failure.
 Output is deterministic for fixed inputs: canonical term order everywhere and
-a fixed slope search.  The argument parser is built once, at import, so a
-process that runs many commands through main pays for it once.
+a fixed slope search.  The command-line grammar is one table, which two
+readers share: a plain command line is read off it directly, and argparse is
+imported and its parser built from the table, at most once per process, only
+for help and for a command line the direct reader declines.  So every help
+text and every usage error is argparse's own.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
+from types import SimpleNamespace
 
 from .classifying import relation_order
 from .fgl import build_fgl
@@ -42,41 +45,116 @@ _THEORY_FLAGS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+# The command-line grammar.  An option row is (flag, dest, type, default,
+# choices, required, help); the row whose flag has no leading dash is the
+# graph positional.  Each command maps to its help and its rows, in the order
+# argparse adds them.
+_THEORY_OPTIONS = (
+    ("--theory", "theory", None, None, tuple(sorted(_THEORY_FLAGS)), True, None),
+    ("--p", "p", int, None, None, False, "prime (mod-p, morava)"),
+    ("--n", "n", int, None, None, False, "height (morava)"),
+    ("--trunc", "trunc", int, 8, None, False, "truncation degree"),
+)
+_GRAPH = ("graph", "graph", None, None, None, True, None)
+_QMAX = ("--qmax", "qmax", int, 8, None, False, None)
+_GRAMMAR = {
+    "fgl": (
+        "print the formal group law and an n-series",
+        (*_THEORY_OPTIONS, ("--ell", "ell", int, None, None, False, "print the [ell]-series")),
+    ),
+    "solve": (
+        "compute the edge-congruence subalgebra",
+        (*_THEORY_OPTIONS, ("graph", "graph", None, None, None, True, "moment-graph JSON file"), _QMAX),
+    ),
+    "integrate": (
+        "fixed-point localization integral",
+        (*_THEORY_OPTIONS, _GRAPH, ("--class", "class_name", None, None, None, True, None)),
+    ),
+    "check-formality": (
+        "compare solver ranks with the free-module prediction",
+        (*_THEORY_OPTIONS, _GRAPH, _QMAX),
+    ),
+}
+
+
+def _read_argv(argv):
+    """The namespace argparse gives a plain command line, read off the
+    grammar: a command, then its graph and flags spelled out in full, each
+    flag followed by one value that does not start with '-', ints in ASCII
+    digits, a --theory among its choices and every required item present.
+    None for anything else (help, an abbreviation, --flag=value, --, a signed
+    number, a second positional), which argparse answers."""
+    if not argv or argv[0] not in _GRAMMAR:
+        return None
+    rows = _GRAMMAR[argv[0]][1]
+    by_flag = {row[0]: row for row in rows}
+    values = {row[1]: row[3] for row in rows}
+    values["command"] = argv[0]
+    seen = set()
+    i, end = 1, len(argv)
+    while i < end:
+        token = argv[i]
+        if token.startswith("-"):
+            row = by_flag.get(token)
+            if row is None or i + 1 == end or argv[i + 1].startswith("-"):
+                return None
+            value, i = argv[i + 1], i + 2
+        else:
+            row = by_flag.get("graph")
+            if row is None or "graph" in seen:
+                return None
+            value, i = token, i + 1
+        _flag, dest, kind, _default, choices, _required, _help = row
+        if kind is int:
+            if not (value.isascii() and value.isdigit()):
+                return None
+            try:
+                value = int(value)
+            except ValueError:  # past the interpreter's limit on int digits
+                return None
+        elif choices is not None and value not in choices:
+            return None
+        values[dest] = value
+        seen.add(dest)
+    if any(row[5] and row[1] not in seen for row in rows):
+        return None
+    return SimpleNamespace(**values)
+
+
+def _build_parser():
+    """The argparse parser of the grammar, which writes every help text and
+    every usage error."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="gkmcalc",
         description="Equivariant complex-oriented cohomology of GKM spaces.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_theory_flags(p):
-        p.add_argument("--theory", required=True, choices=sorted(_THEORY_FLAGS))
-        p.add_argument("--p", type=int, default=None, help="prime (mod-p, morava)")
-        p.add_argument("--n", type=int, default=None, help="height (morava)")
-        p.add_argument("--trunc", type=int, default=8, help="truncation degree")
-
-    p_fgl = sub.add_parser("fgl", help="print the formal group law and an n-series")
-    add_theory_flags(p_fgl)
-    p_fgl.add_argument("--ell", type=int, default=None, help="print the [ell]-series")
-
-    p_solve = sub.add_parser("solve", help="compute the edge-congruence subalgebra")
-    add_theory_flags(p_solve)
-    p_solve.add_argument("graph", help="moment-graph JSON file")
-    p_solve.add_argument("--qmax", type=int, default=8)
-
-    p_int = sub.add_parser("integrate", help="fixed-point localization integral")
-    add_theory_flags(p_int)
-    p_int.add_argument("graph")
-    p_int.add_argument("--class", dest="class_name", required=True)
-
-    p_chk = sub.add_parser("check-formality", help="compare solver ranks with the free-module prediction")
-    add_theory_flags(p_chk)
-    p_chk.add_argument("graph")
-    p_chk.add_argument("--qmax", type=int, default=8)
+    for command, (command_help, rows) in _GRAMMAR.items():
+        p = sub.add_parser(command, help=command_help)
+        for flag, dest, kind, default, choices, required, help_text in rows:
+            if flag.startswith("-"):
+                p.add_argument(
+                    flag, dest=dest, type=kind, default=default, choices=choices,
+                    required=required, help=help_text,
+                )
+            else:
+                p.add_argument(flag, help=help_text)
     return parser
 
 
-_PARSER = _build_parser()
+_parser = None  # built by _parse_args on the first command line the reader declines
+
+
+def _parse_args(argv):
+    global _parser
+    args = _read_argv(argv)
+    if args is None:
+        if _parser is None:
+            _parser = _build_parser()
+        args = _parser.parse_args(argv)
+    return args
 
 
 def _theory_from_args(args):
@@ -224,7 +302,7 @@ def main(argv=None, out=None, err=None) -> int:
     out = out or sys.stdout
     err = err or sys.stderr
     try:
-        args = _PARSER.parse_args(argv)
+        args = _parse_args(list(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -110,7 +110,14 @@ def _euler_orders(graph: GKMGraph, fgl: FormalGroupLaw, slope: GenericSlope) -> 
 
 
 def euler_classes(graph: GKMGraph, fgl: FormalGroupLaw, slope: GenericSlope) -> list[VertexEuler]:
+    """Each vertex's Euler class, the product of the [t]-series of its
+    pairings t.  Every [t]u has degree 2, so the product has degree
+    2 * valence: it is multiplied as a coefficient list indexed by exponent,
+    reduced mod p after each factor, and the unit exponent of each term is
+    read off that degree."""
     th = fgl.theory
+    D, p = th.trunc, th.char
+    factors = {}  # t -> the (exponent, coefficient) terms of [t]u, ascending
     out = []
     for i, star in enumerate(graph.adjacency()):
         pairings = [pairing(w, slope.vector) for _j, w in star]
@@ -119,10 +126,22 @@ def euler_classes(graph: GKMGraph, fgl: FormalGroupLaw, slope: GenericSlope) -> 
                 f"slope {slope.vector} pairs to zero with a weight at vertex "
                 f"{graph.vertices[i]}"
             )
-        prod = TruncatedSeries.one(th, 1)
+        prod = [1] + [0] * D
         for t in pairings:
-            prod = prod * fgl.n_series(t)
-        eu = LaurentSeries.from_truncated(prod)
+            factor = factors.get(t)
+            if factor is None:
+                factor = factors[t] = sorted((a[0], c) for (a, _k), c in fgl.n_series(t).coeffs.items())
+            acc = [0] * (D + 1)
+            for e, a in enumerate(prod):
+                if a:
+                    for f, c in factor:
+                        if e + f > D:
+                            break
+                        acc[e + f] += a * c
+            prod = [c % p for c in acc] if p else acc
+        degree = 2 * len(pairings)
+        coeffs = {(e, th.unit_exponent(e, degree)): c for e, c in enumerate(prod) if c}
+        eu = LaurentSeries.from_raw(th, coeffs, D + 1)
         order = eu.order()
         if order is None or not th.is_unit(eu.coefficient(order)[0]):
             raise LocalizationError(

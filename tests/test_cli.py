@@ -5,6 +5,8 @@ import json
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gkmcalc import build_fgl, build_class, load_graph_document, solve_equivariant_cohomology
 from gkmcalc.cli import main
@@ -942,7 +944,7 @@ def test_cli_solve_torsion_edge_reports(tmp_path):
     assert "vanishes mod 2" in err
 
 
-# ---- the argument parser, built once at import -------------------------------
+# ---- the command-line grammar: read directly, argparse for help and refusals --
 
 # golden file stem -> (argv, exit code): help goes to stdout, usage errors to
 # stderr, both written by argparse itself
@@ -991,8 +993,11 @@ def test_cli_import_loads_no_dataclasses_or_inspect():
     import gkmcalc
 
     src = os.path.dirname(os.path.dirname(gkmcalc.__file__))
-    script = "import sys, gkmcalc.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
-    # -S: no site hooks, which may import either module on their own
+    script = (
+        "import sys, gkmcalc.cli; "
+        "print(sorted({'dataclasses', 'inspect', 'argparse', 'gettext', 'locale'} & set(sys.modules)))"
+    )
+    # -S: no site hooks, which may import any of these modules on their own
     proc = subprocess.run(
         [sys.executable, "-S", "-c", script],
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
@@ -1028,6 +1033,160 @@ def test_cli_usage_error_leaves_no_state_behind():
     code, out, _ = run_cli(*[graph_path(a) if a.endswith(".json") else a for a in command.split()])
     with open(os.path.join(GOLDEN, "solve-cp1xcp1-mod3.txt"), encoding="utf-8", newline="") as fh:
         assert (code, out) == (0, fh.read())
+
+
+def test_cli_reads_sys_argv_when_given_no_argv(monkeypatch, capsys):
+    command, _ = GOLDEN_COMMANDS["readme-solve"]
+    argv = [graph_path(a) if a.endswith(".json") else a for a in command.split()]
+    monkeypatch.setattr("sys.argv", ["gkmcalc", *argv])
+    assert main() == 0
+    with open(os.path.join(GOLDEN, "readme-solve.txt"), encoding="utf-8", newline="") as fh:
+        assert capsys.readouterr().out == fh.read()
+
+
+def test_cli_module_run_reads_its_command_line():
+    import subprocess
+    import sys
+
+    import gkmcalc
+
+    src = os.path.dirname(os.path.dirname(gkmcalc.__file__))
+    command, _ = GOLDEN_COMMANDS["solve-cp1xcp1-mod3"]
+    argv = [graph_path(a) if a.endswith(".json") else a for a in command.split()]
+    proc = subprocess.run(
+        [sys.executable, "-m", "gkmcalc.cli", *argv],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+    )
+    with open(os.path.join(GOLDEN, "solve-cp1xcp1-mod3.txt"), encoding="utf-8", newline="") as fh:
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, fh.read(), "")
+
+
+# values that fit each option, and tokens that fit none: help, abbreviations,
+# --flag=value, --, -, signed and non-ASCII numbers, the interpreter's int
+# digit limit, a graph or class named like a command
+_FITTING = {
+    "theory": ("ordinary", "mod-p", "mult", "morava"),
+    "p": ("2", "3", "5"),
+    "n": ("1", "2"),
+    "trunc": ("4", "8", "012"),
+    "ell": ("0", "2", str(10**20)),
+    "qmax": ("4", "6"),
+    "graph": ("g.json", "solve", "fgl"),
+    "class_name": ("pt", "H2", "integrate"),
+}
+_ODD_VALUES = (
+    "", "x", "two", "-1", "+8", "٣", "²", " 5", "1_0", "2.0", "-", "--", "-h", "--p",
+    "1" * 5000,
+)
+_ODD_TOKENS = (
+    "-h", "--help", "--th", "--p=2", "--class=pt", "--", "-", "--zzz", "+8", "x.json",
+    "--qmax", "--theory", "--ell", "fgl", "solve", "ordinary",
+)
+
+
+def _argparse_answer(argv):
+    """vars() of a freshly built parser's namespace, or None where argparse
+    exits (help or a usage error)."""
+    from contextlib import redirect_stderr, redirect_stdout
+
+    from gkmcalc.cli import _build_parser
+
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            return vars(_build_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+def _assert_reader_agrees(argv):
+    from gkmcalc.cli import _read_argv
+
+    read = _read_argv(list(argv))
+    expected = _argparse_answer(list(argv))
+    if read is not None:
+        assert vars(read) == expected, argv
+    if expected is None:
+        assert read is None, argv
+
+
+@st.composite
+def _command_lines(draw):
+    from gkmcalc.cli import _GRAMMAR
+
+    command = draw(st.sampled_from([*_GRAMMAR, "bogus"]))
+    argv = [command]
+    for row in draw(st.permutations(_GRAMMAR.get(command, _GRAMMAR["solve"])[1])):
+        if draw(st.integers(0, 7)) == 0:  # leave an item out now and then
+            continue
+        odd = draw(st.integers(0, 7)) == 0
+        value = draw(st.sampled_from(_ODD_VALUES if odd else _FITTING[row[1]]))
+        argv += [value] if row[0] == "graph" else [row[0], value]
+    if draw(st.integers(0, 2)) == 0:  # and a stray token or two
+        for token in draw(st.lists(st.sampled_from(_ODD_TOKENS + _ODD_VALUES), min_size=1, max_size=2)):
+            argv.insert(draw(st.integers(0, len(argv))), token)
+    return argv
+
+
+@settings(max_examples=300, deadline=2000)
+@given(argv=_command_lines())
+def test_cli_reader_agrees_with_argparse(argv):
+    _assert_reader_agrees(argv)
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        "",
+        "-h",
+        "solve -h",
+        "fgl --th ordinary",
+        "fgl --theory ordinary --p=2",
+        "fgl --theory ordinary --trunc ٣",
+        "fgl --theory ordinary --trunc ²",
+        "fgl --theory mod-p --p -1",
+        "fgl --theory ordinary --trunc +8",
+        "fgl --theory ordinary --trunc 4 --trunc 6",
+        "fgl --theory x --theory ordinary",
+        "solve g.json --theory ordinary --qmax 4 --qmax two",
+        "fgl --theory ordinary --",
+        "solve - --theory ordinary",
+        "fgl --theory",
+        "fgl --theory ordinary --ell",
+        "integrate g.json --theory ordinary --class",
+        "integrate g.json --theory ordinary --class -h",
+        "integrate g.json --theory ordinary --class --p",
+        "integrate g.json --theory ordinary --class -1",
+        "solve solve --theory ordinary",
+        "integrate fgl --theory mult --class integrate",
+        "solve a.json b.json --theory ordinary",
+        "fgl g.json --theory ordinary",
+        "check-formality --theory morava --p 2 --n 1 g.json --trunc 012",
+    ],
+)
+def test_cli_reader_agrees_with_argparse_on_named_command_lines(command):
+    _assert_reader_agrees(command.split(" ") if command else [])
+
+
+def test_cli_builds_the_parser_once_and_only_for_a_declined_command_line(monkeypatch):
+    from contextlib import redirect_stderr
+
+    from gkmcalc import cli
+
+    built = []
+    real_build = cli._build_parser
+
+    def counting_build():
+        built.append(1)
+        return real_build()
+
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "_build_parser", counting_build)
+    assert run_cli("fgl", "--theory", "ordinary", "--trunc", "4")[0] == 0
+    assert built == []
+    with redirect_stderr(io.StringIO()):
+        assert run_cli("fgl", "--theory", "x")[0] == 2
+        assert run_cli("fgl", "--theory", "ordinary", "--ell", "-1")[0] == 0
+    assert built == [1]
 
 
 def test_cli_unindexable_truncation_is_refused_without_traceback():
