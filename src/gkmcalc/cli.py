@@ -25,7 +25,7 @@ from .gkm import (
 )
 from .graphio import GraphFileError, class_at_slope, load_graph_document
 from .lattice import primitive_part
-from .localization import LocalizationError, integrate_at_slope, iterate_generic_slopes, work_theory
+from .localization import LocalizationError, find_generic_slope, integrate_at_slope, work_theory
 from .scalars import (
     MOD_P,
     MORAVA,
@@ -247,7 +247,7 @@ def cmd_integrate(args, out, err) -> int:
     doc = _load_valid_graph(args, err)
     # the slope search never refuses a valid graph, so the class's refusals
     # still come first
-    slope = next(iterate_generic_slopes(doc.graph, theory))
+    slope = find_generic_slope(doc.graph, theory)
     fgl = build_fgl(work_theory(theory))
     localized, degree = class_at_slope(doc, args.class_name, fgl, slope.vector)
     _warnings(theory, doc.graph, err)

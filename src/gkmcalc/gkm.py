@@ -18,7 +18,7 @@ from typing import NamedTuple
 from .classifying import _slice_monomials, ideal_multiples_basis, kernel_ideal
 from .fgl import build_fgl
 from .lattice import field_kernel, integer_kernel, invariant_factors, primitive_part
-from .scalars import Theory
+from .scalars import Theory, is_prime
 from .series import TruncatedSeries
 
 
@@ -65,15 +65,57 @@ class _ValidGraph(GKMGraph):
     __slots__ = ()
 
 
-def _minors(a, b):
-    """The 2x2 minors of the matrix with rows a and b; all vanish exactly
-    when a and b are proportional."""
-    n = len(a)
-    return (a[i] * b[j] - a[j] * b[i] for i in range(n) for j in range(i + 1, n))
+def _line(w):
+    """The primitive vector on w's line whose first nonzero entry is
+    positive: two nonzero weights are dependent exactly when these agree."""
+    g = math.gcd(*w)
+    if next(x for x in w if x) < 0:
+        g = -g
+    return tuple(x // g for x in w)
+
+
+def _point_mod_p(w, p):
+    """w's projective point mod the prime p, scaled so that its first nonzero
+    entry is 1, or None when w vanishes mod p."""
+    r = [x % p for x in w]
+    lead = next((x for x in r if x), 0)
+    if not lead:
+        return None
+    inv = pow(lead, -1, p)
+    return tuple(x * inv % p for x in r)
+
+
+def _star_keys(graph: GKMGraph, key) -> list[list]:
+    """key(weight) of each edge, listed at both its ends in edge order, as
+    graph.adjacency() lists the weights: one call per edge, for a key that
+    does not change with the weight's sign."""
+    out = [[] for _ in graph.vertices]
+    for e in graph.edges:
+        k = key(e.weight)
+        out[e.tail].append(k)
+        out[e.head].append(k)
+    return out
+
+
+def _dependent_pairs(keys):
+    """The pairs a < b of positions, in lexicographic order, whose keys are
+    equal or where either key is None (a weight dependent on every other)."""
+    if None not in keys and len(set(keys)) == len(keys):
+        return []
+    return [
+        (a, b)
+        for a, ka in enumerate(keys)
+        for b in range(a + 1, len(keys))
+        if ka is None or keys[b] is None or ka == keys[b]
+    ]
 
 
 def validate_graph(graph: GKMGraph) -> list[str]:
-    """Check the GKM conditions; an empty list means the graph is valid."""
+    """Check the GKM conditions; an empty list means the graph is valid.
+
+    Two weights at a vertex are dependent when they span one line: each is
+    keyed by its primitive vector up to sign, and each pair of equal keys is
+    reported."""
     violations = []
     m = graph.rank
     k = len(graph.vertices)
@@ -94,15 +136,9 @@ def validate_graph(graph: GKMGraph) -> list[str]:
     if violations:
         return violations
     adjacency = graph.adjacency()
-    for i, star in enumerate(adjacency):
-        ws = [w for _j, w in star]
-        for a in range(len(ws)):
-            for b in range(a + 1, len(ws)):
-                if not any(_minors(ws[a], ws[b])):
-                    violations.append(
-                        f"vertex {graph.vertices[i]}: dependent weights "
-                        f"{ws[a]} and {ws[b]}"
-                    )
+    for name, star, keys in zip(graph.vertices, adjacency, _star_keys(graph, _line)):
+        for a, b in _dependent_pairs(keys):
+            violations.append(f"vertex {name}: dependent weights {star[a][1]} and {star[b][1]}")
     # connectivity
     seen = {0}
     frontier = [0]
@@ -133,25 +169,23 @@ def mod_p_weight_warnings(graph: GKMGraph, p: int) -> list[str]:
 
     These are warnings, not failures: the congruence model stays defined
     either way, but mod-p degenerations are worth surfacing because torsion
-    edges behave differently at different heights.
+    edges behave differently at different heights.  Each weight at a vertex
+    is keyed by its projective point mod p; a weight that vanishes mod p is
+    dependent on every other, and two others are dependent when their points
+    agree.  The prime p is needed for the points' inverses mod p.
     """
+    if not is_prime(p):
+        raise ValueError(f"mod-p weight warnings need a prime p, got p = {p}")
     _refuse_invalid(graph)
     warnings = []
-    for name, star in zip(graph.vertices, graph.adjacency()):
-        ws = [w for _j, w in star]
-        for a in range(len(ws)):
-            if all(x % p == 0 for x in ws[a]):
-                warnings.append(
-                    f"vertex {name}: weight {ws[a]} vanishes mod {p}"
-                )
-        for a in range(len(ws)):
-            for b in range(a + 1, len(ws)):
-                if all(x % p == 0 for x in _minors(ws[a], ws[b])):
-                    warnings.append(
-                        f"vertex {name}: weights {ws[a]} and {ws[b]} "
-                        f"dependent mod {p}"
-                    )
-    return list(dict.fromkeys(warnings))
+    stars = _star_keys(graph, lambda w: _point_mod_p(w, p))
+    for name, star, points in zip(graph.vertices, graph.adjacency(), stars):
+        for (_j, w), point in zip(star, points):
+            if point is None:
+                warnings.append(f"vertex {name}: weight {w} vanishes mod {p}")
+        for a, b in _dependent_pairs(points):
+            warnings.append(f"vertex {name}: weights {star[a][1]} and {star[b][1]} dependent mod {p}")
+    return warnings
 
 
 class EquivariantClass:

@@ -6,6 +6,7 @@ import itertools
 import json
 import random
 from fractions import Fraction
+from math import lcm
 
 from gkmcalc import (
     MOD_P,
@@ -607,3 +608,94 @@ def honda_fgl_by_reversion(theory):
             assert rem == 0
             out[((a, b), k)] = cm
     return TruncatedSeries(theory, 2, out)
+
+
+def honda_exp_by_fractions(p, n, D):
+    """The pair (delta, g) of fgl._honda_tables by Fraction arithmetic: G_a
+    solved from exp(log x) = x one degree at a time, delta the lcm of their
+    denominators and g_a = delta G_a."""
+    from gkmcalc.fgl import _scaled_logarithm
+
+    plog = _scaled_logarithm(p, n, D)
+    A = [[1] + [0] * D]
+    for j in range(1, D + 1):
+        A.append([sum(c * A[-1][a - e] for e, c in plog if e <= a) for a in range(D + 1)])
+    G = [Fraction(0)] * (D + 1)
+    for a in range(1, D + 1):
+        G[a] = (Fraction(a == 1) - sum(G[s] * A[s][a] for s in range(1, a))) / A[a][a]
+    delta = lcm(*(x.denominator for x in G))
+    return delta, [x.numerator * (delta // x.denominator) for x in G]
+
+
+def minors(a, b):
+    """The 2x2 minors of the matrix with rows a and b; all vanish exactly
+    when a and b are proportional."""
+    n = len(a)
+    return (a[i] * b[j] - a[j] * b[i] for i in range(n) for j in range(i + 1, n))
+
+
+def _stars(graph):
+    """Each vertex's weights, oriented away from it, in edge order."""
+    stars = [[] for _ in graph.vertices]
+    for e in graph.edges:
+        stars[e.tail].append(e.weight)
+        stars[e.head].append(tuple(-a for a in e.weight))
+    return stars
+
+
+def validate_graph_by_minors(graph):
+    """gkm.validate_graph with each pair of weights at a vertex tested by
+    its 2x2 minors, the oracle for the check by lines."""
+    violations = []
+    m = graph.rank
+    k = len(graph.vertices)
+    if k == 0:
+        return ["graph has no vertices"]
+    if len(set(graph.vertices)) != k:
+        violations.append("vertex names are not distinct")
+    for idx, e in enumerate(graph.edges):
+        if len(e.weight) != m:
+            violations.append(f"edge {idx}: weight length {len(e.weight)} != torus rank {m}")
+        elif not any(e.weight):
+            violations.append(f"edge {idx}: weight is zero")
+        if not (0 <= e.tail < k and 0 <= e.head < k):
+            violations.append(f"edge {idx}: endpoint out of range")
+        elif e.tail == e.head:
+            violations.append(f"edge {idx}: loop at vertex {graph.vertices[e.tail]}")
+    if violations:
+        return violations
+    stars = _stars(graph)
+    for name, ws in zip(graph.vertices, stars):
+        for a, b in itertools.combinations(range(len(ws)), 2):
+            if not any(minors(ws[a], ws[b])):
+                violations.append(f"vertex {name}: dependent weights {ws[a]} and {ws[b]}")
+    seen, frontier = {0}, [0]
+    while frontier:
+        i = frontier.pop()
+        for e in graph.edges:
+            if i in (e.tail, e.head):
+                other = e.head if e.tail == i else e.tail
+                if other not in seen:
+                    seen.add(other)
+                    frontier.append(other)
+    if len(seen) != k:
+        violations.append("graph is not connected")
+    valences = {len(ws) for ws in stars}
+    if len(valences) > 1:
+        violations.append(f"vertices have unequal valences {sorted(valences)}")
+    return violations
+
+
+def mod_p_weight_warnings_by_minors(graph, p):
+    """gkm.mod_p_weight_warnings of a valid graph with each pair of weights
+    at a vertex tested by its 2x2 minors mod p, the oracle for the check by
+    projective points."""
+    warnings = []
+    for name, ws in zip(graph.vertices, _stars(graph)):
+        for w in ws:
+            if all(x % p == 0 for x in w):
+                warnings.append(f"vertex {name}: weight {w} vanishes mod {p}")
+        for a, b in itertools.combinations(range(len(ws)), 2):
+            if all(x % p == 0 for x in minors(ws[a], ws[b])):
+                warnings.append(f"vertex {name}: weights {ws[a]} and {ws[b]} dependent mod {p}")
+    return list(dict.fromkeys(warnings))

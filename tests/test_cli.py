@@ -1022,6 +1022,24 @@ def test_cli_main_builds_no_parser(monkeypatch):
     assert built == []
 
 
+@pytest.mark.parametrize(
+    "graph,p,n,name", [("cp2.json", 2, 2, "H2"), ("cp1xcp1.json", 2, 1, "pt")], ids=["cp2-H2", "cp1xcp1-pt"]
+)
+def test_integrate_never_builds_the_two_variable_law(monkeypatch, graph, p, n, name):
+    # integrate reads only [ell]-series; the fgl command reads the law
+    import gkmcalc.fgl as fgl_module
+
+    monkeypatch.setattr(fgl_module, "_fgl_cache", {})
+    theory = ("--theory", "morava", "--p", str(p), "--n", str(n), "--trunc", "12")
+    code, out, _ = run_cli("integrate", graph_path(graph), *theory, "--class", name)
+    assert code == 0 and "integral = 1\n" in out
+    (law,) = fgl_module._fgl_cache.values()
+    assert "series" not in law.__dict__
+    assert run_cli("fgl", *theory)[0] == 0
+    assert list(fgl_module._fgl_cache.values()) == [law]
+    assert "series" in law.__dict__
+
+
 def test_cli_usage_error_leaves_no_state_behind():
     # the failed parse has already read --trunc and --qmax; the next command
     # must still see the defaults, as a command run alone does

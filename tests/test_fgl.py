@@ -271,18 +271,6 @@ def test_closed_n_series_matches_doubling_oracle(law):
             assert fgl.n_series(ell) == helpers.n_series_by_doubling(fgl, ell, memo), (p, ell)
 
 
-def _no_law_checks(monkeypatch, fgl_module):
-    """Let the law's own coefficients through unchecked, so that only the
-    [ell]-series run the checks."""
-    real = fgl_module._mod_p
-
-    def checked_for_one_variable(theory, delta, numerators):
-        numerators = list(numerators)
-        return real(theory, delta, numerators) if len(numerators[0][0]) == 1 else {}
-
-    monkeypatch.setattr(fgl_module, "_mod_p", checked_for_one_variable)
-
-
 @pytest.mark.parametrize(
     "p,logarithm,message",
     [
@@ -301,13 +289,15 @@ def test_corrupted_logarithm_trips_the_construction_checks(monkeypatch, p, logar
 
     monkeypatch.setattr(fgl_module, "_fgl_cache", {})
     monkeypatch.setattr(fgl_module, "_scaled_logarithm", lambda p, n, D: logarithm)
-    th = helpers.morava(p, 1, trunc=4)
-    with pytest.raises(AssertionError, match=re.escape(message.format("x^1 y^1"))):
-        build_fgl(th)
-    _no_law_checks(monkeypatch, fgl_module)
-    fgl = build_fgl(th)
+    fgl = build_fgl(helpers.morava(p, 1, trunc=4))
+    # the law is built, and checked, on each read until one succeeds; the
+    # [ell]-series are checked on their own, without it
+    for _ in range(2):
+        with pytest.raises(AssertionError, match=re.escape(message.format("x^1 y^1"))):
+            fgl.series
     with pytest.raises(AssertionError, match=re.escape(message.format("u^2"))):
         fgl.n_series(2)
+    assert "series" not in fgl.__dict__
 
 
 def test_mod_p_reduction_of_multiplicative_p_series():
@@ -361,8 +351,18 @@ def test_honda_build_makes_no_substitutions(monkeypatch):
         TruncatedSeries, "substitute", lambda s, args: calls.append(1) or real(s, args)
     )
     monkeypatch.setattr(fgl_module, "_fgl_cache", {})
-    build_fgl(helpers.morava(2, 1, trunc=32))
+    build_fgl(helpers.morava(2, 1, trunc=32)).series
     assert calls == []
+
+
+def test_honda_integer_tables_match_fractions():
+    from gkmcalc.fgl import _honda_tables
+
+    for p in (2, 3, 5, 7):
+        for n in (1, 2, 3):
+            for D in range(1, 41):
+                _A, delta, g = _honda_tables(p, n, D)
+                assert (delta, g) == helpers.honda_exp_by_fractions(p, n, D), (p, n, D)
 
 
 @settings(max_examples=40, deadline=2000)

@@ -1,10 +1,15 @@
 """Moment-graph validation, congruence checks, the solver, and formality."""
 
+import itertools
 import os
 import random
+import runpy
 import signal
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gkmcalc import (
     EquivariantClass,
@@ -65,6 +70,89 @@ def test_mod_p_warnings():
     assert any("dependent mod 3" in w for w in mod_p_weight_warnings(g, 3))
     gw = helpers.cp1(weight=(2,))
     assert any("vanishes mod 2" in w for w in mod_p_weight_warnings(gw, 2))
+
+
+def test_mod_p_warnings_name_the_dependent_pair():
+    # at A, (1, 0) and (1, 2) meet mod 2 only; B and C stay independent
+    g = GKMGraph(2, ["A", "B", "C"], [
+        GKMEdge(0, 1, (1, 0)), GKMEdge(0, 2, (1, 2)), GKMEdge(1, 2, (0, 1)),
+    ])
+    assert mod_p_weight_warnings(g, 2) == ["vertex A: weights (1, 0) and (1, 2) dependent mod 2"]
+    assert mod_p_weight_warnings(g, 3) == []
+
+
+@pytest.mark.parametrize("p", [1, 4, 6, 9])
+def test_mod_p_warnings_refuse_a_composite_p(p):
+    with pytest.raises(ValueError, match=f"prime p, got p = {p}$"):
+        mod_p_weight_warnings(helpers.cp2(), p)
+
+
+# ---- graph checks by line against the pairwise minors ------------------------
+
+ROOT = Path(__file__).resolve().parent.parent
+CHECK_PRIMES = (2, 3, 5, 7)
+
+
+def _assert_checks_match_minors(graph):
+    from gkmcalc import validate_graph
+
+    violations = helpers.validate_graph_by_minors(graph)
+    assert validate_graph(graph) == violations
+    for p in CHECK_PRIMES:
+        if violations:
+            with pytest.raises(ValueError, match="invalid GKM graph"):
+                mod_p_weight_warnings(graph, p)
+        else:
+            assert mod_p_weight_warnings(graph, p) == helpers.mod_p_weight_warnings_by_minors(graph, p)
+
+
+def _corpus_graphs():
+    corpus = runpy.run_path(str(ROOT / "gkmbench" / "corpus.py"))
+    for make in corpus["GRAPHS"].values():
+        g = make()
+        yield GKMGraph(g.rank, list(g.vertices), [GKMEdge(t, h, w) for t, h, w in g.edges])
+
+
+def test_graph_checks_match_minors_on_graph_files_and_corpus():
+    graphs = [load_graph_document(path).graph for path in sorted((ROOT / "graphs").glob("*.json"))]
+    graphs += list(_corpus_graphs())
+    assert len(graphs) >= 20
+    for graph in graphs:
+        _assert_checks_match_minors(graph)
+
+
+@st.composite
+def scaled_base_graphs(draw):
+    """Graphs whose weights are a few base vectors times 1, -1, 2, -2, 3 or
+    5, so that proportional, sign-flipped and mod-p dependent weights meet at
+    a vertex.  Cycles and complete graphs are connected and regular, so many
+    of them are valid; other edge lists rarely are."""
+    m = draw(st.integers(1, 3))
+    bases = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * m), min_size=1, max_size=4))
+    k = draw(st.integers(1, 5))
+    shape = draw(st.sampled_from(["cycle", "complete", "any"]))
+    if shape == "cycle":
+        pairs = [(i, (i + 1) % k) for i in range(k)]
+    elif shape == "complete":
+        pairs = list(itertools.combinations(range(k), 2))
+    else:
+        ends = st.integers(0, k)  # k is out of range
+        pairs = draw(st.lists(st.tuples(ends, ends), max_size=8))
+    edges = []
+    for t, h in pairs:
+        c = draw(st.sampled_from((1, -1, 2, -2, 3, 5)))
+        edges.append(GKMEdge(t, h, tuple(c * x for x in draw(st.sampled_from(bases)))))
+    return GKMGraph(m, [f"v{i}" for i in range(k)], edges)
+
+
+@settings(max_examples=300, deadline=2000)
+@given(scaled_base_graphs())
+# at A, (2, 0) vanishes mod 2 and so is dependent on (0, 1)
+@example(GKMGraph(2, ["A", "B", "C"], [
+    GKMEdge(0, 1, (2, 0)), GKMEdge(0, 2, (0, 1)), GKMEdge(1, 2, (1, 1)),
+]))
+def test_graph_checks_match_minors_on_scaled_base_graphs(graph):
+    _assert_checks_match_minors(graph)
 
 
 # ---- congruence checks ------------------------------------------------------
