@@ -87,11 +87,14 @@ def _point_mod_p(w, p):
 
 def _star_keys(graph: GKMGraph, key) -> list[list]:
     """key(weight) of each edge, listed at both its ends in edge order, as
-    graph.adjacency() lists the weights: one call per edge, for a key that
-    does not change with the weight's sign."""
+    graph.adjacency() lists the weights: one call per distinct edge weight,
+    for a key that does not change with the weight's sign."""
     out = [[] for _ in graph.vertices]
+    keys = {}
     for e in graph.edges:
-        k = key(e.weight)
+        if e.weight not in keys:
+            keys[e.weight] = key(e.weight)
+        k = keys[e.weight]
         out[e.tail].append(k)
         out[e.head].append(k)
     return out
@@ -178,12 +181,17 @@ def mod_p_weight_warnings(graph: GKMGraph, p: int) -> list[str]:
         raise ValueError(f"mod-p weight warnings need a prime p, got p = {p}")
     _refuse_invalid(graph)
     warnings = []
-    stars = _star_keys(graph, lambda w: _point_mod_p(w, p))
-    for name, star, points in zip(graph.vertices, graph.adjacency(), stars):
+    adjacency = None  # the weights, read only for a star that warns
+    for i, points in enumerate(_star_keys(graph, lambda w: _point_mod_p(w, p))):
+        pairs = _dependent_pairs(points)
+        if not pairs and None not in points:
+            continue
+        adjacency = adjacency or graph.adjacency()
+        name, star = graph.vertices[i], adjacency[i]
         for (_j, w), point in zip(star, points):
             if point is None:
                 warnings.append(f"vertex {name}: weight {w} vanishes mod {p}")
-        for a, b in _dependent_pairs(points):
+        for a, b in pairs:
             warnings.append(f"vertex {name}: weights {star[a][1]} and {star[b][1]} dependent mod {p}")
     return warnings
 
