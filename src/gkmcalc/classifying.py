@@ -10,10 +10,12 @@ leading coefficient it is u_m^nu times a unit, so the residue of a series is
 its cut at u_m-exponent nu.  Which theories pin this model down and which
 expose it as conjectural is the README's `model: conjectural` paragraph.
 A monomial's residue is a product of adapted classes taken in the cut ring,
-cut after each factor when nu > 1; at nu = 1 the cut sets u_m to 0.  Each
-ideal keeps these residues in one table of stored-format term dicts, filled
-in order of total degree from the term lists of the adapted classes: one
-factor per monomial, so a one-term class is a shift of exponents.
+cut after each factor; at nu = 1 the classes are built with u_m = 0, so
+there the cut changes nothing.  A RestrictionIdeal computes all of this
+from the law and the weight alone (kernel_ideal is its entry point) and
+keeps the residues in one table of stored-format term dicts, filled in order
+of total degree from the term lists of the adapted classes: one factor per
+monomial, so a one-term class is a shift of exponents.
 """
 
 from __future__ import annotations
@@ -28,12 +30,10 @@ from .scalars import MORAVA, Theory
 from .series import TruncatedSeries, _clean, exponent_vectors
 
 
-def character_class(fgl: FormalGroupLaw, weight, nvars: int | None = None) -> TruncatedSeries:
+def character_class(fgl: FormalGroupLaw, weight) -> TruncatedSeries:
     """The Euler class of the line with the given character: the formal-group
     sum of the n-series of the coordinate classes, built once per law."""
     weight = tuple(weight)
-    if nvars is not None and nvars != len(weight):
-        raise ValueError("character length does not match the variable count")
     out = fgl.character_classes.get(weight)
     if out is None:
         th, m = fgl.theory, len(weight)
@@ -100,10 +100,11 @@ def cyclic_classifying_ring(fgl: FormalGroupLaw, ell: int) -> CyclicRingPresenta
 
 
 class RestrictionIdeal:
-    """The kernel of restriction to ker(theta), as a principal ideal.
+    """The kernel of restriction to ker(theta), as a principal ideal, built
+    from the law and the weight alone.
 
-    The generator is the d-series of the adapted last variable u_m, where the
-    character factors as d times a primitive one; order and leading_unit are
+    The weight factors as d times a primitive theta.  The generator is the
+    d-series of the adapted last variable u_m; order and leading_unit are
     those of the cyclic ring E*[[u]]/([d]u).  A unit-lead generator is
     u_m^order times a unit, so the residue modulo it is the cut below
     u_m^order.  basis_change moves the ambient ring into the adapted
@@ -113,32 +114,28 @@ class RestrictionIdeal:
     and the Hermite bases of its multiples, per degree.
     """
 
-    def __init__(
-        self,
-        fgl: FormalGroupLaw,
-        weight: tuple[int, ...],
-        d: int,
-        theta: tuple[int, ...],
-        basis_change: list,
-        adapted_classes: list[TruncatedSeries],
-        generator: TruncatedSeries,
-        order: int | None = None,
-        leading_unit: bool = False,
-    ):
-        self.fgl = fgl
-        self.weight = weight
-        self.d = d
-        self.theta = theta
-        self.basis_change = basis_change
-        self.adapted_classes = adapted_classes
-        self.generator = generator
-        self.order = order
-        self.leading_unit = leading_unit
-        self._images = {(0,) * len(weight): {((0,) * len(weight), 0): 1}}
+    def __init__(self, fgl: FormalGroupLaw, weight):
+        weight = tuple(weight)
+        if not any(weight):
+            raise ValueError("the zero character has trivial kernel ideal data")
+        m = len(weight)
+        self.fgl, self.weight = fgl, weight
+        self.d, self.theta = primitive_part(weight)
+        self.basis_change = adapted_basis(self.theta)
+        ring = cyclic_classifying_ring(fgl, self.d)
+        self.generator = _on_variable(ring.relation, m, m - 1)
+        self.order, self.leading_unit = ring.order, ring.rank is not None
+        # an order-1 residue sets u_m = 0, which commutes with formal sums,
+        # [ell]-series and the truncation: the classes of the rows cut there
+        self.adapted_classes = [
+            character_class(fgl, (*row[:-1], 0 if ring.rank == 1 else row[-1]))
+            for row in self.basis_change
+        ]
+        self._images = {(0,) * m: {((0,) * m, 0): 1}}
         # the term lists (|beta|, beta, k, c) of the adapted classes, by
         # ascending |beta| so that a product can stop at the truncation
         self._factors = [
-            sorted((sum(b), b, k, c) for (b, k), c in f.coeffs.items()) for f in adapted_classes
+            sorted((sum(b), b, k, c) for (b, k), c in f.coeffs.items()) for f in self.adapted_classes
         ]
         self._hermite_cache = {}
 
@@ -158,14 +155,14 @@ class RestrictionIdeal:
         unit-lead generator (the residue when the residue is linear).  The
         table grows in order of total degree, so the image of u^alpha is
         that of u^(alpha - e_i), i the last variable in alpha, times the
-        i-th adapted class, cut again above order 1: both steps are ring
-        maps.  The dicts are the table's own; callers only read them."""
+        i-th adapted class, cut again: both steps are ring maps.  The dicts
+        are the table's own; callers only read them."""
         table = self._images
         steps = _image_steps(self.nvars, max(map(sum, alphas), default=0))
         # the table holds the zero vector and a prefix of the steps
         if len(table) <= len(steps):
             th = self.fgl.theory
-            cut = self.order if self.leading_unit and self.order > 1 else th.trunc + 1
+            cut = self.order if self.leading_unit else th.trunc + 1
             for alpha, i, lower in steps[len(table) - 1:]:
                 table[alpha] = _times_class(table[lower], self._factors[i], th.char, th.trunc, cut)
         return [table[alpha] for alpha in alphas]
@@ -210,20 +207,7 @@ def _times_class(image: dict, factor: list, p: int, trunc: int, cut: int) -> dic
 
 
 def kernel_ideal(fgl: FormalGroupLaw, weight) -> RestrictionIdeal:
-    weight = tuple(weight)
-    if not any(weight):
-        raise ValueError("the zero character has trivial kernel ideal data")
-    d, theta = primitive_part(weight)
-    b = adapted_basis(theta)
-    m = len(weight)
-    ring = cyclic_classifying_ring(fgl, d)
-    gen = _on_variable(ring.relation, m, m - 1)
-    # an order-1 residue sets u_m = 0, which commutes with formal sums,
-    # [ell]-series and the truncation: the classes of the rows cut there
-    classes = [character_class(fgl, (*row[:-1], 0 if ring.rank == 1 else row[-1])) for row in b]
-    return RestrictionIdeal(
-        fgl, weight, d, theta, b, classes, gen, ring.order, ring.rank is not None
-    )
+    return RestrictionIdeal(fgl, weight)
 
 
 def _slice_monomials(theory: Theory, nvars: int, q: int):

@@ -35,9 +35,6 @@ class GKMGraph(NamedTuple):
     vertices: list[str]
     edges: list[GKMEdge]
 
-    def incident(self, i: int) -> list[GKMEdge]:
-        return [e for e in self.edges if i in (e.tail, e.head)]
-
     def adjacency(self) -> list[list[tuple[int, tuple[int, ...]]]]:
         """For each vertex, the pairs (other endpoint, weight oriented away
         from the vertex) of the edges at it, in edge order: one pass over
@@ -47,9 +44,6 @@ class GKMGraph(NamedTuple):
             out[e.tail].append((e.head, e.weight))
             out[e.head].append((e.tail, tuple(-a for a in e.weight)))
         return out
-
-    def valence(self, i: int) -> int:
-        return len(self.incident(i))
 
     def primitive(self) -> "GKMGraph":
         """The graph with every weight replaced by its primitive part, of the
@@ -253,7 +247,6 @@ class SolutionModule:
         self,
         theory: Theory,
         graph: GKMGraph,
-        q_max: int,
         ranks: dict[int, int],
         kernels: dict[int, tuple[list, list]],  # (monomials, kernel vectors)
         divisors: dict[int, list[int]],
@@ -261,7 +254,6 @@ class SolutionModule:
     ):
         self.theory = theory
         self.graph = graph
-        self.q_max = q_max
         self.ranks = ranks
         self.kernels = kernels
         self.divisors = divisors
@@ -310,7 +302,7 @@ def solve_equivariant_cohomology(graph: GKMGraph, theory: Theory, q_max: int) ->
         provenance[q] = (len(graph.vertices) * len(monos), nrows)
         kernels[q] = (monos, vecs)
 
-    return SolutionModule(theory, graph, q_max, ranks, kernels, divisors, provenance)
+    return SolutionModule(theory, graph, ranks, kernels, divisors, provenance)
 
 
 def _solve_degree(theory, graph, ideals, monos, q):

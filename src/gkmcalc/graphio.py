@@ -393,7 +393,7 @@ class _Parser:
         return TruncatedSeries.variable(self.theory, self.nvars, i)
 
     def chi(self, weight) -> TruncatedSeries:
-        return character_class(self.fgl, weight, self.nvars)
+        return character_class(self.fgl, weight)
 
     def scalar(self, base: TruncatedSeries) -> tuple:
         """(c, k) of a constant base c * unit^k."""

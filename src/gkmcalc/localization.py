@@ -11,7 +11,8 @@ directly (graphio.class_at_slope).  Both then run integrate_at_slope.
 
 from __future__ import annotations
 
-from itertools import count, product
+from itertools import count, product, takewhile
+from math import gcd
 from typing import NamedTuple
 
 from .classifying import relation_order
@@ -48,7 +49,7 @@ def _box_points(m: int):
     """Positive integer vectors in growing boxes [1..s]^m, new points of each
     box in lexicographic order.  Every vector appears exactly once."""
     for s in count(1):
-        yield from (v for v in product(range(1, s + 1), repeat=m) if max(v) == s)
+        yield from (v for v in product(range(1, s + 1), repeat=m) if s in v)
 
 
 def iterate_generic_slopes(graph: GKMGraph, theory: Theory):
@@ -56,18 +57,20 @@ def iterate_generic_slopes(graph: GKMGraph, theory: Theory):
 
     For the mod-p theories, slopes whose pairings are all nonzero mod p are
     preferred (they keep every Euler-class order equal to the valence).  That
-    condition only depends on the slope mod p, so scanning one period box
-    decides whether it is satisfiable at all; when it is not (this genuinely
-    happens, e.g. the standard three-fixed-point projective plane at p = 2),
-    the search falls back to integer-generic slopes, flagged, and the Euler
-    classes simply acquire higher leading orders.
+    condition only depends on the slope mod p, so the boxes up to [1..p]^m,
+    which meet every class mod p, decide it, and a weight that vanishes mod p
+    rules it out at once; when it fails (this genuinely happens, e.g. the
+    standard three-fixed-point projective plane at p = 2), the search falls
+    back to integer-generic slopes, flagged, and the Euler classes simply
+    acquire higher leading orders.
     """
     m = graph.rank
     p = theory.char or None
     mod_p_generic = True
     if p is not None:
-        box = product(range(1, p + 1), repeat=m)  # lazy: p^m points
-        if not any(_slope_ok(graph, lam, p) for lam in box):
+        box = takewhile(lambda lam: max(lam) <= p, _box_points(m))
+        vanishing = any(gcd(*e.weight) % p == 0 for e in graph.edges)
+        if vanishing or not any(_slope_ok(graph, lam, p) for lam in box):
             p, mod_p_generic = None, False
     for lam in _box_points(m):
         if _slope_ok(graph, lam, p):
@@ -86,12 +89,12 @@ class VertexEuler(NamedTuple):
     order: int
 
 
-def _euler_orders(graph: GKMGraph, fgl: FormalGroupLaw, slope: GenericSlope) -> list[int]:
-    """Each vertex's Euler order, read off its pairings before any series is
-    built: the sum of the orders of the cyclic rings' relations [t]u.  Only
+def _euler_orders(graph: GKMGraph, stars, fgl: FormalGroupLaw, slope: GenericSlope) -> list[int]:
+    """Each vertex's Euler order, read off the pairings in its star before
+    any series is built: the sum of the orders of the relations [t]u.  Only
     an additive mod-p relation vanishes (p | t), and that is refused."""
     out = []
-    for v, star in zip(graph.vertices, graph.adjacency()):
+    for v, star in zip(graph.vertices, stars):
         out.append(0)
         for _j, w in star:
             t = pairing(w, slope.vector)
@@ -243,11 +246,12 @@ def integrate_at_slope(
     slope, one-variable series over the work theory, are localized."""
     work = work_theory(theory)
     fgl = build_fgl(work)
-    top_degree = 2 * graph.valence(0)
+    stars = graph.adjacency()
+    top_degree = 2 * len(stars[0])
     top = degree == top_degree
     # checked before the Euler classes are built, which a short truncation
     # would cut; the answer reads s^0 at top degree, below it s^-1 (the verdict)
-    orders = _euler_orders(graph, fgl, slope)
+    orders = _euler_orders(graph, stars, fgl, slope)
     _refuse_short_truncation(graph, orders, localized, work.trunc, 0 if top else -1)
     eulers = euler_classes(graph, fgl, slope)
     total = LaurentSeries.zero(work)

@@ -383,8 +383,7 @@ def transport(fgl, f, basis_change):
     full substitution: row i of the matrix is the character whose class
     replaces the i-th variable, matching how characters pull back
     (a -> a @ B)."""
-    m = len(basis_change)
-    return f.substitute([character_class(fgl, tuple(row), m) for row in basis_change])
+    return f.substitute([character_class(fgl, tuple(row)) for row in basis_change])
 
 
 def dense(vec: dict, width: int) -> tuple:

@@ -147,7 +147,7 @@ def test_criterion_5_injectivity_structure():
 def test_criterion_6_localization():
     # every top-degree solver basis element localizes with no negative part
     for name, graph, betti in GOLDEN:
-        top = 2 * graph.valence(0)
+        top = 2 * len(graph.adjacency()[0])
         for kind, p, n in (("rational", 0, 0), ("morava", 2, 1)):
             sol = solved(name, kind, p, n, 8, top)
             slope = find_generic_slope(graph, sol.theory)

@@ -126,7 +126,7 @@ def test_restrictions_at_the_slope_equal_the_substituted_expansion(graph_name, t
         theory = THEORIES[theory_name](rng.randint(2, 10))
         classes = {
             f"r{i}": (
-                rng.choice([None, None, None, None, 0, 2, 4, 2 * g.valence(0)]),
+                rng.choice([None, None, None, None, 0, 2, 4, 2 * len(g.adjacency()[0])]),
                 [_expression(rng, g.rank, unit) if rng.random() < 0.7 else "0" for _ in g.vertices],
             )
             for i in range(3)

@@ -716,6 +716,11 @@ BAD_EXPRESSIONS = {
     # refusals after a leading sign and after a closed parenthesis
     "after-a-leading-sign": ("-chi(1) + x", "unknown symbol 'x'"),
     "after-a-parenthesis": ("(u1 + 1)^2 * y", "unknown symbol 'y'"),
+    # arity, range and token refusals that only the expression parser makes
+    "chi-arity": ("chi(1,2)", "chi takes 1 components, found 2"),
+    "variable-range": ("u2", "variable u2 out of range 1..1"),
+    "trailing-token": ("u1 u1", "unexpected trailing token 'u1'"),
+    "symbolic-exponent": ("u1^x", "expected an integer exponent"),
 }
 
 
@@ -871,6 +876,61 @@ def test_console_script_end_to_end():
     assert proc.returncode == 0
     assert proc.stdout.startswith("F(x,y) = x + y")
     assert "[4]u = 0" in proc.stdout  # [4]u = v2^5 u^16 truncates away at D=8
+
+
+# a prime too large for any search that lists the residues mod p
+BIG_PRIME = 1000000007
+BIG_PRIME_RUNS = {
+    "mod-p": (("cp2.json", "H2"), ("--theory", "mod-p", "--p", str(BIG_PRIME)), 0),
+    "morava": (("cp2.json", "H2"), ("--theory", "morava", "--p", str(BIG_PRIME), "--n", "1"), 0),
+    "vanishing-weight": ((None, "pt"), ("--theory", "mod-p", "--p", str(BIG_PRIME)), 4),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BIG_PRIME_RUNS))
+def test_cli_integrate_at_a_large_prime_stays_small(tmp_path, case):
+    # each run is a child capped at 500 MB of address space, so a slope
+    # search that lists p points fails with a MemoryError, not the machine
+    import resource
+    import subprocess
+    import sys
+
+    import gkmcalc
+
+    (graph, cls), flags, status = BIG_PRIME_RUNS[case]
+    if graph is None:
+        graph = str(tmp_path / "vanishing.json")
+        with open(graph, "w", encoding="utf-8") as fh:
+            json.dump({
+                "torus_rank": 1,
+                "vertices": ["N", "S"],
+                "edges": [{"tail": "N", "head": "S", "weight": [BIG_PRIME]}],
+                "classes": {"pt": {"degree": 2, "restrictions": [f"chi({BIG_PRIME})", "0"]}},
+            }, fh)
+    else:
+        graph = graph_path(graph)
+    cap = 500 * 2**20
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    src = os.path.dirname(os.path.dirname(gkmcalc.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "gkmcalc.cli", "integrate", graph, *flags,
+         "--trunc", "8", "--class", cls],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+        preexec_fn=limit, timeout=30,
+    )
+    assert proc.returncode == status, proc.stderr
+    if status == 0:
+        assert proc.stdout.splitlines()[-1] == "integral = 1"
+    else:
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines()[-1] == (
+            f"error: no slope pairs nonzero mod {BIG_PRIME} with every weight: "
+            f"slope (1,) pairs to {BIG_PRIME} with weight ({BIG_PRIME},) at vertex N, "
+            f"so the additive mod-{BIG_PRIME} Euler class vanishes there"
+        )
 
 
 HASH_SEED_STEMS = (

@@ -79,6 +79,31 @@ def test_slope_search_is_lazy():
     assert peak < 5_000_000
 
 
+def _slopes_by_period_box(graph, p, count):
+    """The first count slopes by the definition: mod-p generic ones when
+    some point of the period box [1..p]^m is, else integer-generic ones."""
+
+    def ok(lam, q):
+        return all(t and (q is None or t % q) for t in (pairing(e.weight, lam) for e in graph.edges))
+
+    generic = any(ok(lam, p) for lam in product(range(1, p + 1), repeat=graph.rank))
+    q = p if generic else None
+    found = (lam for lam in _box_points(graph.rank) if ok(lam, q))
+    return [GenericSlope(lam, generic) for lam in islice(found, count)]
+
+
+def test_slope_search_matches_the_period_box():
+    # scaled weights, weights that vanish mod p, and graphs where no slope
+    # is generic mod p (cp2 at p = 2), against a scan of the whole period box
+    graphs = [helpers.cp1((3,)), helpers.cp1((10,)), helpers.cpn(3)]
+    for g in (helpers.cp2(), helpers.cp1xcp1(), helpers.fl3()):
+        graphs += [g, helpers.mapped(g, [[2, 0], [0, 1]]), helpers.mapped(g, [[1, 1], [0, 3]])]
+    for g in graphs:
+        for p in (2, 3, 5, 7):
+            expected = _slopes_by_period_box(g, p, 4)
+            assert list(islice(iterate_generic_slopes(g, helpers.modp(p)), 4)) == expected, (g, p)
+
+
 def test_localize_character_class_additivity():
     th = helpers.morava(2, 1, trunc=8)
     fgl = build_fgl(th)
@@ -259,7 +284,7 @@ def _need_classes(g, fgl, vertex):
     """The point class at vertex, c1^n, where c1 restricts to chi of the sum
     of the outgoing weights (two ends of an edge differ by a multiple of its
     weight, so c1 is a class in every theory), and the unit class."""
-    m, n = g.rank, g.valence(0)
+    m, n = g.rank, len(g.adjacency()[0])
     zero, one = TruncatedSeries.zero(fgl.theory, m), TruncatedSeries.one(fgl.theory, m)
     pt = [zero] * len(g.vertices)
     pt[vertex] = one
