@@ -14,20 +14,20 @@ cut after each factor; at nu = 1 the classes are built with u_m = 0, so
 there the cut changes nothing.  A RestrictionIdeal computes all of this
 from the law and the weight alone (kernel_ideal is its entry point) and
 keeps the residues in one table of stored-format term dicts, filled in order
-of total degree from the term lists of the adapted classes: one factor per
-monomial, so a one-term class is a shift of exponents.
+of total degree: each entry is the one below it times one adapted class,
+by the series module's sparse_product with the cut in u_m, the kernel that
+TruncatedSeries.__mul__ also calls.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import add
 from typing import NamedTuple
 
 from .fgl import FormalGroupLaw
 from .lattice import adapted_basis, hermite_basis, primitive_part
 from .scalars import MORAVA, Theory
-from .series import TruncatedSeries, _clean, exponent_vectors
+from .series import TruncatedSeries, exponent_vectors, sorted_terms, sparse_product
 
 
 def character_class(fgl: FormalGroupLaw, weight) -> TruncatedSeries:
@@ -132,11 +132,7 @@ class RestrictionIdeal:
             for row in self.basis_change
         ]
         self._images = {(0,) * m: {((0,) * m, 0): 1}}
-        # the term lists (|beta|, beta, k, c) of the adapted classes, by
-        # ascending |beta| so that a product can stop at the truncation
-        self._factors = [
-            sorted((sum(b), b, k, c) for (b, k), c in f.coeffs.items()) for f in self.adapted_classes
-        ]
+        self._factors = [sorted_terms(f.coeffs) for f in self.adapted_classes]
         self._hermite_cache = {}
 
     @property
@@ -162,9 +158,9 @@ class RestrictionIdeal:
         # the table holds the zero vector and a prefix of the steps
         if len(table) <= len(steps):
             th = self.fgl.theory
-            cut = self.order if self.leading_unit else th.trunc + 1
+            cut = self.order if self.leading_unit else None
             for alpha, i, lower in steps[len(table) - 1:]:
-                table[alpha] = _times_class(table[lower], self._factors[i], th.char, th.trunc, cut)
+                table[alpha] = sparse_product(table[lower], self._factors[i], th.char, th.trunc, cut)
         return [table[alpha] for alpha in alphas]
 
 
@@ -177,33 +173,6 @@ def _image_steps(nvars: int, dmax: int) -> tuple:
         i = max(j for j, e in enumerate(alpha) if e)
         steps.append((alpha, i, alpha[:i] + (alpha[i] - 1,) + alpha[i + 1:]))
     return tuple(steps)
-
-
-def _times_class(image: dict, factor: list, p: int, trunc: int, cut: int) -> dict:
-    """The term dict image times the class with the term list factor, mod p
-    when p is nonzero, without terms above trunc or at u_m-exponent >= cut."""
-    if len(factor) == 1:
-        # a shift of exponents and a scaling: no two terms meet, and a
-        # product of nonzero coefficients is nonzero over Z and mod p
-        (size_b, b, kb, cb), = factor
-        out = {}
-        for (a, ka), ca in image.items():
-            if sum(a) + size_b <= trunc:
-                beta = tuple(map(add, a, b))
-                if beta[-1] < cut:
-                    out[beta, ka + kb] = ca * cb % p if p else ca * cb
-        return out
-    acc = {}
-    for (a, ka), ca in image.items():
-        room = trunc - sum(a)
-        for size_b, b, kb, cb in factor:
-            if size_b > room:
-                break
-            beta = tuple(map(add, a, b))
-            if beta[-1] < cut:
-                key = (beta, ka + kb)
-                acc[key] = acc.get(key, 0) + ca * cb
-    return _clean(acc, p)
 
 
 def kernel_ideal(fgl: FormalGroupLaw, weight) -> RestrictionIdeal:

@@ -11,7 +11,7 @@ directly (graphio.class_at_slope).  Both then run integrate_at_slope.
 
 from __future__ import annotations
 
-from itertools import count, product, takewhile
+from itertools import count, product
 from math import gcd
 from typing import NamedTuple
 
@@ -56,25 +56,29 @@ def iterate_generic_slopes(graph: GKMGraph, theory: Theory):
     """Deterministic slope search over growing boxes.
 
     For the mod-p theories, slopes whose pairings are all nonzero mod p are
-    preferred (they keep every Euler-class order equal to the valence).  That
-    condition only depends on the slope mod p, so the boxes up to [1..p]^m,
-    which meet every class mod p, decide it, and a weight that vanishes mod p
-    rules it out at once; when it fails (this genuinely happens, e.g. the
-    standard three-fixed-point projective plane at p = 2), the search falls
-    back to integer-generic slopes, flagged, and the Euler classes simply
-    acquire higher leading orders.
+    preferred (they keep every Euler-class order equal to the valence), and
+    they are yielded as the search meets them.  That condition only depends
+    on the slope mod p, so the boxes up to [1..p]^m, which meet every class
+    mod p, decide it, and a weight that vanishes mod p rules it out at once.
+    When it fails (this genuinely happens, e.g. the standard three-fixed-point
+    projective plane at p = 2), the search stops at the first point past side
+    p and falls back to integer-generic slopes, flagged, and the Euler
+    classes simply acquire higher leading orders.
     """
     m = graph.rank
-    p = theory.char or None
-    mod_p_generic = True
-    if p is not None:
-        box = takewhile(lambda lam: max(lam) <= p, _box_points(m))
-        vanishing = any(gcd(*e.weight) % p == 0 for e in graph.edges)
-        if vanishing or not any(_slope_ok(graph, lam, p) for lam in box):
-            p, mod_p_generic = None, False
+    p = theory.char
+    if p and all(gcd(*e.weight) % p for e in graph.edges):
+        found = False
+        for lam in _box_points(m):
+            if _slope_ok(graph, lam, p):
+                found = True
+                yield GenericSlope(lam)
+            elif not found and max(lam) > p:
+                break
+    # reached only without a mod-p generic slope: flagged for a prime p
     for lam in _box_points(m):
-        if _slope_ok(graph, lam, p):
-            yield GenericSlope(lam, mod_p_generic)
+        if _slope_ok(graph, lam):
+            yield GenericSlope(lam, mod_p_generic=not p)
 
 
 def find_generic_slope(graph: GKMGraph, theory: Theory) -> GenericSlope:

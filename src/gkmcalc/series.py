@@ -15,14 +15,18 @@ k.  The same format is the public one: the constructors take it (checked and
 reduced; from_raw takes it as it is), coefficient reads one (c, k) pair and
 scale multiplies by c * unit^k.
 
-Products are plain convolution (bucketed by total degree), which is easy to
-audit.  The envelope this is measured on: the solver at D <= 4 in m <= 4
-variables, formal sums through the two-variable laws at D <= 48, and
-localization at D <= 42, where a class restriction is evaluated in the one
-slope variable and only an expression with a sum is first expanded in its
-torus variables (m <= 4 measured).  The Honda law itself is an integer
-table (see the fgl module): at K(1), p = 2 it builds in 0.03 s at D = 48
-and 0.9 s at D = 128 (2-core VM, Python 3.11).  A Laurent series is known below its precision;
+Every product of multivariate series is one sparse kernel, sparse_product:
+each stored term of the left factor meets the right factor's terms, sorted
+by total degree, and stops at the truncation.  TruncatedSeries.__mul__ and
+the kernel ideal's image tables (see the classifying module, which also
+passes a cut in the last variable) both call it.  The envelope this is
+measured on: the solver at D <= 4 in m <= 4 variables, formal sums through
+the two-variable laws at D <= 48, and localization at D <= 42, where a
+class restriction is evaluated in the one slope variable and only an
+expression with a sum is first expanded in its torus variables (m <= 4
+measured).  The Honda law itself is an integer table (see the fgl module):
+at K(1), p = 2 it builds in 0.03 s at D = 48 and 0.9 s at D = 128 (2-core
+VM, Python 3.11).  A Laurent series is known below its precision;
 localization only adds them and divides them, by long division.
 """
 
@@ -63,6 +67,30 @@ def _clean(acc: dict, p: int) -> dict:
     if p:
         return {key: r for key, c in acc.items() if (r := c % p)}
     return {key: c for key, c in acc.items() if c}
+
+
+def sorted_terms(coeffs: dict) -> list:
+    """The terms (|beta|, beta, k, c) of the stored-format dict coeffs, by
+    ascending total degree: the right-hand factor of sparse_product."""
+    return sorted((sum(b), b, k, c) for (b, k), c in coeffs.items())
+
+
+def sparse_product(coeffs: dict, terms: list, p: int, trunc: int, cut: int | None = None) -> dict:
+    """The stored-format dict coeffs times the sorted_terms list terms, mod
+    p when p is nonzero, without the terms above total degree trunc or, when
+    cut is given, at last-variable exponent >= cut.  Each term of coeffs
+    stops at the truncation, so no pair past it is visited."""
+    acc = {}
+    for (a, ka), ca in coeffs.items():
+        room = trunc - sum(a)
+        for size_b, b, kb, cb in terms:
+            if size_b > room:
+                break
+            beta = tuple(map(add, a, b))
+            if cut is None or beta[-1] < cut:
+                key = (beta, ka + kb)
+                acc[key] = acc.get(key, 0) + ca * cb
+    return _clean(acc, p)
 
 
 def _combine(parts, p: int) -> dict:
@@ -168,11 +196,6 @@ class TruncatedSeries:
         degree = self.theory.degree
         return sorted({degree(*pair) for pair in {(sum(a), k) for a, k in self.coeffs}})
 
-    def homogeneous_degree(self) -> int | None:
-        """The common cohomological degree of all terms, or None if mixed/zero."""
-        degs = self.degrees()
-        return degs[0] if len(degs) == 1 else None
-
     def _compatible(self, other: "TruncatedSeries"):
         if self.theory != other.theory:
             raise ValueError("series belong to different theories (or truncations)")
@@ -211,23 +234,7 @@ class TruncatedSeries:
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._compatible(other)
         th = self.theory
-        D = th.trunc
-        buckets_a = {}
-        for (a, k), c in self.coeffs.items():
-            buckets_a.setdefault(sum(a), []).append((a, k, c))
-        buckets_b = {}
-        for (b, k), c in other.coeffs.items():
-            buckets_b.setdefault(sum(b), []).append((b, k, c))
-        acc = {}
-        for da, lista in buckets_a.items():
-            for db, listb in buckets_b.items():
-                if da + db > D:
-                    continue
-                for a, ka, ca in lista:
-                    for b, kb, cb in listb:
-                        key = (tuple(map(add, a, b)), ka + kb)
-                        acc[key] = acc.get(key, 0) + ca * cb
-        return self._like(_clean(acc, th.char))
+        return self._like(sparse_product(self.coeffs, sorted_terms(other.coeffs), th.char, th.trunc))
 
     def __pow__(self, k: int) -> "TruncatedSeries":
         if k < 0:

@@ -274,6 +274,38 @@ def random_series(rng: random.Random, theory, nvars, maxdeg=None, terms=4):
     return out
 
 
+def random_mixed_series(rng: random.Random, theory, nvars, terms):
+    """A series of up to terms random terms of every total degree up to the
+    truncation, each with its own unit exponent in [-2, 2] (0 without a
+    periodicity unit), so degrees mix."""
+    out = {}
+    for _ in range(terms):
+        size = rng.randrange(theory.trunc + 1)
+        cuts = sorted(rng.randrange(size + 1) for _ in range(nvars - 1))
+        alpha = tuple(b - a for a, b in zip([0, *cuts], [*cuts, size]))
+        k = rng.randrange(-2, 3) if theory.period_degree else 0
+        out[alpha, k] = rng.randrange(-6, 7)
+    return TruncatedSeries(theory, nvars, out)
+
+
+def naive_product(f, g, cut=None):
+    """The oracle for the sparse product: the convolution over every pair of
+    terms of f and g, then the terms above the truncation and, when cut is
+    given, those at last-variable exponent >= cut dropped, and the rest
+    reduced by the theory's own rule."""
+    acc = {}
+    for (a, ka), ca in f.coeffs.items():
+        for (b, kb), cb in g.coeffs.items():
+            key = (tuple(x + y for x, y in zip(a, b)), ka + kb)
+            acc[key] = acc.get(key, 0) + ca * cb
+    kept = {
+        key: c
+        for key, c in acc.items()
+        if sum(key[0]) <= f.theory.trunc and (cut is None or key[0][-1] < cut)
+    }
+    return TruncatedSeries(f.theory, f.nvars, kept)
+
+
 def random_homogeneous(rng: random.Random, theory, nvars, q, terms=4):
     monos = _slice_monomials(theory, nvars, q)
     out = TruncatedSeries.zero(theory, nvars)

@@ -65,7 +65,7 @@ def test_expression_parser():
     assert s.coefficient((2, 0)) == (0, 0)  # 2 = 0 mod 2
     assert s.coefficient((1, 1)) == (1, 0)  # -1 = 1 mod 2
     chi = parse_expression("chi(1,1)", fgl, 2)
-    assert chi.homogeneous_degree() == 2
+    assert chi.degrees() == [2]
     v = parse_expression("v^-1*u1", fgl, 2)
     assert v.coefficient((1, 0)) == (1, -1)
     with pytest.raises(GraphFileError):

@@ -701,12 +701,12 @@ def test_each_monomial_image_is_computed_once_per_solve(monkeypatch, graph, theo
     import gkmcalc.gkm as gkm_module
 
     ideals, products, asked = [], [], []
-    real_ideal, real_times = gkm_module.kernel_ideal, classifying_module._times_class
+    real_ideal, real_product = gkm_module.kernel_ideal, classifying_module.sparse_product
     monkeypatch.setattr(
         gkm_module, "kernel_ideal", lambda *a: ideals.append(real_ideal(*a)) or ideals[-1]
     )
     monkeypatch.setattr(
-        classifying_module, "_times_class", lambda *a: products.append(1) or real_times(*a)
+        classifying_module, "sparse_product", lambda *a: products.append(1) or real_product(*a)
     )
     real_solve = gkm_module._solve_degree
     monkeypatch.setattr(

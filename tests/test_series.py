@@ -15,6 +15,8 @@ from gkmcalc import (
     build_fgl,
     format_series,
 )
+from gkmcalc.classifying import RestrictionIdeal
+from gkmcalc.series import exponent_vectors, sorted_terms, sparse_product
 
 import helpers
 
@@ -101,10 +103,46 @@ def test_homogeneity_propagates():
     b = helpers.random_homogeneous(rng, th, 2, 2)
     prod = a * b
     if not prod.is_zero():
-        assert prod.homogeneous_degree() == 6
+        assert prod.degrees() == [6]
     s = a + a
     if not s.is_zero():
-        assert s.homogeneous_degree() == 4
+        assert s.degrees() == [4]
+
+
+def test_sparse_product_matches_the_naive_convolution():
+    # random series in 1-4 variables with mixed unit exponents, one-term
+    # factors among them, against the all-pairs oracle: through __mul__, and
+    # through the kernel at u_m-cuts 1, 2 and none
+    rng = random.Random(27)
+    edges = set()
+    for p in (0, 2, 3, 5):
+        th = helpers.mult(trunc=5) if p == 0 else helpers.morava(p, 1, trunc=5)
+        for nvars in range(1, 5):
+            for _ in range(12):
+                f = helpers.random_mixed_series(rng, th, nvars, rng.choice([1, 3, 6]))
+                g = helpers.random_mixed_series(rng, th, nvars, rng.choice([1, 3, 6]))
+                assert f * g == helpers.naive_product(f, g), (f, g)
+                for cut in (1, 2, None):
+                    got = sparse_product(f.coeffs, sorted_terms(g.coeffs), th.char, th.trunc, cut)
+                    assert got == helpers.naive_product(f, g, cut).coeffs, (f, g, cut)
+                edges |= {sum(a) + sum(b) - th.trunc for a, _k in f.coeffs for b, _j in g.coeffs}
+    assert {0, 1} <= edges  # pairs at |alpha| + |beta| = D and D + 1 were drawn
+    # a filled image table, cut at u_m-exponent 1 (order 1), 2 (K(1) at
+    # p = 2, d = 2) and not at all (2u has no unit lead over Z)
+    for th, weight, cut in (
+        (helpers.ordinary(trunc=4), (1, 2, 0), 1),
+        (helpers.morava(2, 1, trunc=4), (2, 0, 4), 2),
+        (helpers.ordinary(trunc=4), (2, 4, 6), None),
+    ):
+        ideal = RestrictionIdeal(build_fgl(th), weight)
+        assert (ideal.order if ideal.leading_unit else None) == cut
+        alphas = exponent_vectors(3, th.trunc)
+        expected = {alphas[0]: TruncatedSeries.one(th, 3)}
+        for alpha in alphas[1:]:
+            i = max(j for j, e in enumerate(alpha) if e)
+            lower = alpha[:i] + (alpha[i] - 1,) + alpha[i + 1:]
+            expected[alpha] = helpers.naive_product(expected[lower], ideal.adapted_classes[i], cut)
+        assert ideal.monomial_images(alphas) == [expected[a].coeffs for a in alphas]
 
 
 def _part(theory, coeffs, q):
@@ -140,7 +178,7 @@ def test_mixed_degree_sums_distribute(theory, alphas, fc, gc, hc, qs):
     assert mixed * h == f * h + g * h
     assert helpers.degree_component(mixed, q1) == f
     assert helpers.degree_component(mixed, q2) == g
-    assert mixed.homogeneous_degree() is None
+    assert len(mixed.degrees()) != 1
     assert mixed.degrees() == sorted((q1, q2))
 
 
