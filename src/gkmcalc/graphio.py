@@ -18,6 +18,7 @@ from typing import NamedTuple
 from .fgl import FormalGroupLaw
 from .classifying import character_class
 from .gkm import EquivariantClass, GKMEdge, GKMGraph, common_degree
+from .localization import pairing
 from .scalars import ORDINARY, RATIONAL
 from .series import TruncatedSeries
 
@@ -469,8 +470,7 @@ class _SlopeParser(_Parser):
     def chi(self, weight) -> _Image:
         n_series = self.fgl.n_series
         orders = [o for a in weight if a and (o := n_series(a).order()) is not None]
-        t = sum(a * s for a, s in zip(weight, self.slope))
-        return _Image(n_series(t), min(orders, default=None), 2)
+        return _Image(n_series(pairing(weight, self.slope)), min(orders, default=None), 2)
 
     def scalar(self, base: _Image) -> tuple:
         if base.order:

@@ -87,24 +87,41 @@ def find_generic_slope(graph: GKMGraph, theory: Theory) -> GenericSlope:
 
 
 class VertexEuler(NamedTuple):
+    """A vertex's Euler class at the slope.  order is the rule's order, the
+    sum of the orders of the relations [t]u: it may pass the truncation,
+    and series has then lost its leading term.  The leading coefficient is
+    not checked to be a unit: the division checks it."""
+
     vertex: int
     pairings: list[int]
     series: LaurentSeries
     order: int
 
 
-def _euler_orders(graph: GKMGraph, stars, fgl: FormalGroupLaw, slope: GenericSlope) -> list[int]:
-    """Each vertex's Euler order, read off the pairings in its star before
-    any series is built: the sum of the orders of the relations [t]u.  Only
-    an additive mod-p relation vanishes (p | t), and that is refused."""
+def euler_classes(graph: GKMGraph, fgl: FormalGroupLaw, slope: GenericSlope) -> list[VertexEuler]:
+    """Each vertex's Euler class, the product of the [t]-series of its
+    pairings t, in one pass over the stars.  Its order is read off the
+    relations (relation_order), also past the truncation; only an additive
+    mod-p relation vanishes (p | t), and that is refused.  The leading
+    coefficient is not checked: the division does that.  Every [t]u has
+    degree 2, so the product has degree 2 * valence: it is multiplied as a
+    coefficient list indexed by exponent, reduced mod p after each factor,
+    and the unit exponent of each term is read off that degree."""
+    th = fgl.theory
+    D, p = th.trunc, th.char
+    factors = {}  # t -> the order of [t]u and its (exponent, coefficient) terms, ascending
     out = []
-    for v, star in zip(graph.vertices, stars):
-        out.append(0)
-        for _j, w in star:
-            t = pairing(w, slope.vector)
-            order = relation_order(fgl, abs(t))
-            if order is None:
-                p = fgl.theory.char
+    for i, (v, star) in enumerate(zip(graph.vertices, graph.adjacency())):
+        pairings = [pairing(w, slope.vector) for _j, w in star]
+        if 0 in pairings:
+            raise LocalizationError(f"slope {slope.vector} pairs to zero with a weight at vertex {v}")
+        prod, order = [1] + [0] * D, 0
+        for t, (_j, w) in zip(pairings, star):
+            if t not in factors:
+                terms = sorted((a[0], c) for (a, _k), c in fgl.n_series(t).coeffs.items())
+                factors[t] = relation_order(fgl, abs(t)), terms
+            t_order, factor = factors[t]
+            if t_order is None:
                 msg = (
                     f"slope {slope.vector} pairs to {t} with weight {w} at vertex {v}, "
                     f"so the additive mod-{p} Euler class vanishes there"
@@ -112,32 +129,7 @@ def _euler_orders(graph: GKMGraph, stars, fgl: FormalGroupLaw, slope: GenericSlo
                 if not slope.mod_p_generic:
                     msg = f"no slope pairs nonzero mod {p} with every weight: {msg}"
                 raise LocalizationError(msg)
-            out[-1] += order
-    return out
-
-
-def euler_classes(graph: GKMGraph, fgl: FormalGroupLaw, slope: GenericSlope) -> list[VertexEuler]:
-    """Each vertex's Euler class, the product of the [t]-series of its
-    pairings t.  Every [t]u has degree 2, so the product has degree
-    2 * valence: it is multiplied as a coefficient list indexed by exponent,
-    reduced mod p after each factor, and the unit exponent of each term is
-    read off that degree."""
-    th = fgl.theory
-    D, p = th.trunc, th.char
-    factors = {}  # t -> the (exponent, coefficient) terms of [t]u, ascending
-    out = []
-    for i, star in enumerate(graph.adjacency()):
-        pairings = [pairing(w, slope.vector) for _j, w in star]
-        if any(t == 0 for t in pairings):
-            raise LocalizationError(
-                f"slope {slope.vector} pairs to zero with a weight at vertex "
-                f"{graph.vertices[i]}"
-            )
-        prod = [1] + [0] * D
-        for t in pairings:
-            factor = factors.get(t)
-            if factor is None:
-                factor = factors[t] = sorted((a[0], c) for (a, _k), c in fgl.n_series(t).coeffs.items())
+            order += t_order
             acc = [0] * (D + 1)
             for e, a in enumerate(prod):
                 if a:
@@ -148,14 +140,7 @@ def euler_classes(graph: GKMGraph, fgl: FormalGroupLaw, slope: GenericSlope) -> 
             prod = [c % p for c in acc] if p else acc
         degree = 2 * len(pairings)
         coeffs = {(e, th.unit_exponent(e, degree)): c for e, c in enumerate(prod) if c}
-        eu = LaurentSeries.from_raw(th, coeffs, D + 1)
-        order = eu.order()
-        if order is None or not th.is_unit(eu.coefficient(order)[0]):
-            raise LocalizationError(
-                f"Euler class at vertex {graph.vertices[i]} has no unit leading "
-                f"coefficient for slope {slope.vector}"
-            )
-        out.append(VertexEuler(i, pairings, eu, order))
+        out.append(VertexEuler(i, pairings, LaurentSeries.from_raw(th, coeffs, D + 1), order))
     return out
 
 
@@ -249,21 +234,23 @@ def integrate_at_slope(
     """The integral of a class of the given degree whose restrictions at the
     slope, one-variable series over the work theory, are localized."""
     work = work_theory(theory)
-    fgl = build_fgl(work)
-    stars = graph.adjacency()
-    top_degree = 2 * len(stars[0])
+    eulers = euler_classes(graph, build_fgl(work), slope)
+    top_degree = 2 * len(eulers[0].pairings)
     top = degree == top_degree
-    # checked before the Euler classes are built, which a short truncation
-    # would cut; the answer reads s^0 at top degree, below it s^-1 (the verdict)
-    orders = _euler_orders(graph, stars, fgl, slope)
+    # checked before any division: past it each Euler class has its rule's
+    # order (the rings are domains); the answer reads s^0 at top degree,
+    # below it s^-1 (the verdict)
+    orders = [eu.order for eu in eulers]
     _refuse_short_truncation(graph, orders, localized, work.trunc, 0 if top else -1)
-    eulers = euler_classes(graph, fgl, slope)
     total = LaurentSeries.zero(work)
     for f, eu in zip(localized, eulers):
         try:
             term = LaurentSeries.from_truncated(f).divide(eu.series)
         except LeadingUnitError as exc:
-            raise LocalizationError(str(exc)) from exc
+            raise LocalizationError(
+                f"Euler class at vertex {graph.vertices[eu.vertex]} has no unit leading "
+                f"coefficient for slope {slope.vector}"
+            ) from exc
         total = total + term
     negative_clean = total.negative_part_is_zero()
     integral = total.coefficient(0) if top else None

@@ -224,6 +224,24 @@ def test_cli_fgl_missing_height():
     assert "n" in err
 
 
+@pytest.mark.parametrize("flags,refusal", [
+    (["--theory", "morava", "--p", "2", "--n", "0"], "--theory morava: height n must be an integer >= 1"),
+    (
+        ["--theory", "ordinary", "--n", "2"],
+        "--theory ordinary: theory kind 'ordinary-integral' does not take a height n",
+    ),
+], ids=["height-0", "height-without-morava"])
+def test_cli_refuses_a_height_the_theory_cannot_take(flags, refusal):
+    assert run_cli("fgl", *flags, "--trunc", "4") == (2, "", f"error: {refusal}\n")
+    assert run_cli("solve", graph_path("cp2.json"), *flags) == (2, "", f"error: {refusal}\n")
+
+
+def test_cli_refuses_a_directory_as_the_graph_file(tmp_path):
+    code, out, err = run_cli("solve", str(tmp_path), "--theory", "ordinary")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read {tmp_path}: ")
+
+
 def test_cli_solve_cp1_golden():
     code, out, _ = run_cli(
         "solve", graph_path("cp1.json"), "--theory", "ordinary", "--qmax", "4"
@@ -296,6 +314,7 @@ MALFORMED = {
         "edges[0]: weight must be a list of integers",
     ),
     "torus-rank-true": (_cp1_bytes(torus_rank=True), "torus_rank must be a positive integer"),
+    "class-a-number": (_cp1_bytes(classes={"c": 5}), "classes['c']: must be a list or an object"),
     "not-utf8": (_cp1_bytes().replace(b'"S"', b'"\xc9"'), "not UTF-8 at byte"),
 }
 
@@ -596,6 +615,25 @@ def _cp2_with_class(tmp_path, name, spec):
     return str(path)
 
 
+def test_cli_integrate_mult_refusals_follow_the_truncation(tmp_path):
+    # Euler orders 2 at every vertex of cp2.json under mult: the truncation
+    # is checked first, and only then does the division meet the lead 2 of
+    # the Euler class at A, 2*s^2 - b*s^3, which is not a unit in Z[b^+-1]
+    zero4 = {"degree": 4, "restrictions": ["0", "0", "0"]}
+    path = _cp2_with_class(tmp_path, "zero4", zero4)
+    code, out, err = run_cli("integrate", path, "--theory", "mult", "--trunc", "1", "--class", "zero4")
+    assert (code, out) == (4, "")
+    assert err.startswith("error: truncation degree 1 below the Euler order 2 at vertex A, ")
+    path = _cp2_with_class(tmp_path, "one", ["1", "1", "1"])
+    argv = ["integrate", path, "--theory", "mult", "--class", "one"]
+    code, out, err = run_cli(*argv, "--trunc", "2")
+    assert (code, out) == (4, "")
+    assert err.startswith("error: precision exhausted before exponent -1: at vertex A ")
+    assert run_cli(*argv, "--trunc", "3") == (
+        4, "", "error: Euler class at vertex A has no unit leading coefficient for slope (1, 2)\n"
+    )
+
+
 def test_cli_integrate_a_class_mixing_degrees_at_one_monomial(tmp_path):
     # under K(1) at p = 2, chi(1,1) = u1 + u2 + v1*u1*u2 has a degree-2 term at
     # u1*u2, and chi(1,0)*chi(0,1) = u1*u2 a degree-4 one
@@ -721,6 +759,7 @@ BAD_EXPRESSIONS = {
     "variable-range": ("u2", "variable u2 out of range 1..1"),
     "trailing-token": ("u1 u1", "unexpected trailing token 'u1'"),
     "symbolic-exponent": ("u1^x", "expected an integer exponent"),
+    "leading-operator": ("*u1", "unexpected token '*'"),
 }
 
 

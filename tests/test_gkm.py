@@ -62,6 +62,19 @@ def test_validate_zero_weight_and_disconnected():
     assert any("not connected" in v for v in validate_graph(g2))
 
 
+def test_validate_refuses_an_empty_graph_and_malformed_library_graphs():
+    # an empty vertex list skips every later check; the graph-file reader
+    # refuses repeated names and short weights first, so only a library
+    # caller meets those two
+    from gkmcalc import validate_graph
+
+    assert validate_graph(GKMGraph(1, [], [])) == ["graph has no vertices"]
+    assert validate_graph(GKMGraph(2, ["A", "A"], [GKMEdge(0, 1, (1,))])) == [
+        "vertex names are not distinct",
+        "edge 0: weight length 1 != torus rank 2",
+    ]
+
+
 def test_mod_p_warnings():
     assert mod_p_weight_warnings(helpers.cp2(), 2) == []
     g = GKMGraph(2, ["A", "B", "C"], [

@@ -370,3 +370,73 @@ def test_a_class_mixing_degrees_at_one_monomial_localizes_as_its_parts():
     assert below
     for key in below:
         assert mixed.total.coeffs.get(key, 0) == parts.coeffs.get(key, 0)
+
+
+def test_integrate_at_slope_reads_each_star_once(monkeypatch):
+    # one adjacency build and one pairing per edge end: the Euler classes
+    # carry the orders, the pairings and the top degree
+    import gkmcalc.localization as localization
+    from gkmcalc import GKMGraph
+
+    g = helpers.fl3()
+    th = helpers.morava(2, 1, trunc=12)
+    fgl = build_fgl(th)
+    slope = find_generic_slope(g, th)
+    pt = _need_classes(g, fgl, 0)[0]
+    localized = localize_class(fgl, pt, slope)
+    calls = {"adjacency": 0, "pairing": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(GKMGraph, "adjacency", counted("adjacency", GKMGraph.adjacency))
+    monkeypatch.setattr(localization, "pairing", counted("pairing", localization.pairing))
+    report = localization.integrate_at_slope(g, th, slope, localized, pt.degree)
+    assert report.integral == (1, 0)
+    assert calls == {"adjacency": 1, "pairing": 2 * len(g.edges)}
+
+
+def test_euler_classes_below_the_euler_order_keep_the_rules_orders():
+    # CP^2 under K(2) at p = 2 has no mod-2 generic slope; at (1, 2) the
+    # pairings 2 and -2 have [2]-series of order p^n = 4, past --trunc 2
+    th = helpers.morava(2, 2, trunc=2)
+    g = helpers.cp2()
+    slope = find_generic_slope(g, th)
+    assert slope == GenericSlope((1, 2), mod_p_generic=False)
+    eus = euler_classes(g, build_fgl(th), slope)
+    assert [e.order for e in eus] == [5, 2, 5]
+    assert [e.series.order() for e in eus] == [None, 2, None]
+
+
+def test_euler_classes_refuse_a_slope_pairing_to_zero():
+    # (1, 1) pairs to zero with the weight -1, 1 of the edge B-C
+    th = helpers.ordinary()
+    with pytest.raises(LocalizationError) as exc:
+        euler_classes(helpers.cp2(), build_fgl(th.rationalized()), GenericSlope((1, 1)))
+    assert str(exc.value) == "slope (1, 1) pairs to zero with a weight at vertex B"
+
+
+def test_integrate_refuses_the_wrong_number_of_restrictions():
+    th = helpers.ordinary()
+    one = TruncatedSeries.one(th.rationalized(), 2)
+    with pytest.raises(ValueError) as exc:
+        integrate(helpers.cp2(), th, EquivariantClass((one, one), 0))
+    assert str(exc.value) == "class has the wrong number of fixed-point restrictions"
+
+
+def test_unit_lead_refusal_names_the_first_vertex_without_one():
+    # under mult the Euler class leads with the product of the pairings: at
+    # B (pairings -1 and 1) a unit, at A (1 and 2) the non-unit 2
+    from gkmcalc import GKMEdge, GKMGraph
+
+    edges = [GKMEdge(1, 0, (1, 0)), GKMEdge(1, 2, (0, 1)), GKMEdge(0, 2, (-1, 1))]
+    g = GKMGraph(2, ["B", "A", "C"], edges)
+    th = helpers.mult(trunc=3)
+    one = TruncatedSeries.one(th, 2)
+    with pytest.raises(LocalizationError) as exc:
+        integrate(g, th, EquivariantClass((one,) * 3, 0))
+    assert str(exc.value) == "Euler class at vertex A has no unit leading coefficient for slope (1, 2)"
