@@ -5,20 +5,20 @@ Matrices are plain lists of rows.  Every vector the eliminations take or
 return is sparse, {index: nonzero entry}, and every vector they return has
 its keys in increasing order, the format the solver hands on to the printer.
 
-Both eliminations run in two passes.  The forward pass, shared, lets rows
-wait under their leading column and fixes one pivot per column in
-increasing order; it never touches a row once it is a pivot row.  One final
-pass then reduces the kept rows from the last pivot back, each only against
-rows that are already final.  Over the integers the pivot comes out of a
-Euclid loop and the final pass reduces into [0, pivot), which gives the
-canonical row-Hermite form: hermite_basis.  Kernels, adapted coordinates
-and invariant factors are read off Hermite forms of augmented or transposed
-matrices, and integer_kernel back-reduces only the rows it keeps.  Over the
-graded fields' degree-0 parts, F_p and Q, the pivot is the shortest row,
-scaled to 1, and the final pass clears, which gives the reduced row-echelon
-form that field_kernel reads.  Both normal forms are unique, so every answer
-is independent of the elimination order and downstream golden outputs are
-reproducible.
+Both eliminations run in two passes.  The forward pass lets rows wait
+under their leading column and fixes one pivot per column in increasing
+order; it never touches a row once it is a pivot row.  Over the integers the
+pivot comes out of a Euclid loop; over the graded fields' degree-0 parts,
+F_p and Q, it is the shortest row, scaled to 1.  One final pass,
+_back_reduce, then reduces the kept rows from the last pivot back, each only
+against rows that are already final: over the integers into [0, pivot),
+which gives the canonical row-Hermite form, and over a field by clearing,
+which gives the reduced row-echelon form.  hermite_basis returns the first;
+kernels, adapted coordinates and invariant factors are read off Hermite
+forms of augmented or transposed matrices, and integer_kernel back-reduces
+only the rows it keeps.  field_kernel reads the second.  Both normal forms
+are unique, so every answer is independent of the elimination order and
+downstream golden outputs are reproducible.
 """
 
 from __future__ import annotations
@@ -45,7 +45,9 @@ def hermite_basis(rows: list[dict]) -> list[dict]:
     order.  A forward echelon pass with the Euclid step fixes the pivots,
     and one back-reduction then reduces every echelon row.
     """
-    return _back_reduce(_echelon(rows, _euclid_step))
+    echelon = _echelon(rows, _euclid_step)
+    _back_reduce(echelon)
+    return [dict(sorted(echelon[j].items())) for j in sorted(echelon)]
 
 
 def _echelon(rows: list[dict], step) -> dict[int, dict]:
@@ -98,33 +100,42 @@ def _euclid_step(j: int, live: list[dict]) -> tuple[dict, list[dict]]:
     return pivot, moved
 
 
-def _back_reduce(echelon: dict[int, dict]) -> list[dict]:
-    """The Hermite rows of echelon rows {pivot column: row}, in increasing
-    pivot column and each with its keys in increasing order.
+def _back_reduce(echelon: dict[int, dict], p: int | None = None) -> None:
+    """The final pass, in place, on echelon rows {pivot column: row}: over
+    the integers, or over F_p (over Q when p = 0), whose pivots are 1.
 
-    From the last pivot back, each row is reduced left to right into
-    [0, pivot) at the pivot columns it holds, against rows that are already
-    final.  Subtracting the row of pivot c changes entries right of c only,
-    so a heap of the row's pivot columns, fed the ones each subtraction
-    brings in, visits every column it must and no other.
+    From the last pivot back, each row is reduced left to right at the pivot
+    columns it holds, against rows that are already final: over the
+    integers into [0, pivot), over a field to zero.  Each final row records
+    the pivot columns it kept.  Subtracting the row of pivot c changes
+    entries right of c only and brings in none but those, so a heap of the
+    row's pivot columns, fed them, visits every column it must and no other.
+    Over a field a final row keeps none.
     """
+    kept: dict[int, list[int]] = {}
     for j in sorted(echelon, reverse=True):
         row = echelon[j]
-        todo = [c for c in row if c != j and c in echelon]
+        todo = [c for c in row if c in kept]
         heapify(todo)
+        kept[j] = held = []
         while todo:
             c = heappop(todo)
+            if todo and todo[0] == c:
+                continue  # c came back after it vanished: its last copy reduces it
             other = echelon[c]
-            q = row.get(c, 0) // other[c]
+            q = row.get(c, 0)
+            if p is None:
+                q //= other[c]
             if q:
-                for k in other:
-                    if k not in row and k in echelon:
+                for k in kept[c]:
+                    if k not in row:
                         heappush(todo, k)
-                _subtract(row, other, q)
-    return [dict(sorted(echelon[j].items())) for j in sorted(echelon)]
+                _subtract(row, other, q, p)
+            if c in row:
+                held.append(c)
 
 
-def _subtract(row: dict, other: dict, q, p: int = 0) -> None:
+def _subtract(row: dict, other: dict, q, p: int | None = 0) -> None:
     """row -= q * other on sparse rows, reduced mod p when p is nonzero,
     dropping entries that become zero."""
     for k, x in other.items():
@@ -153,7 +164,8 @@ def integer_kernel(rows: list[dict], cols: int) -> list[dict]:
         for j, x in row.items():
             aug[j][i] = x
     kept = {j: r for j, r in _echelon(aug, _euclid_step).items() if j >= n}
-    return [{j - n: x for j, x in r.items()} for r in _back_reduce(kept)]
+    _back_reduce(kept)
+    return [{j - n: x for j, x in sorted(kept[j].items())} for j in sorted(kept)]
 
 
 def field_kernel(rows: list[dict], cols: int, p: int) -> list[dict]:
@@ -167,32 +179,8 @@ def field_kernel(rows: list[dict], cols: int, p: int) -> list[dict]:
     unique, so the basis does not depend on the row order.
     """
     scalar = (lambda x: x % p) if p else Fraction
-    echelon = _reduced_echelon(
-        [{j: y for j, x in r.items() if (y := scalar(x))} for r in rows], p
-    )
-    vecs = {f: {} for f in range(cols) if f not in echelon}
-    for j, row in echelon.items():  # in increasing pivot column
-        for f, x in row.items():
-            if f != j:
-                vecs[f][j] = p - x if p else -x
-    for f, v in vecs.items():
-        v[f] = 1
-    return list(vecs.values())
 
-
-def _reduced_echelon(rows: list[dict], p: int) -> dict[int, dict]:
-    """Reduced row-echelon form of sparse rows over F_p (over Q when p = 0),
-    as {pivot column: row with pivot entry 1} in increasing pivot column;
-    consumes the rows.
-
-    The forward pass is hermite_basis's with the field step: the shortest
-    row led at a column becomes the pivot row, scaled to pivot 1, and the
-    others lose that column.  A last pass clears the entries above the
-    pivots, from the last pivot back, so each row is reduced only against
-    rows that are already final.
-    """
-
-    def step(j, live):
+    def step(j, live):  # the shortest row led at j, scaled to 1, is the pivot
         pivot, *rest = sorted(live, key=len)
         inv = pow(pivot[j], -1, p) if p else 1 / pivot[j]
         for k in pivot:
@@ -201,12 +189,16 @@ def _reduced_echelon(rows: list[dict], p: int) -> dict[int, dict]:
             _subtract(r, pivot, r[j], p)
         return pivot, rest
 
-    echelon = _echelon(rows, step)
-    for j in sorted(echelon, reverse=True):
-        row = echelon[j]
-        for c in [c for c in row if c != j and c in echelon]:
-            _subtract(row, echelon[c], row[c], p)
-    return echelon
+    echelon = _echelon([{j: y for j, x in r.items() if (y := scalar(x))} for r in rows], step)
+    _back_reduce(echelon, p)
+    vecs = {f: {} for f in range(cols) if f not in echelon}
+    for j, row in echelon.items():  # in increasing pivot column
+        for f, x in row.items():
+            if f != j:
+                vecs[f][j] = p - x if p else -x
+    for f, v in vecs.items():
+        v[f] = 1
+    return list(vecs.values())
 
 
 def invariant_factors(rows: list[dict]) -> list[int]:

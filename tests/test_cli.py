@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -145,6 +146,49 @@ def test_cli_stdout_matches_golden(stem):
         expected = fh.read()
     assert code == expected_code
     assert out == expected
+
+
+# CLI theory flags and the same theory for the library, at --trunc 6
+ORDER_THEORIES = {
+    "ordinary": helpers.ordinary(trunc=6),
+    "mult": helpers.mult(trunc=6),
+    "mod-p --p 2": helpers.modp(2, trunc=6),
+    "morava --p 2 --n 1": helpers.morava(2, 1, trunc=6),
+    "morava --p 3 --n 1": helpers.morava(3, 1, trunc=6),
+}
+
+
+@pytest.mark.parametrize("flags", sorted(ORDER_THEORIES))
+@pytest.mark.parametrize("name", sorted(os.listdir(GRAPHS)))
+def test_solve_is_independent_of_edge_and_vertex_order(tmp_path, name, flags):
+    # the normal forms are unique: reordering the edges or reversing one
+    # (tail and head swapped, weight negated) leaves `solve` byte-identical,
+    # and relabelling the vertices leaves ranks and divisors as they were
+    rng = random.Random(f"{name} {flags}")
+    with open(graph_path(name), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    edges = doc["edges"]
+
+    def solve_with(new_edges):
+        path = tmp_path / name
+        path.write_text(json.dumps(doc | {"edges": new_edges}))
+        argv = ["solve", str(path), "--theory", *flags.split(), "--trunc", "6", "--qmax", "6"]
+        return run_cli(*argv)[:2]
+
+    base = solve_with(edges)
+    assert base[0] == 0
+    theory = ORDER_THEORIES[flags]
+    graph = load_graph_document(graph_path(name)).graph
+    sol = solve_equivariant_cohomology(graph, theory, 6)
+    for _ in range(3):
+        assert solve_with(rng.sample(edges, len(edges))) == base
+        i = rng.randrange(len(edges))
+        e = edges[i]
+        reversed_edge = e | {"tail": e["head"], "head": e["tail"], "weight": [-x for x in e["weight"]]}
+        assert solve_with(edges[:i] + [reversed_edge] + edges[i + 1:]) == base
+        perm = rng.sample(range(len(graph.vertices)), len(graph.vertices))
+        moved = solve_equivariant_cohomology(helpers.relabel(graph, perm), theory, 6)
+        assert (moved.ranks, moved.divisors) == (sol.ranks, sol.divisors)
 
 
 def test_check_formality_runs_one_solve(monkeypatch):

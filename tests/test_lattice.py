@@ -185,10 +185,18 @@ def sympy_free_column_basis(m, p):
     return basis
 
 
+def field_systems(p):
+    """Dense random matrices up to 6 x 7, then 60 of the solver-like sparse
+    systems up to 25 x 40, as dense rows."""
+    yield from random_matrices(211 + p, max_cols=7)
+    for m, _, width in sparse_matrices(227 + p, count=60):
+        yield [helpers.dense(r, width) for r in m]
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 0])
 def test_field_kernel_matches_sympy(p):
     rng = random.Random(200 + p)
-    for m in random_matrices(211 + p, max_cols=7):
+    for m in field_systems(p):
         cols = len(m[0])
         sparse_kernel = field_kernel(sparse(m), cols, p)
         assert ascending(sparse_kernel), m
@@ -232,6 +240,14 @@ def test_hermite_basis_canonical():
         w = helpers.random_unimodular(rng, 3)
         mixed = helpers.matmul(w, rows)
         assert dense_hermite(mixed) == basis
+
+
+def test_hermite_back_reduction_visits_the_columns_a_subtraction_brings_in():
+    # reducing row 0 by row 1 brings in column 2, a pivot column that row 0
+    # did not hold, and it must be reduced too: row 0 - row 1 leaves 2: -1,
+    # and adding the row of pivot 5 lifts it to 4
+    rows = [{0: 1, 1: 3}, {1: 2, 2: 1}, {2: 5}]
+    assert hermite_basis(rows) == [{0: 1, 1: 1, 2: 4}, {1: 2, 2: 1}, {2: 5}]
 
 
 def test_reduce_vector_mod_lattice():
