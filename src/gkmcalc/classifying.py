@@ -16,7 +16,9 @@ from the law and the weight alone (kernel_ideal is its entry point) and
 keeps the residues in one table of stored-format term dicts, filled in order
 of total degree: each entry is the one below it times one adapted class,
 by the series module's sparse_product with the cut in u_m, the kernel that
-TruncatedSeries.__mul__ also calls.
+TruncatedSeries.__mul__ also calls.  When the leading coefficient is no
+unit, as over Z and Z[b, b^-1] for d > 1, membership is a lattice condition:
+lying in the span of the generator's truncated multiples, taken as they are.
 """
 
 from __future__ import annotations
@@ -25,9 +27,9 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .fgl import FormalGroupLaw
-from .lattice import adapted_basis, hermite_basis, primitive_part
+from .lattice import adapted_basis, primitive_part
 from .scalars import MORAVA, Theory
-from .series import TruncatedSeries, exponent_vectors, sorted_terms, sparse_product
+from .series import TruncatedSeries, degree_vectors, exponent_vectors, sorted_terms, sparse_product
 
 
 def character_class(fgl: FormalGroupLaw, weight) -> TruncatedSeries:
@@ -111,7 +113,7 @@ class RestrictionIdeal:
     coordinates, where the variables become the classes in adapted_classes,
     taken in the cut ring (u_m = 0) at order 1, so a monomial's image is a
     product of them.  It keeps a table of monomial images, filled on demand,
-    and the Hermite bases of its multiples, per degree.
+    and lists the truncated multiples of a generator with a non-unit lead.
     """
 
     def __init__(self, fgl: FormalGroupLaw, weight):
@@ -133,26 +135,19 @@ class RestrictionIdeal:
         ]
         self._images = {(0,) * m: {((0,) * m, 0): 1}}
         self._factors = [sorted_terms(f.coeffs) for f in self.adapted_classes]
-        self._hermite_cache = {}
 
     @property
     def nvars(self) -> int:
         return len(self.weight)
 
-    @property
-    def residue_is_linear(self) -> bool:
-        """True when the generator is zero or has a unit leading coefficient,
-        as every nonzero one has over a graded field."""
-        return self.generator.is_zero() or self.leading_unit
-
     def monomial_images(self, alphas) -> list[dict]:
         """The images of the u^alpha in the adapted coordinates, as
         stored-format term dicts {(beta, k): c}, cut below u_m^order for a
-        unit-lead generator (the residue when the residue is linear).  The
-        table grows in order of total degree, so the image of u^alpha is
-        that of u^(alpha - e_i), i the last variable in alpha, times the
-        i-th adapted class, cut again: both steps are ring maps.  The dicts
-        are the table's own; callers only read them."""
+        unit-lead generator (the residue there).  The table grows in order
+        of total degree, so the image of u^alpha is that of u^(alpha - e_i),
+        i the last variable in alpha, times the i-th adapted class, cut
+        again: both steps are ring maps.  The dicts are the table's own;
+        callers only read them."""
         table = self._images
         steps = _image_steps(self.nvars, max(map(sum, alphas), default=0))
         # the table holds the zero vector and a prefix of the steps
@@ -162,6 +157,18 @@ class RestrictionIdeal:
             for alpha, i, lower in steps[len(table) - 1:]:
                 table[alpha] = sparse_product(table[lower], self._factors[i], th.char, th.trunc, cut)
         return [table[alpha] for alpha in alphas]
+
+    def multiples(self, q: int) -> list[dict]:
+        """The generator's nonzero truncated multiples g * u^alpha * unit^k,
+        (alpha, k) over the degree-(q - 2) slice, as rows {adapted exponent
+        beta: c} (q fixes k at each beta), which span the ideal's degree-q
+        slice; none when the generator is zero or leads with a unit."""
+        if self.leading_unit or self.generator.is_zero():
+            return []
+        th, terms = self.fgl.theory, sorted_terms(self.generator.coeffs)
+        monos = _slice_monomials(th, self.nvars, q - 2)
+        products = (sparse_product({mono: 1}, terms, th.char, th.trunc) for mono in monos)
+        return [{beta: c for (beta, _k), c in prod.items()} for prod in products if prod]
 
 
 @lru_cache(maxsize=None)
@@ -182,28 +189,7 @@ def kernel_ideal(fgl: FormalGroupLaw, weight) -> RestrictionIdeal:
 def _slice_monomials(theory: Theory, nvars: int, q: int):
     """Monomial basis of the degree-q slice of the truncated series ring, in
     print order: the pairs (alpha, k) with |alpha| <= theory.trunc and
-    theory.degree(|alpha|, k) = q, k read once per total degree."""
-    ks = [theory.unit_exponent(size, q) for size in range(theory.trunc + 1)]
-    vecs = exponent_vectors(nvars, theory.trunc)
-    return [(alpha, k) for alpha in vecs if (k := ks[sum(alpha)]) is not None]
-
-
-def ideal_multiples_basis(ideal: RestrictionIdeal, q: int):
-    """Hermite basis for the degree-q slice of the truncated ideal, as sparse
-    rows {index into the slice's monomials: coefficient} in the monomial
-    coordinates of the adapted ring.  Used when the generator has a non-unit
-    leading coefficient, where membership is a lattice condition."""
-    cached = ideal._hermite_cache.get(q)
-    if cached is not None:
-        return cached
-    th = ideal.fgl.theory
-    m = ideal.nvars
-    monos = _slice_monomials(th, m, q)
-    index = {mono: i for i, mono in enumerate(monos)}
-    gens = []
-    for mono in _slice_monomials(th, m, q - 2):
-        prod = ideal.generator * TruncatedSeries.from_raw(th, m, {mono: 1})
-        gens.append({index[key]: c for key, c in prod.coeffs.items()})
-    basis = hermite_basis(gens)
-    ideal._hermite_cache[q] = (monos, basis)
-    return monos, basis
+    theory.degree(|alpha|, k) = q, listed only at the total degrees that
+    some k puts in degree q."""
+    ks = ((size, theory.unit_exponent(size, q)) for size in range(theory.trunc + 1))
+    return [(alpha, k) for size, k in ks if k is not None for alpha in degree_vectors(nvars, size)]

@@ -15,7 +15,7 @@ import math
 from functools import cached_property
 from typing import NamedTuple
 
-from .classifying import _slice_monomials, ideal_multiples_basis, kernel_ideal
+from .classifying import _slice_monomials, kernel_ideal
 from .fgl import build_fgl
 from .lattice import field_kernel, integer_kernel, invariant_factors, primitive_part
 from .scalars import Theory, is_prime
@@ -116,6 +116,8 @@ def validate_graph(graph: GKMGraph) -> list[str]:
     violations = []
     m = graph.rank
     k = len(graph.vertices)
+    if m < 1:
+        violations.append("torus_rank must be a positive integer")
     if k == 0:
         violations.append("graph has no vertices")
         return violations
@@ -308,29 +310,24 @@ def solve_equivariant_cohomology(graph: GKMGraph, theory: Theory, q_max: int) ->
 def _solve_degree(theory, graph, ideals, monos, q):
     """Kernel basis, constraint row count and elementary divisors of the
     degree-q congruence system.  Each distinct weight's ideal gives the
-    images of the slice's monomials once, as term dicts that every edge of
-    that weight reads."""
+    images of the slice's monomials and its generator's truncated multiples
+    once, as term dicts and rows that every edge of that weight reads."""
     ncols = len(graph.vertices) * len(monos)
     alphas = [alpha for alpha, _k in monos]
     images = {w: ideal.monomial_images(alphas) for w, ideal in ideals.items()}
+    multiples = {w: ideal.multiples(q) for w, ideal in ideals.items()}
     rows = []
     width = ncols
     for edge in graph.edges:
-        ideal = ideals[edge.weight]
+        # the adapted difference must be G^T y for the multiples G of the
+        # generator, y in one slack column per multiple after the x columns;
+        # with no multiples it must vanish.  Rows are keyed by the u-exponent
+        # beta alone, since q fixes the periodicity exponent at every beta
         rowmap = {}
-        # a linear residue must vanish; otherwise the images are the plain
-        # adapted monomials and membership needs the slack columns below;
-        # rows are keyed by the u-exponent beta alone, since q fixes the
-        # periodicity exponent of every term at beta
-        if not ideal.residue_is_linear:
-            # membership in the ideal is a lattice condition: the adapted
-            # difference must be H^T y for the truncated multiples H of the
-            # generator, with y in slack columns after the x columns
-            ad_monos, multiples = ideal_multiples_basis(ideal, q)
-            for h in multiples:
-                for i, c in h.items():
-                    rowmap.setdefault(ad_monos[i][0], {})[width] = -c
-                width += 1
+        for h in multiples[edge.weight]:
+            for beta, c in h.items():
+                rowmap.setdefault(beta, {})[width] = -c
+            width += 1
         tail, head = edge.tail * len(monos), edge.head * len(monos)
         for j, image in enumerate(images[edge.weight]):
             for (beta, _k), c in image.items():

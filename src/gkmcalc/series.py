@@ -56,10 +56,16 @@ def _term_key(item):
 @lru_cache(maxsize=None)
 def exponent_vectors(nvars: int, dmax: int) -> tuple[tuple[int, ...], ...]:
     """All exponent vectors with total degree <= dmax, in canonical order."""
-    vecs = [()]
-    for _ in range(nvars):
-        vecs = [v + (e,) for v in vecs for e in range(dmax - sum(v) + 1)]
-    return tuple(sorted(vecs, key=monomial_key))
+    return tuple(v for size in range(dmax + 1) for v in degree_vectors(nvars, size))
+
+
+@lru_cache(maxsize=None)
+def degree_vectors(nvars: int, size: int) -> tuple[tuple[int, ...], ...]:
+    """The exponent vectors of total degree size, in canonical order."""
+    if not nvars:
+        return () if size else ((),)
+    rests = ((a, degree_vectors(nvars - 1, size - a)) for a in range(size, -1, -1))
+    return tuple((a, *rest) for a, vecs in rests for rest in vecs)
 
 
 def _clean(acc: dict, p: int) -> dict:

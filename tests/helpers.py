@@ -23,7 +23,8 @@ from gkmcalc import (
     kernel_ideal,
     make_theory,
 )
-from gkmcalc.classifying import _slice_monomials, ideal_multiples_basis
+from gkmcalc.classifying import _slice_monomials
+from gkmcalc.lattice import hermite_basis
 from gkmcalc.series import monomial_key
 
 
@@ -508,22 +509,45 @@ def series_product_image(ideal, alpha):
     return cut(series_product_image(ideal, lower) * ideal.adapted_classes[i], ideal)
 
 
+def series_product_multiples(ideal, q):
+    """The oracle for RestrictionIdeal.multiples: the generator times each
+    monomial of the degree-(q - 2) slice, one series product each, as rows
+    {adapted exponent beta: c} without the zero ones; none for a zero or
+    unit-lead generator."""
+    if ideal.leading_unit or ideal.generator.is_zero():
+        return []
+    th, m = ideal.fgl.theory, ideal.nvars
+    products = (
+        ideal.generator * TruncatedSeries.from_raw(th, m, {mono: 1})
+        for mono in _slice_monomials(th, m, q - 2)
+    )
+    return [{beta: c for (beta, _k), c in p.coeffs.items()} for p in products if not p.is_zero()]
+
+
+def hermite_multiples(ideal, q):
+    """The Hermite basis of the generator's truncated multiples in the
+    coordinates of the degree-q slice in print order, as rows {adapted
+    exponent beta: c}: a basis of the lattice that RestrictionIdeal.multiples
+    spans, which the solver once passed in their place."""
+    monos = [alpha for alpha, _k in _slice_monomials(ideal.fgl.theory, ideal.nvars, q)]
+    index = {alpha: i for i, alpha in enumerate(monos)}
+    rows = [{index[beta]: c for beta, c in h.items()} for h in series_product_multiples(ideal, q)]
+    return [{monos[i]: c for i, c in row.items()} for row in hermite_basis(rows)]
+
+
 def congruence_rows(graph, ideals, monos, q):
     """The solver's degree-q rows assembled from series-product images: per
-    edge, one row per adapted exponent beta, with the edge's lattice of
-    truncated multiples in slack columns after the x columns when its
-    residue is not linear."""
+    edge, one row per adapted exponent beta, with the edge's truncated
+    multiples in slack columns after the x columns."""
     rows = []
     width = len(graph.vertices) * len(monos)
     for edge in graph.edges:
         ideal = ideals[edge.weight]
         rowmap = {}
-        if not ideal.residue_is_linear:
-            ad_monos, multiples = ideal_multiples_basis(ideal, q)
-            for h in multiples:
-                for i, c in h.items():
-                    rowmap.setdefault(ad_monos[i][0], {})[width] = -c
-                width += 1
+        for h in series_product_multiples(ideal, q):
+            for beta, c in h.items():
+                rowmap.setdefault(beta, {})[width] = -c
+            width += 1
         tail, head = edge.tail * len(monos), edge.head * len(monos)
         for j, (alpha, _k) in enumerate(monos):
             for (beta, _k2), c in series_product_image(ideal, alpha).coeffs.items():
@@ -536,19 +560,20 @@ def congruence_rows(graph, ideals, monos, q):
 
 def reduce_adapted(g, ideal):
     """The canonical residue of g, a series in the ideal's adapted
-    coordinates: the cut when the residue is linear, else each homogeneous
-    component reduced against the lattice of truncated multiples of the
-    generator."""
-    if ideal.residue_is_linear:
+    coordinates: the cut for a unit-lead generator, else each homogeneous
+    component reduced against the Hermite basis of the generator's
+    truncated multiples, which is empty for the zero generator."""
+    if ideal.leading_unit:
         return cut(g, ideal)
     th = g.theory
     out = TruncatedSeries.zero(th, g.nvars)
     for q in g.degrees():
-        monos, basis = ideal_multiples_basis(ideal, q)
+        monos = _slice_monomials(th, g.nvars, q)
+        basis = [[row.get(alpha, 0) for alpha, _k in monos] for row in hermite_multiples(ideal, q)]
         comp = degree_component(g, q).coeffs
         assert comp.keys() <= set(monos), "a term outside the degree slice"
         vec = [comp.get(mono, 0) for mono in monos]
-        red = reduce_vector_mod_lattice(vec, [dense(row, len(monos)) for row in basis])
+        red = reduce_vector_mod_lattice(vec, basis)
         out = out + TruncatedSeries(th, g.nvars, dict(zip(monos, red)))
     return out
 

@@ -12,7 +12,7 @@ from gkmcalc import (
     cyclic_classifying_ring,
     kernel_ideal,
 )
-from gkmcalc.classifying import _slice_monomials, ideal_multiples_basis, relation_order
+from gkmcalc.classifying import _slice_monomials, relation_order
 from gkmcalc.gkm import truncated_slice_count
 from gkmcalc.lattice import invariant_factors, vec_mat
 from gkmcalc.series import _term_key, exponent_vectors
@@ -172,9 +172,11 @@ def test_kernel_ideal_additive_two_torsion():
     # oracle: the quotient Z[[u1,u2]]/(2 u2) has free rank 1 and b copies of
     # Z/2 in degree 2b, matching H*(B(S^1 x Z/2); Z) in low degrees
     for q in (2, 4, 6):
-        monos, basis = ideal_multiples_basis(ideal, q)
-        divs = invariant_factors(basis)
-        free_rank = len(monos) - len(basis)
+        monos = [alpha for alpha, _k in _slice_monomials(th, 2, q)]
+        index = {alpha: i for i, alpha in enumerate(monos)}
+        multiples = [{index[beta]: c for beta, c in h.items()} for h in ideal.multiples(q)]
+        divs = invariant_factors(multiples)
+        free_rank = len(monos) - len(divs)
         assert free_rank == 1
         assert divs == [2] * (q // 2)
 
@@ -321,7 +323,7 @@ def test_residue_matches_weierstrass_oracle():
         fgl = build_fgl(th)
         for theta in ((0, 1), (1, 2), (2, -1, 1)):
             ideal = kernel_ideal(fgl, tuple(d * a for a in theta))
-            assert ideal.residue_is_linear
+            assert all(ideal.multiples(q) == [] for q in range(0, th.trunc, 2))
             for _ in range(3):
                 f = helpers.random_series(rng, th, len(theta), terms=5)
                 adapted = f.substitute(ideal.adapted_classes)
@@ -350,7 +352,8 @@ def test_residues_match_full_substitution(th, d, linear):
     fgl = build_fgl(th)
     for theta in ((-1, 2), (2, -1, -1)):
         ideal = kernel_ideal(fgl, tuple(d * a for a in theta))
-        assert ideal.residue_is_linear == linear
+        # a linear residue is a cut, and no multiples make a lattice condition
+        assert (ideal.multiples(4) == []) == linear
         m = len(theta)
         alphas = exponent_vectors(m, th.trunc)
         table = dict(zip(alphas, ideal.monomial_images(alphas)))

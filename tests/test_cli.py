@@ -4,6 +4,7 @@ import io
 import json
 import os
 import random
+import signal
 
 import pytest
 from hypothesis import given, settings
@@ -1382,3 +1383,27 @@ def test_readme_library_block_runs():
         assert eval(expr, namespace) == expected, line
         checked.append(expected)
     assert checked == [(1, 1), True]
+
+
+def _truncation_alarm(signum, frame):
+    raise TimeoutError("a run at --trunc 100000 outlived its 10 s deadline")
+
+
+@pytest.mark.parametrize(
+    "name, theory",
+    [("cp2.json", ["--theory", "ordinary"]), ("cp1xcp1.json", ["--theory", "mod-p", "--p", "3"])],
+    ids=["cp2-ordinary", "cp1xcp1-mod3"],
+)
+def test_a_huge_truncation_prints_what_a_small_one_does(name, theory):
+    # a degree's slice lists only the total degrees it holds, so neither the
+    # output nor the work grows with --trunc past what the degrees need
+    previous = signal.signal(signal.SIGALRM, _truncation_alarm)
+    signal.alarm(10)
+    try:
+        for command in ("solve", "check-formality"):
+            small = run_cli(command, graph_path(name), *theory, "--trunc", "8")
+            assert small[0] == 0 and small[1], command
+            assert run_cli(command, graph_path(name), *theory, "--trunc", "100000") == small, command
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)

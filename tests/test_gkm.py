@@ -435,8 +435,16 @@ def _alarm(signum, frame):
             4,
             6,
         ),
+        # CP^4 with doubled weights, whose multiples' Hermite basis took
+        # minutes to build before the solver took the multiples as they are
+        (
+            helpers.mapped(helpers.cpn(4), [[2 * (i == j) for j in range(4)] for i in range(4)]),
+            [(2 * i, 1) for i in range(5)],
+            6,
+            8,
+        ),
     ],
-    ids=["Fl3-index3", "CP3x2-swap"],
+    ids=["Fl3-index3", "CP3x2-swap", "CP4x2"],
 )
 def test_multiplicative_lattice_solve_stays_bounded(graph, betti, trunc, q_max):
     # these inputs made a Smith-form elimination that never reduced its
@@ -597,6 +605,51 @@ def test_weight_multiples_keep_the_primitive_ranks_over_z_and_z_b(th):
         for graph in graphs:
             ranks = solve_equivariant_cohomology(graph, th(D), 8).ranks
             assert ranks == solve_equivariant_cohomology(graph.primitive(), th(D), 8).ranks, graph
+
+
+@pytest.mark.parametrize("th", [helpers.ordinary, helpers.mult], ids=["ordinary", "mult"])
+def test_raw_multiples_solve_as_their_hermite_basis(monkeypatch, th):
+    # a lattice edge's solutions depend only on the span of the generator's
+    # truncated multiples, so the Hermite basis the solver once built from
+    # them gives the same kernels and divisors
+    from gkmcalc import RestrictionIdeal
+
+    graphs = [load_graph_document(os.path.join(GRAPHS, "cp2x2.json")).graph]
+    graphs += [_scaled(helpers.cp3(), 2), _scaled(helpers.cp2(), 3)]
+    for graph in graphs:
+        raw = solve_equivariant_cohomology(graph, th(5), 6)
+        with monkeypatch.context() as patch:
+            patch.setattr(RestrictionIdeal, "multiples", helpers.hermite_multiples)
+            reference = solve_equivariant_cohomology(graph, th(5), 6)
+        assert raw.kernels == reference.kernels, graph
+        assert raw.divisors == reference.divisors, graph
+        assert any(d > 1 for divs in raw.divisors.values() for d in divs), graph
+
+
+def _refusal_alarm(signum, frame):
+    raise TimeoutError("a rank-0 graph was not refused within 10 s")
+
+
+def test_rank_zero_graph_is_refused():
+    # no slope of rank 0 exists, so the slope search would never return
+    from gkmcalc import LocalizationError, find_generic_slope, integrate, validate_graph
+
+    graph = GKMGraph(0, ["A"], [])
+    th = helpers.ordinary(trunc=4)
+    assert validate_graph(graph) == ["torus_rank must be a positive integer"]
+    cls = EquivariantClass((TruncatedSeries.one(th, 0),), 0)
+    previous = signal.signal(signal.SIGALRM, _refusal_alarm)
+    signal.alarm(10)
+    try:
+        with pytest.raises(ValueError, match="torus_rank must be a positive integer"):
+            solve_equivariant_cohomology(graph, th, 4)
+        with pytest.raises(ValueError, match="torus_rank must be a positive integer"):
+            integrate(graph, th, cls)
+        with pytest.raises(LocalizationError, match="torus_rank must be a positive integer"):
+            find_generic_slope(graph, th)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_equivariant_class_is_not_a_tuple():

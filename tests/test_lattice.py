@@ -324,3 +324,34 @@ def test_invariant_factors():
     assert invariant_factors([{0: 1, 1: 1}, {1: 2}]) == [1, 2]
     assert invariant_factors([{0: 2}, {1: 3}]) == [1, 6]
     assert invariant_factors([{}]) == []
+
+
+def test_kernel_x_parts_depend_only_on_the_span_of_the_slack_rows():
+    # the solver's lattice edges: x in Z^nx with A x in the span of G's rows
+    # is the x part of ker [A | -G^T], whose Hermite rows with a pivot among
+    # the x columns come first; any spanning set of the lattice gives them
+    rng = random.Random(131)
+
+    def x_parts(a, g):
+        nx = len(a[0])
+        rows = [
+            helpers.sparse(r) | {nx + t: -h[i] for t, h in enumerate(g) if h[i]}
+            for i, r in enumerate(a)
+        ]
+        kernel = integer_kernel(rows, nx + len(g))
+        return [x for v in kernel if (x := {j: c for j, c in v.items() if j < nx})]
+
+    changed = widened = 0
+    for _ in range(60):
+        nrows, nx, ng = rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 4)
+        a = [[rng.randint(-4, 4) for _ in range(nx)] for _ in range(nrows)]
+        g = [[rng.choice((0, 0, 2, -3, 4, 6)) for _ in range(nrows)] for _ in range(ng)]
+        hnf = [helpers.dense(r, nrows) for r in hermite_basis(sparse(g))]
+        coeffs = [rng.randint(-3, 3) for _ in g]
+        combination = [sum(c * h[i] for c, h in zip(coeffs, g)) for i in range(nrows)]
+        expect = x_parts(a, g)
+        assert x_parts(a, hnf) == expect, (a, g)
+        assert x_parts(a, g + [combination]) == expect, (a, g)
+        changed += hnf != g
+        widened += expect != x_parts(a, [])
+    assert changed > 30 and widened > 30
