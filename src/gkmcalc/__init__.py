@@ -36,7 +36,6 @@ from .gkm import (
     formality_prediction,
     mod_p_weight_warnings,
     solve_equivariant_cohomology,
-    truncated_slice_count,
     validate_graph,
 )
 from .localization import (
@@ -84,7 +83,6 @@ __all__ = [
     "formality_prediction",
     "mod_p_weight_warnings",
     "solve_equivariant_cohomology",
-    "truncated_slice_count",
     "validate_graph",
     "GenericSlope",
     "IntegrationReport",

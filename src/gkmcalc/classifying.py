@@ -188,8 +188,15 @@ def kernel_ideal(fgl: FormalGroupLaw, weight) -> RestrictionIdeal:
 
 def _slice_monomials(theory: Theory, nvars: int, q: int):
     """Monomial basis of the degree-q slice of the truncated series ring, in
-    print order: the pairs (alpha, k) with |alpha| <= theory.trunc and
-    theory.degree(|alpha|, k) = q, listed only at the total degrees that
-    some k puts in degree q."""
-    ks = ((size, theory.unit_exponent(size, q)) for size in range(theory.trunc + 1))
-    return [(alpha, k) for size, k in ks if k is not None for alpha in degree_vectors(nvars, size)]
+    print order: the pairs (alpha, k) with 0 <= |alpha| <= theory.trunc and
+    theory.degree(|alpha|, k) = q, visited only at the total degrees that
+    reach an even q: those = q/2 mod |unit|/2, or q/2 alone without a unit."""
+    if q % 2:
+        return []
+    step, half = theory.period_degree // 2, q // 2
+    if step:
+        sizes = range(half % step, theory.trunc + 1, step)
+    else:
+        sizes = range(max(half, 0), min(half, theory.trunc) + 1)
+    ks = ((size, theory.unit_exponent(size, q)) for size in sizes)
+    return [(alpha, k) for size, k in ks for alpha in degree_vectors(nvars, size)]

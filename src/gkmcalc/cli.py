@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 input error, 3 invalid graph, 4 localization failure.
+Exit codes: 0 success, 2 input error or out of memory, 3 invalid graph,
+4 localization failure.
 Output is deterministic for fixed inputs: canonical term order everywhere and
 a fixed slope search.  The command-line grammar is one table, which two
 readers share: a plain command line is read off it directly, and argparse is
@@ -200,9 +201,9 @@ def _banner(theory, out):
 def cmd_fgl(args, out, err) -> int:
     theory = _theory_from_args(args)
     fgl = build_fgl(theory)
+    series = None if args.ell is None else fgl.n_series(args.ell)
     print(f"F(x,y) = {format_series(fgl.series, ['x', 'y'])}", file=out)
-    if args.ell is not None:
-        series = fgl.n_series(args.ell)
+    if series is not None:
         print(f"[{args.ell}]u = {format_series(series, ['u'])}", file=out)
     return 0
 
@@ -282,8 +283,8 @@ def cmd_check_formality(args, out, err) -> int:
         solution = solve_equivariant_cohomology(doc.graph, theory, args.qmax)
     except ValueError as exc:
         raise _InputError(str(exc)) from exc
-    _banner(theory, out)
     report = check_formality(doc.graph, doc.betti, solution)
+    _banner(theory, out)
     for q, rank, predicted, ok in report.rows:
         print(f"{q} {rank} {predicted} {'PASS' if ok else 'FAIL'}", file=out)
     print(f"RESULT {'PASS' if report.passed else 'FAIL'}", file=out)
@@ -309,6 +310,9 @@ def main(argv=None, out=None, err=None) -> int:
         return _COMMANDS[args.command](args, out, err)
     except (_InputError, GraphFileError) as exc:
         print(f"error: {exc}", file=err)
+        return 2
+    except MemoryError:  # stdout is still empty: each command prints once its answer exists
+        print("error: out of memory", file=err)
         return 2
     except _GraphInvalid:
         return 3

@@ -360,30 +360,19 @@ def _class_from_vector(theory, graph, monos, vec, q) -> EquivariantClass:
 # equivariant formality as a rank oracle
 
 
-def truncated_slice_count(theory: Theory, nvars: int, q: int, dmax: int) -> int:
-    """Dimension over the degree-0 field of the degree-q slice of the series
-    ring truncated at variable degree dmax: the length of the solver's own
-    slice at truncation dmax, counted per total degree."""
-    return sum(
-        math.comb(size + nvars - 1, nvars - 1)
-        for size in range(dmax + 1)
-        if theory.unit_exponent(size, q) is not None
-    )
-
-
 def formality_prediction(theory: Theory, nvars: int, betti, q: int) -> int:
     """Rank in degree q of the free module with betti(a) generators in degree a.
 
     A degree-a generator restricts to polynomials of variable degree a/2, so
-    inside the truncated model its multiples sweep monomials of degree at most
-    D - a/2; over the degree-0 coefficient fields this reduces to the plain
-    count of monomials of degree (q - a)/2.
+    inside the truncated model its multiples sweep the solver's own
+    degree-(q - a) slice at truncation D - a/2; over the degree-0 coefficient
+    fields this is the plain count of monomials of degree (q - a)/2.
     """
     total = 0
     for a, r in betti:
         if a % 2 or a < 0:
             raise ValueError("betti degrees must be even and nonnegative")
-        total += r * truncated_slice_count(theory, nvars, q - a, theory.trunc - a // 2)
+        total += r * len(_slice_monomials(theory._replace(trunc=theory.trunc - a // 2), nvars, q - a))
     return total
 
 

@@ -125,6 +125,90 @@ def grassmannian(k, n):
     return GKMGraph(n - 1, ["S" + "".join(map(str, s)) for s in subsets], edges)
 
 
+def toric(rays, cones):
+    """The GKM graph of a smooth complete fan: one vertex per maximal cone,
+    whose weights are the dual basis of its rays (the rows of the inverse
+    of the matrix with the rays as columns), and an edge between two cones
+    that share all rays but one, of weight the dual vector of the tail's
+    unshared ray.  A cone whose rays are no lattice basis is refused."""
+    n = len(rays[0])
+    duals = []
+    for cone in cones:
+        matrix = [[rays[r][i] for r in cone] for i in range(n)]
+        d = det(matrix)
+        if d not in (1, -1):
+            raise ValueError(f"cone {cone} is not smooth: its rays have determinant {d}")
+        duals.append({r: _inverse_row(matrix, i, d) for i, r in enumerate(cone)})
+    edges = []
+    for a, b in itertools.combinations(range(len(cones)), 2):
+        unshared = set(cones[a]) - set(cones[b])
+        if len(unshared) == 1:
+            edges.append(GKMEdge(a, b, duals[a][unshared.pop()]))
+    return GKMGraph(n, [f"C{i}" for i in range(len(cones))], edges)
+
+
+def _inverse_row(matrix, i, d):
+    """Row i of the inverse of an integer matrix of determinant d = +-1: its
+    cofactors down column i, times d."""
+    n = len(matrix)
+    blocks = ([r[:i] + r[i + 1:] for k, r in enumerate(matrix) if k != j] for j in range(n))
+    return tuple((-1) ** (i + j) * d * det(block) for j, block in enumerate(blocks))
+
+
+def hirzebruch(a):
+    """The Hirzebruch surface F_a."""
+    return toric([(1, 0), (0, 1), (-1, a), (0, -1)], [(0, 1), (1, 2), (2, 3), (3, 0)])
+
+
+def blown_up_cp3():
+    """CP^3 blown up at a fixed point: the cone on e1, e2, e3 subdivided by
+    the ray e1 + e2 + e3."""
+    rays = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1), (1, 1, 1)]
+    cones = [(0, 1, 3), (0, 2, 3), (1, 2, 3), (0, 1, 4), (0, 2, 4), (1, 2, 4)]
+    return toric(rays, cones)
+
+
+def weyl(positive_roots):
+    """The GKM graph of G/B from the positive roots of G: one vertex per
+    element of the Weyl group W, which the reflections s_b(v) = v -
+    2 (v.b) / (b.b) b generate, and w joined to w s_b with weight w(b).  An
+    element is the tuple of its images of the standard basis."""
+    m = len(positive_roots[0])
+
+    def apply(w, v):
+        return tuple(sum(x * col[j] for x, col in zip(v, w)) for j in range(m))
+
+    def times_reflection(w, b):
+        bb = sum(x * x for x in b)
+        images = []
+        for i in range(m):
+            c, rest = divmod(2 * b[i], bb)  # 2 (e_i.b) / (b.b)
+            if rest:
+                raise ValueError(f"the reflection in {b} does not keep the lattice")
+            images.append(apply(w, tuple(int(i == j) - c * x for j, x in enumerate(b))))
+        return tuple(images)
+
+    identity = tuple(tuple(int(i == j) for j in range(m)) for i in range(m))
+    elements, index = [identity], {identity: 0}
+    for w in elements:  # grows while it is read: a breadth-first search
+        for b in positive_roots:
+            ws = times_reflection(w, b)
+            if ws not in index:
+                index[ws] = len(elements)
+                elements.append(ws)
+    edges = [
+        GKMEdge(a, index[ws], apply(w, b))
+        for a, w in enumerate(elements)
+        for b in positive_roots
+        if a < index[ws := times_reflection(w, b)]
+    ]
+    return GKMGraph(m, [f"W{i}" for i in range(len(elements))], edges)
+
+
+B2_ROOTS = [(1, -1), (0, 1), (1, 1), (1, 0)]
+C2_ROOTS = [(1, -1), (0, 2), (1, 1), (2, 0)]
+
+
 def mapped(graph, w):
     """The graph with every weight a replaced by a @ w (w need not be unimodular)."""
     edges = [GKMEdge(e.tail, e.head, tuple(matmul([e.weight], w)[0])) for e in graph.edges]

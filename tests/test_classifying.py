@@ -13,7 +13,7 @@ from gkmcalc import (
     kernel_ideal,
 )
 from gkmcalc.classifying import _slice_monomials, relation_order
-from gkmcalc.gkm import truncated_slice_count
+from gkmcalc.gkm import formality_prediction
 from gkmcalc.lattice import invariant_factors, vec_mat
 from gkmcalc.series import _term_key, exponent_vectors
 
@@ -108,18 +108,20 @@ def test_slice_monomials_come_in_print_order(th):
 
 @pytest.mark.parametrize("th", SLICE_THEORIES, ids=_theory_id)
 def test_slice_monomials_match_a_brute_force_scan(th):
-    # the solver's slice, and the formality window counted at every
-    # truncation, are the terms of degree q, odd q and dmax < 0 included
+    # the solver's slice, and the formality count of a degree-a generator
+    # (its slice at truncation D - a/2), are the terms of degree q, odd q
+    # and negative truncations included
     for m in (1, 2, 3):
         for D in (1, 4, 7):
             th_d = th._replace(trunc=D)
             for q in range(-6, 15):
                 expect = helpers.slice_by_brute_force(th_d, m, q)
                 assert _slice_monomials(th_d, m, q) == expect, (m, D, q)
-        for dmax in range(-2, 8):
+        for a in range(0, 20, 2):
+            th_a = th._replace(trunc=th.trunc - a // 2)
             for q in range(-6, 15):
-                expect = len(_slice_monomials(th._replace(trunc=dmax), m, q))
-                assert truncated_slice_count(th, m, q, dmax) == expect, (m, dmax, q)
+                expect = len(helpers.slice_by_brute_force(th_a, m, q - a))
+                assert formality_prediction(th, m, [(a, 1)], q) == expect, (m, a, q)
 
 
 def test_kunneth_product_ranks():

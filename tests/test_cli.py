@@ -1407,3 +1407,40 @@ def test_a_huge_truncation_prints_what_a_small_one_does(name, theory):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("argv", [
+    ["check-formality", "cp2.json", "--theory", "ordinary", "--qmax", "8"],
+    # cp2x2.json has doubled weights, so its lattice edges list multiples
+    ["solve", "cp2x2.json", "--theory", "ordinary", "--qmax", "4"],
+    ["solve", "cp1xcp1.json", "--theory", "mod-p", "--p", "3"],
+], ids=["check-formality-cp2-ordinary", "solve-cp2x2-ordinary", "solve-cp1xcp1-mod3"])
+def test_a_slice_asks_the_same_unit_exponents_at_every_truncation(argv, monkeypatch):
+    # the solver, the lattice multiples and the formality prediction visit
+    # only the total degrees in a slice, so --trunc past them costs nothing
+    from gkmcalc.scalars import Theory
+
+    calls = []
+    real = Theory.unit_exponent
+    monkeypatch.setattr(Theory, "unit_exponent", lambda *a: calls.append(1) or real(*a))
+    command, name, *flags = argv
+    runs = []
+    for trunc in ("8", "1000000"):
+        calls.clear()
+        runs.append((run_cli(command, graph_path(name), *flags, "--trunc", trunc), len(calls)))
+    assert runs[0][0][0] == 0 and runs[0][0][1]
+    assert runs[1] == runs[0]
+
+
+@pytest.mark.parametrize("argv", [
+    ["integrate", graph_path("cp2.json"), "--theory", "ordinary", "--class", "H2"],
+    ["integrate", graph_path("cp2.json"), "--theory", "mod-p", "--p", "3", "--class", "H2"],
+    ["integrate", graph_path("cp2.json"), "--theory", "morava", "--p", "2", "--n", "1", "--class", "H2"],
+    ["fgl", "--theory", "morava", "--p", "2", "--n", "1"],
+], ids=["integrate-ordinary", "integrate-mod3", "integrate-morava", "fgl-morava"])
+def test_cli_out_of_memory_is_refused_without_traceback(argv):
+    # a table of sys.maxsize entries cannot be asked for, so each run fails
+    # at once, before it allocates anything
+    import sys
+
+    assert run_cli(*argv, "--trunc", str(sys.maxsize)) == (2, "", "error: out of memory\n")

@@ -23,7 +23,6 @@ from gkmcalc import (
     load_graph_document,
     mod_p_weight_warnings,
     solve_equivariant_cohomology,
-    truncated_slice_count,
 )
 
 import helpers
@@ -358,9 +357,9 @@ def test_coordinate_invariance_ranks():
 
 def test_truncated_slice_count_rational():
     th = helpers.rational(trunc=6)
-    assert truncated_slice_count(th, 2, 4, 6) == 3  # monomials of degree 2
-    assert truncated_slice_count(th, 2, 3, 6) == 0
-    assert truncated_slice_count(th, 1, 14, 6) == 0  # beyond the window
+    assert formality_prediction(th, 2, [(0, 1)], 4) == 3  # monomials of degree 2
+    assert formality_prediction(th, 2, [(0, 1)], 3) == 0
+    assert formality_prediction(th, 1, [(0, 1)], 14) == 0  # beyond the window
 
 
 def test_formality_prediction_reduces_to_classical_over_q():
