@@ -104,7 +104,8 @@ def multiplicative_fgl(theory: Theory) -> FormalGroupLaw:
 
     def ell_terms(ell):
         out, c = {}, 1
-        for a in range(1, theory.trunc + 1):
+        # C(ell, a) = 0 for a > ell >= 0, so only a negative ell runs to the truncation
+        for a in range(1, (theory.trunc if ell < 0 else min(ell, theory.trunc)) + 1):
             c = c * (ell - a + 1) // a  # C(ell, a), exact also for ell < 0
             out[((a,), a - 1)] = -c if a % 2 == 0 else c
         return out

@@ -34,11 +34,6 @@ class GraphDocument(NamedTuple):
     origin: str = "<graph>"  # the file it was read from
 
 
-def _require(cond, msg):
-    if not cond:
-        raise GraphFileError(msg)
-
-
 def _is_int(x) -> bool:
     """An integer, and not a JSON true or false."""
     return isinstance(x, int) and not isinstance(x, bool)
@@ -66,87 +61,88 @@ def load_graph_document(path: str) -> GraphDocument:
 
 
 def parse_graph_document(doc, origin: str = "<graph>") -> GraphDocument:
-    _require(isinstance(doc, dict), f"{origin}: top level must be an object")
-    _require("torus_rank" in doc, f"{origin}: missing key torus_rank")
+    if not isinstance(doc, dict):
+        raise GraphFileError(f"{origin}: top level must be an object")
+    if "torus_rank" not in doc:
+        raise GraphFileError(f"{origin}: missing key torus_rank")
     m = doc["torus_rank"]
-    _require(_is_int(m) and m >= 1, f"{origin}: torus_rank must be a positive integer")
-    _require("vertices" in doc, f"{origin}: missing key vertices")
+    if not (_is_int(m) and m >= 1):
+        raise GraphFileError(f"{origin}: torus_rank must be a positive integer")
+    if "vertices" not in doc:
+        raise GraphFileError(f"{origin}: missing key vertices")
     vertices = doc["vertices"]
-    _require(
-        isinstance(vertices, list) and all(isinstance(v, str) for v in vertices),
-        f"{origin}: vertices must be a list of names",
-    )
+    if not (isinstance(vertices, list) and all(isinstance(v, str) for v in vertices)):
+        raise GraphFileError(f"{origin}: vertices must be a list of names")
     index = {name: i for i, name in enumerate(vertices)}
-    _require(len(index) == len(vertices), f"{origin}: vertex names are not distinct")
-    _require("edges" in doc, f"{origin}: missing key edges")
-    _require(isinstance(doc["edges"], list), f"{origin}: edges must be a list")
+    if len(index) != len(vertices):
+        raise GraphFileError(f"{origin}: vertex names are not distinct")
+    if "edges" not in doc:
+        raise GraphFileError(f"{origin}: missing key edges")
+    if not isinstance(doc["edges"], list):
+        raise GraphFileError(f"{origin}: edges must be a list")
     edges = []
     for pos, e in enumerate(doc["edges"]):
-        where = f"{origin}: edges[{pos}]"
-        _require(isinstance(e, dict), f"{where}: must be an object")
+        if not isinstance(e, dict):
+            raise GraphFileError(f"{origin}: edges[{pos}]: must be an object")
         for key in ("tail", "head", "weight"):
-            _require(key in e, f"{where}: missing key {key}")
+            if key not in e:
+                raise GraphFileError(f"{origin}: edges[{pos}]: missing key {key}")
         for key in ("tail", "head"):
-            _require(isinstance(e[key], str), f"{where}: {key} must be a vertex name")
-            _require(e[key] in index, f"{where}: unknown {key} vertex {e[key]!r}")
+            if not isinstance(e[key], str):
+                raise GraphFileError(f"{origin}: edges[{pos}]: {key} must be a vertex name")
+            if e[key] not in index:
+                raise GraphFileError(f"{origin}: edges[{pos}]: unknown {key} vertex {e[key]!r}")
         w = e["weight"]
-        _require(
-            isinstance(w, list) and all(_is_int(x) for x in w),
-            f"{where}: weight must be a list of integers",
-        )
-        _require(
-            len(w) == m,
-            f"{where}: weight length {len(w)} != torus_rank {m}",
-        )
+        if not (isinstance(w, list) and all(_is_int(x) for x in w)):
+            raise GraphFileError(f"{origin}: edges[{pos}]: weight must be a list of integers")
+        if len(w) != m:
+            raise GraphFileError(f"{origin}: edges[{pos}]: weight length {len(w)} != torus_rank {m}")
         edges.append(GKMEdge(index[e["tail"]], index[e["head"]], tuple(w)))
     graph = GKMGraph(m, list(vertices), edges)
 
     betti = None
     if "betti" in doc:
-        _require(isinstance(doc["betti"], list), f"{origin}: betti must be a list")
+        if not isinstance(doc["betti"], list):
+            raise GraphFileError(f"{origin}: betti must be a list")
         betti = []
         for pos, row in enumerate(doc["betti"]):
-            where = f"{origin}: betti[{pos}]"
-            _require(
-                isinstance(row, dict) and "degree" in row and "rank" in row,
-                f"{where}: must be an object with degree and rank",
-            )
+            if not (isinstance(row, dict) and "degree" in row and "rank" in row):
+                raise GraphFileError(f"{origin}: betti[{pos}]: must be an object with degree and rank")
             degree, rank = row["degree"], row["rank"]
-            _require(
-                _is_int(degree) and _is_int(rank), f"{where}: degree and rank must be integers"
-            )
-            _require(
-                degree >= 0 and degree % 2 == 0,
-                f"{where}: degree {degree} must be even and nonnegative",
-            )
-            _require(rank >= 0, f"{where}: rank {rank} must be nonnegative")
+            if not (_is_int(degree) and _is_int(rank)):
+                raise GraphFileError(f"{origin}: betti[{pos}]: degree and rank must be integers")
+            if degree < 0 or degree % 2:
+                raise GraphFileError(
+                    f"{origin}: betti[{pos}]: degree {degree} must be even and nonnegative"
+                )
+            if rank < 0:
+                raise GraphFileError(f"{origin}: betti[{pos}]: rank {rank} must be nonnegative")
             betti.append((degree, rank))
 
     classes = {}
     if "classes" in doc:
-        _require(isinstance(doc["classes"], dict), f"{origin}: classes must be an object")
+        if not isinstance(doc["classes"], dict):
+            raise GraphFileError(f"{origin}: classes must be an object")
         for name, spec in doc["classes"].items():
-            where = f"{origin}: classes[{name!r}]"
             if isinstance(spec, list):
                 degree, exprs = None, spec
             elif isinstance(spec, dict):
-                _require("restrictions" in spec, f"{where}: missing key restrictions")
+                if "restrictions" not in spec:
+                    raise GraphFileError(f"{origin}: classes[{name!r}]: missing key restrictions")
                 degree = spec.get("degree")
-                _require(
-                    degree is None or _is_int(degree),
-                    f"{where}: degree must be an integer",
-                )
+                if not (degree is None or _is_int(degree)):
+                    raise GraphFileError(f"{origin}: classes[{name!r}]: degree must be an integer")
                 exprs = spec["restrictions"]
             else:
-                raise GraphFileError(f"{where}: must be a list or an object")
-            _require(
-                isinstance(exprs, list) and all(isinstance(x, str) for x in exprs),
-                f"{where}: restrictions must be a list of expression strings",
-            )
-            _require(
-                len(exprs) == len(vertices),
-                f"{where}: {len(exprs)} restrictions for {len(vertices)} vertices",
-            )
+                raise GraphFileError(f"{origin}: classes[{name!r}]: must be a list or an object")
+            if not (isinstance(exprs, list) and all(isinstance(x, str) for x in exprs)):
+                raise GraphFileError(
+                    f"{origin}: classes[{name!r}]: restrictions must be a list of expression strings"
+                )
+            if len(exprs) != len(vertices):
+                raise GraphFileError(
+                    f"{origin}: classes[{name!r}]: {len(exprs)} restrictions for {len(vertices)} vertices"
+                )
             classes[name] = (degree, exprs)
     return GraphDocument(graph, betti, classes, origin)
 

@@ -35,12 +35,10 @@ def pairing(weight, slope) -> int:
     return sum(a * s for a, s in zip(weight, slope))
 
 
-def _slope_ok(graph, lam, p=None) -> bool:
-    for e in graph.edges:
-        t = pairing(e.weight, lam)
-        if t == 0:
-            return False
-        if p is not None and t % p == 0:
+def _slope_ok(weights, lam, p=None) -> bool:
+    for w in weights:
+        t = pairing(w, lam)
+        if t == 0 or (p is not None and t % p == 0):
             return False
     return True
 
@@ -67,17 +65,18 @@ def iterate_generic_slopes(graph: GKMGraph, theory: Theory):
     """
     m = graph.rank
     p = theory.char
-    if p and all(gcd(*e.weight) % p for e in graph.edges):
+    weights = dict.fromkeys(e.weight for e in graph.edges)  # each weight once
+    if p and all(gcd(*w) % p for w in weights):
         found = False
         for lam in _box_points(m):
-            if _slope_ok(graph, lam, p):
+            if _slope_ok(weights, lam, p):
                 found = True
                 yield GenericSlope(lam)
             elif not found and max(lam) > p:
                 break
     # reached only without a mod-p generic slope: flagged for a prime p
     for lam in _box_points(m):
-        if _slope_ok(graph, lam):
+        if _slope_ok(weights, lam):
             yield GenericSlope(lam, mod_p_generic=not p)
 
 
@@ -218,7 +217,7 @@ def integrate(
         raise LocalizationError(
             f"slope {slope.vector} has {len(slope.vector)} entries for a torus of rank {graph.rank}"
         )
-    elif not _slope_ok(graph, slope.vector, None):
+    elif not _slope_ok((e.weight for e in graph.edges), slope.vector):
         raise LocalizationError(f"slope {slope.vector} is not generic for this graph")
     degree = cls.degree if cls.degree is not None else cls.computed_degree()
     return integrate_at_slope(graph, theory, slope, localize_class(fgl, cls, slope), degree)

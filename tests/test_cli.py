@@ -1386,7 +1386,7 @@ def test_readme_library_block_runs():
 
 
 def _truncation_alarm(signum, frame):
-    raise TimeoutError("a run at --trunc 100000 outlived its 10 s deadline")
+    raise TimeoutError("a run at a huge --trunc outlived its 10 s deadline")
 
 
 @pytest.mark.parametrize(
@@ -1404,6 +1404,20 @@ def test_a_huge_truncation_prints_what_a_small_one_does(name, theory):
             small = run_cli(command, graph_path(name), *theory, "--trunc", "8")
             assert small[0] == 0 and small[1], command
             assert run_cli(command, graph_path(name), *theory, "--trunc", "100000") == small, command
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_a_nonnegative_mult_series_costs_its_ell_at_any_truncation():
+    # C(ell, a) = 0 for a > ell >= 0, so [3]u under mult has three terms and
+    # its closed form stops there, also at --trunc 10^12
+    previous = signal.signal(signal.SIGALRM, _truncation_alarm)
+    signal.alarm(10)
+    try:
+        small = run_cli("fgl", "--theory", "mult", "--ell", "3", "--trunc", "8")
+        assert small[0] == 0 and "[3]u = 3*u - 3*b*u^2 + b^2*u^3\n" in small[1]
+        assert run_cli("fgl", "--theory", "mult", "--ell", "3", "--trunc", str(10**12)) == small
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)

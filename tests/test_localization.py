@@ -20,6 +20,7 @@ from gkmcalc import (
     localize_class,
     solve_equivariant_cohomology,
 )
+import gkmcalc.localization as localization
 from gkmcalc.graphio import parse_expression
 from gkmcalc.localization import GenericSlope, _box_points, pairing, work_theory
 
@@ -102,6 +103,36 @@ def test_slope_search_matches_the_period_box():
         for p in (2, 3, 5, 7):
             expected = _slopes_by_period_box(g, p, 4)
             assert list(islice(iterate_generic_slopes(g, helpers.modp(p)), 4)) == expected, (g, p)
+
+
+@pytest.mark.parametrize("p", [None, 2, 3, 7], ids=["ordinary", "mod-2", "mod-3", "mod-7"])
+def test_slope_search_pairs_each_distinct_weight_once_per_candidate(p, monkeypatch):
+    # Fl(4) has 72 edges and 6 distinct weights: each test of a candidate
+    # slope pairs it with each weight at most once, and with all of them
+    # when it passes (at 2 and 3 no slope is mod-p generic, so the integer
+    # search tests the box again)
+    graph = helpers.flag_variety(4)
+    weights = {e.weight for e in graph.edges}
+    assert len(graph.edges) > 10 * len(weights)
+    pairings, tests = [], []
+    real_ok = localization._slope_ok
+
+    def counted(weight, slope):
+        pairings.append(slope)
+        return pairing(weight, slope)
+
+    def slope_ok(*args):
+        before = len(pairings)
+        passed = real_ok(*args)
+        tests.append((passed, len(pairings) - before))
+        return passed
+
+    monkeypatch.setattr(localization, "pairing", counted)
+    monkeypatch.setattr(localization, "_slope_ok", slope_ok)
+    theory = helpers.ordinary() if p is None else helpers.modp(p)
+    assert next(iterate_generic_slopes(graph, theory)).vector == (1, 2, 3)
+    assert tests[-1] == (True, len(weights))
+    assert all(0 < n <= len(weights) for _passed, n in tests)
 
 
 def test_localize_character_class_additivity():
