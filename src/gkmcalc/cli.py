@@ -202,7 +202,7 @@ def cmd_fgl(args, out, err) -> int:
     theory = _theory_from_args(args)
     fgl = build_fgl(theory)
     series = None if args.ell is None else fgl.n_series(args.ell)
-    print(f"F(x,y) = {format_series(fgl.series, ['x', 'y'])}", file=out)
+    print(f"F(x,y) = {fgl}", file=out)
     if series is not None:
         print(f"[{args.ell}]u = {format_series(series, ['u'])}", file=out)
     return 0
@@ -283,7 +283,7 @@ def cmd_check_formality(args, out, err) -> int:
         solution = solve_equivariant_cohomology(doc.graph, theory, args.qmax)
     except ValueError as exc:
         raise _InputError(str(exc)) from exc
-    report = check_formality(doc.graph, doc.betti, solution)
+    report = check_formality(doc.betti, solution)
     _banner(theory, out)
     for q, rank, predicted, ok in report.rows:
         print(f"{q} {rank} {predicted} {'PASS' if ok else 'FAIL'}", file=out)

@@ -242,24 +242,26 @@ def common_degree(degree_lists) -> int | None:
 class SolutionModule:
     """The solution by degree.  kernels maps a degree to its monomials and
     sparse kernel vectors {i * len(monomials) + j: the nonzero coefficient of
-    monomial j at vertex i}, keys increasing; bases builds classes from them
-    on first read only."""
+    monomial j at vertex i}, keys increasing; ranks counts the vectors, and
+    bases builds classes from them, each on first read only."""
 
     def __init__(
         self,
         theory: Theory,
         graph: GKMGraph,
-        ranks: dict[int, int],
         kernels: dict[int, tuple[list, list]],  # (monomials, kernel vectors)
         divisors: dict[int, list[int]],
         provenance: dict[int, tuple[int, int]],  # (columns, constraint rows)
     ):
         self.theory = theory
         self.graph = graph
-        self.ranks = ranks
         self.kernels = kernels
         self.divisors = divisors
         self.provenance = provenance
+
+    @cached_property
+    def ranks(self) -> dict[int, int]:
+        return {q: len(vecs) for q, (_monos, vecs) in self.kernels.items()}
 
     @cached_property
     def bases(self) -> dict[int, list[EquivariantClass]]:
@@ -283,7 +285,6 @@ def solve_equivariant_cohomology(graph: GKMGraph, theory: Theory, q_max: int) ->
             f"truncation degree {theory.trunc} too small for q_max {q_max}: "
             f"residues need headroom {need}"
         )
-    ranks: dict[int, int] = {}
     kernels: dict[int, tuple[list, list]] = {}
     divisors: dict[int, list[int]] = {}
     provenance: dict[int, tuple[int, int]] = {}
@@ -299,12 +300,11 @@ def solve_equivariant_cohomology(graph: GKMGraph, theory: Theory, q_max: int) ->
         if key not in systems:
             systems[key] = _solve_degree(theory, graph, ideals, monos, q)
         vecs, nrows, divs = systems[key]
-        ranks[q] = len(vecs)
         divisors[q] = divs
         provenance[q] = (len(graph.vertices) * len(monos), nrows)
         kernels[q] = (monos, vecs)
 
-    return SolutionModule(theory, graph, ranks, kernels, divisors, provenance)
+    return SolutionModule(theory, graph, kernels, divisors, provenance)
 
 
 def _solve_degree(theory, graph, ideals, monos, q):
@@ -381,11 +381,11 @@ class FormalityReport(NamedTuple):
     passed: bool
 
 
-def check_formality(graph: GKMGraph, betti, solution: SolutionModule) -> FormalityReport:
+def check_formality(betti, solution: SolutionModule) -> FormalityReport:
     betti = sorted((int(a), int(r)) for a, r in betti)
     rows = []
     for q in sorted(solution.ranks):
-        predicted = formality_prediction(solution.theory, graph.rank, betti, q)
+        predicted = formality_prediction(solution.theory, solution.graph.rank, betti, q)
         rank = solution.ranks[q]
         rows.append((q, rank, predicted, rank == predicted))
     return FormalityReport(rows, all(ok for *_rest, ok in rows))

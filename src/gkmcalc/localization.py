@@ -241,7 +241,8 @@ def integrate_at_slope(
     # below it s^-1 (the verdict)
     orders = [eu.order for eu in eulers]
     _refuse_short_truncation(graph, orders, localized, work.trunc, 0 if top else -1)
-    total = LaurentSeries.zero(work)
+    # every quotient is known below at most trunc + 1
+    total = LaurentSeries.zero(work, work.trunc + 1)
     for f, eu in zip(localized, eulers):
         try:
             term = LaurentSeries.from_truncated(f).divide(eu.series)

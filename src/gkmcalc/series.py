@@ -26,7 +26,7 @@ class restriction is evaluated in the one slope variable and only an
 expression with a sum is first expanded in its torus variables (m <= 4
 measured).  The Honda law itself is an integer table (see the fgl module):
 at K(1), p = 2 it builds in 0.03 s at D = 48 and 0.9 s at D = 128 (2-core
-VM, Python 3.11).  A Laurent series is known below its precision;
+VM, Python 3.11).  Every Laurent series is known below its precision;
 localization only adds them and divides them, by long division.
 """
 
@@ -358,30 +358,27 @@ class LaurentSeries:
     """One-variable Laurent series with precision tracking, stored as
     {(e, k): c} in the format of TruncatedSeries.
 
-    Coefficients are reliable for exponents below `prec` (exclusive);
-    prec=None means exact, and divide refuses it.  Only what localization
-    needs is implemented.
+    Every series carries an integer precision `prec`: its coefficients are
+    known for exponents below it (exclusive).  Only what localization needs
+    is implemented.
     """
 
     __slots__ = ("theory", "coeffs", "prec")
 
-    def __init__(self, theory: Theory, coeffs=None, prec: int | None = None):
+    def __init__(self, theory: Theory, coeffs, prec: int):
         """coeffs maps (e, k) to raw coefficients c, one term c * unit^k * s^e;
         the terms at and above prec are cut."""
         self.theory = theory
         self.prec = prec
         self.coeffs = {}
         if coeffs:
-            kept = {key: c for key, c in coeffs.items() if prec is None or key[0] < prec}
-            self.coeffs = _checked(theory, kept)
+            self.coeffs = _checked(theory, {key: c for key, c in coeffs.items() if key[0] < prec})
 
     @classmethod
-    def from_raw(cls, theory, coeffs: dict, prec: int | None) -> "LaurentSeries":
+    def from_raw(cls, theory, coeffs: dict, prec: int) -> "LaurentSeries":
         """The series of the stored-format dict coeffs, cut at prec."""
         out = cls(theory, None, prec)
-        if prec is not None:
-            coeffs = {key: c for key, c in coeffs.items() if key[0] < prec}
-        out.coeffs = coeffs
+        out.coeffs = {key: c for key, c in coeffs.items() if key[0] < prec}
         return out
 
     @classmethod
@@ -392,8 +389,8 @@ class LaurentSeries:
         return cls.from_raw(s.theory, coeffs, s.theory.trunc + 1)
 
     @classmethod
-    def zero(cls, theory, prec=None):
-        return cls(theory, {}, prec)
+    def zero(cls, theory, prec: int):
+        return cls(theory, None, prec)
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -409,16 +406,13 @@ class LaurentSeries:
         if self.theory != other.theory:
             raise ValueError("Laurent series belong to different theories")
         coeffs = _combine([(self.coeffs, 1, 0), (other.coeffs, 1, 0)], self.theory.char)
-        return LaurentSeries.from_raw(self.theory, coeffs, _min_prec(self.prec, other.prec))
+        return LaurentSeries.from_raw(self.theory, coeffs, min(self.prec, other.prec))
 
     def divide(self, g: "LaurentSeries") -> "LaurentSeries":
         """self/g by long division; g leads with a unit lead * unit^k at s^lg:
         q_e = (f_(e+lg) - sum_(j>=1) g_(lg+j) q_(e-j)) / (lead * unit^k) for
         f = self.  q is known below min(f.prec - lg, g.prec - 2*lg + ord f), or
         f.prec - lg when f is zero: what f and g, known below their precs, fix."""
-        for name, s in (("dividend", self), ("divisor", g)):
-            if s.prec is None:
-                raise ValueError(f"the {name} {s} has no precision to divide with")
         if g.is_zero():
             raise ZeroDivisionError("division of Laurent series by zero")
         th = self.theory
@@ -456,15 +450,8 @@ class LaurentSeries:
     def __str__(self):
         items = [(((e,), k), c) for (e, k), c in sorted(self.coeffs.items())]
         text = _format_terms(self.theory, items, ["s"])
-        return text if self.prec is None else f"{text} + O(s^{self.prec})"
+        return f"{text} + O(s^{self.prec})"
 
     def __repr__(self):
         return f"<laurent {self}>"
 
-
-def _min_prec(a, b):
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return min(a, b)

@@ -116,7 +116,7 @@ def test_criterion_4_golden_ranks():
     for name, graph, betti in GOLDEN:
         for kind, p, n in (("rational", 0, 0), ("morava", 2, 1), ("morava", 3, 1)):
             sol = solved(name, kind, p, n, 6, 8)
-            report = check_formality(graph, betti, sol)
+            report = check_formality(betti, sol)
             assert report.passed, (name, kind, p, n, report.rows)
         # over the integers the free ranks agree with the rational ranks
         solz = solved(name, "ordinary", 0, 0, 6, 8)
@@ -233,5 +233,5 @@ def test_criterion_8_negative_controls():
     assert not satisfies_congruences(perturbed, fq, witness)
     # wrong betti input fails the formality check at the first bad degree
     sol = solved("cp1", "rational", 0, 0, 6, 4)
-    report = check_formality(helpers.cp1(), [(0, 2)], sol)
+    report = check_formality([(0, 2)], sol)
     assert not report.passed and helpers.first_failure(report) == 0

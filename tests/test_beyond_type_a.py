@@ -67,7 +67,7 @@ def test_a_cone_that_is_no_lattice_basis_is_refused():
 @pytest.mark.parametrize("graph, betti, th", FORMALITY_CASES)
 def test_formality_passes(graph, betti, th):
     # check-formality's RESULT PASS at --trunc 6 --qmax 8
-    report = check_formality(graph, _betti(betti), solve_equivariant_cohomology(graph, th, 8))
+    report = check_formality(_betti(betti), solve_equivariant_cohomology(graph, th, 8))
     assert report.passed, helpers.first_failure(report)
 
 

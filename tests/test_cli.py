@@ -469,6 +469,39 @@ def test_cli_check_formality_pass():
     assert out.splitlines()[-1] == "RESULT PASS"
 
 
+POINT = {
+    "torus_rank": 1,
+    "vertices": ["P"],
+    "edges": [],
+    "betti": [{"degree": 0, "rank": 1}],
+    "classes": {"one": {"degree": 0, "restrictions": ["1"]}},
+}
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--theory", "ordinary"],
+        ["--theory", "mod-p", "--p", "2"],
+        ["--theory", "mult"],
+        ["--theory", "morava", "--p", "2", "--n", "1"],
+        ["--theory", "morava", "--p", "3", "--n", "2"],
+    ],
+    ids=["ordinary", "mod-2", "mult", "morava-p2n1", "morava-p3n2"],
+)
+def test_cli_point_is_formal_and_integrates_to_one(tmp_path, flags):
+    # a graph without edges: every star, pairing list and Euler product is empty
+    path = tmp_path / "point.json"
+    path.write_text(json.dumps(POINT))
+    code, out, err = run_cli("check-formality", str(path), *flags, "--qmax", "4")
+    assert (code, err, out.splitlines()[-1]) == (0, "", "RESULT PASS")
+    code, out, err = run_cli("integrate", str(path), *flags, "--class", "one")
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert "euler P: 1 + O(s^9)" in lines and "sum: 1 + O(s^9)" in lines
+    assert "integral = 1" in lines
+
+
 def test_cli_check_formality_refuses_a_truncation_without_headroom():
     # every kernel ideal of cp2.json has order 1, so --qmax 8 needs 8/2 + 1
     flags = ["--theory", "morava", "--p", "2", "--n", "1", "--trunc", "4", "--qmax", "8"]
@@ -1323,6 +1356,8 @@ def test_cli_reader_agrees_with_argparse(argv):
         "solve a.json b.json --theory ordinary",
         "fgl g.json --theory ordinary",
         "check-formality --theory morava --p 2 --n 1 g.json --trunc 012",
+        # past the interpreter's limit on int digits: the reader declines it
+        pytest.param("fgl --theory ordinary --trunc " + "1" * 5000, id="fgl --trunc 5000-digits"),
     ],
 )
 def test_cli_reader_agrees_with_argparse_on_named_command_lines(command):

@@ -294,7 +294,7 @@ def test_morava_ranks_match_formality_prediction():
         for p, n in ((2, 1), (3, 1)):
             th = helpers.morava(p, n, trunc=6)
             sol = solve_equivariant_cohomology(g, th, 6)
-            report = check_formality(g, betti, sol)
+            report = check_formality(betti, sol)
             assert report.passed, (g.vertices, p, n, report.rows)
 
 
@@ -378,9 +378,9 @@ def test_check_formality_pass_and_fail():
     th = helpers.rational(trunc=6)
     g = helpers.cp1()
     sol = solve_equivariant_cohomology(g, th, 6)
-    good = check_formality(g, helpers.CP1_BETTI, sol)
+    good = check_formality(helpers.CP1_BETTI, sol)
     assert good.passed
-    bad = check_formality(g, [(0, 2)], sol)
+    bad = check_formality([(0, 2)], sol)
     assert not bad.passed
     assert helpers.first_failure(bad) == 0
 
@@ -389,14 +389,14 @@ def test_check_formality_product_graph():
     th = helpers.rational(trunc=6)
     g = helpers.cp1xcp1()
     sol = solve_equivariant_cohomology(g, th, 8)
-    assert check_formality(g, helpers.CP1XCP1_BETTI, sol).passed
+    assert check_formality(helpers.CP1XCP1_BETTI, sol).passed
 
 
 def test_multiplicative_solver_cp1():
     th = helpers.mult(trunc=5)
     g = helpers.cp1()
     sol = solve_equivariant_cohomology(g, th, 4)
-    report = check_formality(g, helpers.CP1_BETTI, sol)
+    report = check_formality(helpers.CP1_BETTI, sol)
     assert report.passed
     assert sol.ranks[0] == 2 * th.trunc + 1
 
@@ -455,7 +455,7 @@ def test_multiplicative_lattice_solve_stays_bounded(graph, betti, trunc, q_max):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
-    assert check_formality(graph, betti, sol).passed
+    assert check_formality(betti, sol).passed
 
 
 def test_mod_p_zero_generator_path():
@@ -495,7 +495,7 @@ def test_character_classes_built_once_per_edge(monkeypatch):
     builds = helpers.count_class_builds(monkeypatch, th)
     g = helpers.cp2()
     sol = solve_equivariant_cohomology(g, th, 6)
-    assert check_formality(g, helpers.CP2_BETTI, sol).passed
+    assert check_formality(helpers.CP2_BETTI, sol).passed
     fgl = build_fgl(th)
     asked = {
         tuple(row[:-1]) + (0,) for e in g.edges for row in kernel_ideal(fgl, e.weight).basis_change
@@ -514,7 +514,7 @@ def test_character_classes_built_once_per_distinct_weight(monkeypatch):
     weights = {e.weight for e in g.edges}
     assert (len(g.edges), len(weights)) == (9, 3)
     sol = solve_equivariant_cohomology(g, th, 6)
-    assert check_formality(g, helpers.FL3_BETTI, sol).passed
+    assert check_formality(helpers.FL3_BETTI, sol).passed
     assert len(builds) == len(set(builds)) <= g.rank * len(weights)
 
 
@@ -526,7 +526,7 @@ def test_cp4_solve_builds_at_most_four_character_classes(monkeypatch):
     builds = helpers.count_class_builds(monkeypatch, th)
     g = helpers.cpn(4)
     sol = solve_equivariant_cohomology(g, th, 6)
-    assert check_formality(g, [(0, 1), (2, 1), (4, 1), (6, 1), (8, 1)], sol).passed
+    assert check_formality([(0, 1), (2, 1), (4, 1), (6, 1), (8, 1)], sol).passed
     assert len(builds) == len(set(builds)) <= 4
 
 

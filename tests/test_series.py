@@ -195,7 +195,7 @@ def test_format_series_order():
 # ---- Laurent -------------------------------------------------------------
 
 
-def lau(theory, coeffs, prec=None):
+def lau(theory, coeffs, prec):
     return LaurentSeries(theory, {(e, 0): c for e, c in coeffs.items()}, prec)
 
 
@@ -284,10 +284,6 @@ def test_laurent_divide_is_long_division_under_the_precision_rule():
             assert {key: c for key, c in product.items() if key[0] < known} == {
                 key: c for key, c in f.coeffs.items() if key[0] < known
             }
-        with pytest.raises(ValueError, match="dividend"):
-            LaurentSeries(th, f.coeffs).divide(g)
-        with pytest.raises(ValueError, match="divisor"):
-            f.divide(LaurentSeries(th, g.coeffs))
 
 
 def test_laurent_precision_bookkeeping():
@@ -340,4 +336,4 @@ def test_laurent_constructor_cuts_at_prec():
     assert s.coeffs == {(-1, 0): 1, (3, 0): 1}
     assert s.coefficient(5) == (0, 0) and s.prec == 4
     with pytest.raises(ValueError, match="no periodicity generator"):
-        LaurentSeries(helpers.rational(), {(0, 1): 1})
+        LaurentSeries(helpers.rational(), {(0, 1): 1}, 1)
