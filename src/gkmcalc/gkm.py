@@ -4,20 +4,28 @@ The solver works one even degree at a time: homogeneity makes the congruence
 system block-diagonal by degree, and each block is an exact linear problem on
 the coefficient vectors of the fixed-point tuples.  One routine assembles that
 block as sparse rows for every coefficient ring; the elimination lives in the
-lattice module.  Over a graded field the block's kernel is read off its
-reduced row-echelon form; over Z and Z[b, b^-1] Hermite reduction gives the
-solution lattice's canonical basis, its free rank and its elementary divisors.
+lattice module.  Over a graded field the columns that a congruence sets equal
+are tied first, and the rank is read off the forward pass, the kernel vectors
+off the reduced row-echelon form when first asked for; over Z and Z[b, b^-1]
+Hermite reduction gives the solution lattice's canonical basis, its free rank
+and its elementary divisors.
 """
 
 from __future__ import annotations
 
 import math
-from functools import cached_property
+from functools import cache, cached_property
 from typing import NamedTuple
 
 from .classifying import _slice_monomials, kernel_ideal
 from .fgl import build_fgl
-from .lattice import field_kernel, integer_kernel, invariant_factors, primitive_part
+from .lattice import (
+    field_echelon,
+    field_echelon_kernel,
+    integer_kernel,
+    invariant_factors,
+    primitive_part,
+)
 from .scalars import Theory, is_prime
 from .series import TruncatedSeries
 
@@ -240,28 +248,33 @@ def common_degree(degree_lists) -> int | None:
 
 
 class SolutionModule:
-    """The solution by degree.  kernels maps a degree to its monomials and
-    sparse kernel vectors {i * len(monomials) + j: the nonzero coefficient of
-    monomial j at vertex i}, keys increasing; ranks counts the vectors, and
-    bases builds classes from them, each on first read only."""
+    """The solution by degree.  ranks maps a degree to its kernel's
+    dimension; kernels maps it to its monomials and sparse kernel vectors
+    {i * len(monomials) + j: the nonzero coefficient of monomial j at vertex
+    i}, keys increasing, finishing a field system's elimination; bases builds
+    classes from them.  Each is made on first read only."""
 
     def __init__(
         self,
         theory: Theory,
         graph: GKMGraph,
-        kernels: dict[int, tuple[list, list]],  # (monomials, kernel vectors)
+        systems: dict[int, tuple],  # (monomials, rank, kernel vectors on call)
         divisors: dict[int, list[int]],
         provenance: dict[int, tuple[int, int]],  # (columns, constraint rows)
     ):
         self.theory = theory
         self.graph = graph
-        self.kernels = kernels
+        self.systems = systems
         self.divisors = divisors
         self.provenance = provenance
 
     @cached_property
     def ranks(self) -> dict[int, int]:
-        return {q: len(vecs) for q, (_monos, vecs) in self.kernels.items()}
+        return {q: rank for q, (_monos, rank, _vecs) in self.systems.items()}
+
+    @cached_property
+    def kernels(self) -> dict[int, tuple[list, list]]:
+        return {q: (monos, vecs()) for q, (monos, _rank, vecs) in self.systems.items()}
 
     @cached_property
     def bases(self) -> dict[int, list[EquivariantClass]]:
@@ -285,7 +298,7 @@ def solve_equivariant_cohomology(graph: GKMGraph, theory: Theory, q_max: int) ->
             f"truncation degree {theory.trunc} too small for q_max {q_max}: "
             f"residues need headroom {need}"
         )
-    kernels: dict[int, tuple[list, list]] = {}
+    solved: dict[int, tuple] = {}
     divisors: dict[int, list[int]] = {}
     provenance: dict[int, tuple[int, int]] = {}
 
@@ -299,19 +312,22 @@ def solve_equivariant_cohomology(graph: GKMGraph, theory: Theory, q_max: int) ->
         key = tuple(alpha for alpha, _k in monos)
         if key not in systems:
             systems[key] = _solve_degree(theory, graph, ideals, monos, q)
-        vecs, nrows, divs = systems[key]
+        rank, vecs, nrows, divs = systems[key]
         divisors[q] = divs
         provenance[q] = (len(graph.vertices) * len(monos), nrows)
-        kernels[q] = (monos, vecs)
+        solved[q] = (monos, rank, vecs)
 
-    return SolutionModule(theory, graph, kernels, divisors, provenance)
+    return SolutionModule(theory, graph, solved, divisors, provenance)
 
 
 def _solve_degree(theory, graph, ideals, monos, q):
-    """Kernel basis, constraint row count and elementary divisors of the
-    degree-q congruence system.  Each distinct weight's ideal gives the
-    images of the slice's monomials and its generator's truncated multiples
-    once, as term dicts and rows that every edge of that weight reads."""
+    """Rank, kernel basis (a call that makes it), constraint row count and
+    elementary divisors of the degree-q congruence system.  Each distinct
+    weight's ideal gives the images of the slice's monomials and its
+    generator's truncated multiples once, as term dicts and rows that every
+    edge of that weight reads."""
+    if theory.is_graded_field:
+        return _solve_field_degree(theory, graph, ideals, monos)
     ncols = len(graph.vertices) * len(monos)
     alphas = [alpha for alpha, _k in monos]
     images = {w: ideal.monomial_images(alphas) for w, ideal in ideals.items()}
@@ -335,15 +351,70 @@ def _solve_degree(theory, graph, ideals, monos, q):
                 row[tail + j] = c
                 row[head + j] = -c
         rows.extend(rowmap.values())
-    if theory.is_graded_field:
-        return field_kernel(rows, ncols, theory.char), len(rows), []
     # the kernel's Hermite rows with a pivot among the x columns come first,
     # and their x parts are the Hermite basis of the solution lattice, which
     # is saturated when there are no slack columns: every divisor is 1
     kernel = integer_kernel(rows, width)
     basis_rows = [x for v in kernel if (x := {j: c for j, c in v.items() if j < ncols})]
     divs = [1] * len(basis_rows) if width == ncols else invariant_factors(basis_rows)
-    return basis_rows, len(rows), divs
+    return len(basis_rows), lambda: basis_rows, len(rows), divs
+
+
+def _solve_field_degree(theory, graph, ideals, monos):
+    """_solve_degree over a graded field, whose generators have no multiples.
+
+    At an edge of weight w, a fiber is the set of monomials whose images
+    hold one adapted exponent.  A monomial alone in a fiber has one
+    coefficient at both ends, so the two columns are tied instead of
+    written as a row.  Each class of tied columns is one column, its last
+    member, the only one of them that can be free; so the rows of the other
+    fibers, written on those columns, have the untied system's free
+    columns, and copying each class column's entry to its class gives the
+    untied kernel vectors.  The row count is the untied system's."""
+    n = len(monos)
+    alphas = [alpha for alpha, _k in monos]
+    lone, shared = {}, {}
+    for w, ideal in ideals.items():
+        fibers = {}
+        for j, image in enumerate(ideal.monomial_images(alphas)):
+            for (beta, _k), c in image.items():
+                fibers.setdefault(beta, []).append((j, c))
+        lone[w] = [f[0][0] for f in fibers.values() if len(f) == 1]
+        shared[w] = [f for f in fibers.values() if len(f) > 1]
+    root = list(range(len(graph.vertices) * n))  # union-find: roots are largest
+
+    def find(a):
+        while root[a] != a:
+            root[a] = a = root[root[a]]
+        return a
+
+    for edge in graph.edges:
+        for j in lone[edge.weight]:
+            a, b = find(edge.tail * n + j), find(edge.head * n + j)
+            root[min(a, b)] = max(a, b)
+    root = [find(c) for c in range(len(root))]
+    rows = []
+    for edge in graph.edges:
+        tail, head = edge.tail * n, edge.head * n
+        for fiber in shared[edge.weight]:
+            row = {}
+            for j, c in fiber:
+                if (a := root[tail + j]) != (b := root[head + j]):
+                    row[a], row[b] = c, -c
+            rows.append(row)
+    p = theory.char
+    echelon = field_echelon(rows, p)
+
+    @cache
+    def vectors():
+        classes = {}
+        for c, r in enumerate(root):
+            classes.setdefault(r, []).append(c)
+        vecs = field_echelon_kernel(echelon, sorted(classes), p)
+        return [dict(sorted((c, x) for r, x in v.items() for c in classes[r])) for v in vecs]
+
+    nrows = sum(len(lone[edge.weight]) + len(shared[edge.weight]) for edge in graph.edges)
+    return len(set(root)) - len(echelon), vectors, nrows, []
 
 
 def _class_from_vector(theory, graph, monos, vec, q) -> EquivariantClass:

@@ -16,9 +16,10 @@ which gives the canonical row-Hermite form, and over a field by clearing,
 which gives the reduced row-echelon form.  hermite_basis returns the first;
 kernels, adapted coordinates and invariant factors are read off Hermite
 forms of augmented or transposed matrices, and integer_kernel back-reduces
-only the rows it keeps.  field_kernel reads the second.  Both normal forms
-are unique, so every answer is independent of the elimination order and
-downstream golden outputs are reproducible.
+only the rows it keeps.  field_kernel reads the second, by its two passes
+field_echelon and field_echelon_kernel, which the solver calls apart.  Both
+normal forms are unique, so every answer is independent of the elimination
+order and downstream golden outputs are reproducible.
 """
 
 from __future__ import annotations
@@ -170,14 +171,14 @@ def integer_kernel(rows: list[dict], cols: int) -> list[dict]:
 
 def field_kernel(rows: list[dict], cols: int, p: int) -> list[dict]:
     """Basis of the right kernel {x : A @ x = 0} over F_p, or over Q when
-    p = 0, where A is given by sparse rows {column: entry}.
+    p = 0, where A is given by sparse rows {column: entry}."""
+    return field_echelon_kernel(field_echelon(rows, p), range(cols), p)
 
-    There is one sparse basis vector per free (non-pivot) column f of the
-    reduced row-echelon form R, in increasing f: -R[i][f] at the pivot
-    column of each row i that has an entry at f, then 1 at f.  Only pivots
-    left of f can have one, so the keys come out in increasing order.  R is
-    unique, so the basis does not depend on the row order.
-    """
+
+def field_echelon(rows: list[dict], p: int) -> dict[int, dict]:
+    """field_kernel's forward pass: the echelon form {pivot column: pivot row
+    scaled to 1} of the distinct rows, whose non-pivot columns count the
+    kernel."""
     scalar = (lambda x: x % p) if p else Fraction
 
     def step(j, live):  # the shortest row led at j, scaled to 1, is the pivot
@@ -189,9 +190,25 @@ def field_kernel(rows: list[dict], cols: int, p: int) -> list[dict]:
             _subtract(r, pivot, r[j], p)
         return pivot, rest
 
-    echelon = _echelon([{j: y for j, x in r.items() if (y := scalar(x))} for r in rows], step)
+    unique = {}  # the solver's tied columns make many rows repeat
+    for r in rows:
+        r = {j: y for j, x in r.items() if (y := scalar(x))}
+        unique[frozenset(r.items())] = r
+    return _echelon(list(unique.values()), step)
+
+
+def field_echelon_kernel(echelon: dict[int, dict], columns, p: int) -> list[dict]:
+    """field_kernel's finish on an echelon whose rows hold only the given
+    increasing columns, which it back-reduces in place.
+
+    There is one sparse basis vector per free (non-pivot) column f of the
+    reduced row-echelon form R, in increasing f: -R[i][f] at the pivot
+    column of each row i that has an entry at f, then 1 at f.  Only pivots
+    left of f can have one, so the keys come out in increasing order.  R is
+    unique, so the basis does not depend on the row order.
+    """
     _back_reduce(echelon, p)
-    vecs = {f: {} for f in range(cols) if f not in echelon}
+    vecs = {f: {} for f in columns if f not in echelon}
     for j, row in echelon.items():  # in increasing pivot column
         for f, x in row.items():
             if f != j:

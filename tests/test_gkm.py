@@ -1,6 +1,8 @@
 """Moment-graph validation, congruence checks, the solver, and formality."""
 
+import io
 import itertools
+import json
 import os
 import random
 import runpy
@@ -24,6 +26,7 @@ from gkmcalc import (
     mod_p_weight_warnings,
     solve_equivariant_cohomology,
 )
+from gkmcalc.lattice import field_kernel
 
 import helpers
 from helpers import satisfies_congruences
@@ -697,8 +700,11 @@ SEVEN_THEORIES = [
 @pytest.mark.parametrize("theory", SEVEN_THEORIES)
 @pytest.mark.parametrize("path", GRAPH_FILES, ids=os.path.basename)
 def test_congruence_rows_match_series_product_assembly(monkeypatch, path, theory):
-    # the rows the elimination receives, as sorted (column, entry) tuples,
-    # equal the rows built from one series product per monomial image
+    # over Z and Z[b, b^-1] the rows the elimination receives, as sorted
+    # (column, entry) tuples, equal the rows built from one series product
+    # per monomial image; over a graded field the solver ties the columns
+    # of lone monomials instead, and its kernel vectors are those of the
+    # untied rows, which provenance still counts
     import gkmcalc.gkm as gkm_module
 
     from gkmcalc import kernel_ideal
@@ -714,18 +720,116 @@ def test_congruence_rows_match_series_product_assembly(monkeypatch, path, theory
         return lambda matrix, *rest: rows.append([dict(r) for r in matrix]) or real(matrix, *rest)
 
     monkeypatch.setattr(gkm_module, "_solve_degree", solve_degree)
-    monkeypatch.setattr(gkm_module, "field_kernel", capture(gkm_module.field_kernel))
     monkeypatch.setattr(gkm_module, "integer_kernel", capture(gkm_module.integer_kernel))
     graph = load_graph_document(path).graph
-    solve_equivariant_cohomology(graph, theory, 4)
+    sol = solve_equivariant_cohomology(graph, theory, 4)
     fgl = build_fgl(theory)
     ideals = {e.weight: kernel_ideal(fgl, e.weight) for e in graph.edges}
-    assert len(systems) == len(rows) > 0
+    assert systems
+    if theory.is_graded_field:
+        assert rows == []
+        for q, (monos, vecs) in sol.kernels.items():
+            expect = helpers.congruence_rows(graph, ideals, monos, q)
+            ncols = len(graph.vertices) * len(monos)
+            assert sol.provenance[q] == (ncols, len(expect)), q
+            assert vecs == field_kernel(expect, ncols, theory.char), q
+        return
+    assert len(systems) == len(rows)
     for (g, monos, q), got in zip(systems, rows):
         expect = helpers.congruence_rows(g, ideals, monos, q)
         assert sorted(tuple(sorted(r.items())) for r in got) == sorted(
             tuple(sorted(r.items())) for r in expect
         ), q
+
+
+def test_field_elimination_receives_no_edge_equality(monkeypatch, tmp_path):
+    # Fl(4) under K(1) at p = 2: most rows of the untied system say that a
+    # monomial alone in its fiber has one coefficient at both ends of an
+    # edge.  The solver ties those columns instead, so the forward pass
+    # sees one row per fiber of two or more monomials and no row c, -c;
+    # check-formality never back-reduces over the field, and solve
+    # back-reduces each distinct system once
+    import gkmcalc.cli as cli_module
+    import gkmcalc.gkm as gkm_module
+    import gkmcalc.lattice as lattice_module
+
+    from gkmcalc import kernel_ideal
+
+    graph, theory = helpers.flag_variety(4), helpers.morava(2, 1, 4)
+    systems, received, finished = [], [], []
+    real_solve, real_echelon = gkm_module._solve_degree, gkm_module.field_echelon
+    real_back_reduce = lattice_module._back_reduce
+    monkeypatch.setattr(
+        gkm_module, "_solve_degree", lambda *a: systems.append(a[3:]) or real_solve(*a)
+    )
+    monkeypatch.setattr(
+        gkm_module,
+        "field_echelon",
+        lambda rows, p: received.append([dict(r) for r in rows]) or real_echelon(rows, p),
+    )
+
+    def back_reduce(echelon, p=None):
+        if p is not None:  # the integer calls reduce the ideals' adapted bases
+            finished.append(p)
+        return real_back_reduce(echelon, p)
+
+    monkeypatch.setattr(lattice_module, "_back_reduce", back_reduce)
+    solve_equivariant_cohomology(graph, theory, 4).ranks
+    fgl = build_fgl(theory)
+    ideals = {e.weight: kernel_ideal(fgl, e.weight) for e in graph.edges}
+    assert systems and len(received) == len(systems) and not finished
+    for (monos, q), rows in zip(systems, received):
+        untied = helpers.congruence_rows(graph, ideals, monos, q)
+        assert len(rows) == sum(len(r) > 2 for r in untied) < len(untied), q
+        assert not any(len(r) == 2 and sum(r.values()) % theory.p == 0 for r in rows), q
+
+    path = tmp_path / "fl4.json"
+    doc = json.loads(helpers.graph_json(graph))
+    doc["betti"] = [{"degree": 2 * i, "rank": b} for i, b in enumerate([1, 3, 5, 6, 5, 3, 1])]
+    path.write_text(json.dumps(doc))
+    flags = ["--theory", "morava", "--p", "2", "--n", "1", "--trunc", "4", "--qmax", "4"]
+    for command, finishes in (("check-formality", 0), ("solve", 1)):
+        systems.clear()
+        finished.clear()
+        out, err = io.StringIO(), io.StringIO()
+        assert cli_module.main([command, str(path), *flags], out=out, err=err) == 0, err.getvalue()
+        assert systems and len(finished) == finishes * len(systems), command
+        if command == "check-formality":
+            assert out.getvalue().endswith("RESULT PASS\n")
+
+
+FORWARD_RANK_GRAPHS = [
+    *(pytest.param(path, id=os.path.basename(path)) for path in GRAPH_FILES),
+    pytest.param(helpers.flag_variety(4), id="Fl4"),
+    pytest.param(helpers.grassmannian(2, 4), id="Gr2_4"),
+    *(pytest.param(helpers.hirzebruch(a), id=f"F{a}") for a in range(4)),
+    pytest.param(helpers.blown_up_cp3(), id="BlCP3"),
+]
+
+
+@pytest.mark.parametrize(
+    "theory",
+    [helpers.modp(2, 4), helpers.modp(3, 4), helpers.morava(2, 1, 4), helpers.morava(3, 1, 4)],
+    ids=["mod2", "mod3", "K1p2", "K1p3"],
+)
+@pytest.mark.parametrize("graph", FORWARD_RANK_GRAPHS)
+def test_forward_pass_ranks_match_the_finished_kernels(graph, theory):
+    # ranks count the free columns after the forward pass of the tied
+    # system; they must equal the number of finished kernel vectors and the
+    # kernel dimension of the untied rows, which no column tie touches
+    from gkmcalc import kernel_ideal
+
+    if isinstance(graph, str):
+        graph = load_graph_document(graph).graph
+    sol = solve_equivariant_cohomology(graph, theory, 4)
+    ranks = sol.ranks
+    assert "kernels" not in vars(sol)
+    fgl = build_fgl(theory)
+    ideals = {e.weight: kernel_ideal(fgl, e.weight) for e in graph.edges}
+    for q, (monos, vecs) in sol.kernels.items():
+        untied = helpers.congruence_rows(graph, ideals, monos, q)
+        ncols = len(graph.vertices) * len(monos)
+        assert ranks[q] == len(vecs) == len(field_kernel(untied, ncols, theory.char)), q
 
 
 def test_cp4_rows_take_no_series_product(monkeypatch):
