@@ -3,12 +3,15 @@
 The solver works one even degree at a time: homogeneity makes the congruence
 system block-diagonal by degree, and each block is an exact linear problem on
 the coefficient vectors of the fixed-point tuples.  One routine assembles that
-block as sparse rows for every coefficient ring; the elimination lives in the
-lattice module.  Over a graded field the columns that a congruence sets equal
-are tied first, and the rank is read off the forward pass, the kernel vectors
-off the reduced row-echelon form when first asked for; over Z and Z[b, b^-1]
-Hermite reduction gives the solution lattice's canonical basis, its free rank
-and its elementary divisors.
+block for every coefficient ring: the columns that a congruence sets equal are
+tied first, and the other congruences become sparse rows on the classes of
+tied columns; the elimination lives in the lattice module.  Only a class's
+representative and the finish depend on the ring.  Over a graded field the
+representative is the largest member, the rank is read off the forward pass
+and the kernel vectors off the reduced row-echelon form when first asked for;
+over Z and Z[b, b^-1] it is the smallest member, and Hermite reduction gives
+the solution lattice's canonical basis, its free rank and its elementary
+divisors.
 """
 
 from __future__ import annotations
@@ -321,67 +324,80 @@ def solve_equivariant_cohomology(graph: GKMGraph, theory: Theory, q_max: int) ->
 
 
 def _solve_degree(theory, graph, ideals, monos, q):
-    """Rank, kernel basis (a call that makes it), constraint row count and
-    elementary divisors of the degree-q congruence system.  Each distinct
-    weight's ideal gives the images of the slice's monomials and its
-    generator's truncated multiples once, as term dicts and rows that every
-    edge of that weight reads."""
-    if theory.is_graded_field:
-        return _solve_field_degree(theory, graph, ideals, monos)
-    ncols = len(graph.vertices) * len(monos)
+    """Rank, kernel basis (a call that makes it), untied row count and
+    elementary divisors of the degree-q congruence system, for every ring.
+
+    At an edge of weight w, the monomials whose images hold one adapted
+    exponent beta (q fixes the periodicity exponent there) form a fiber,
+    whose row says that the adapted difference is G^T y at beta for the
+    generator's truncated multiples G, y in slack columns after the x
+    columns.  Without multiples it must vanish, so a monomial alone in its
+    fiber ties two columns (_tied_columns) instead of writing a row; the
+    other rows are written on the classes of tied columns, and each class
+    entry of the kernel basis is copied to every member of its class."""
+    n = len(monos)
     alphas = [alpha for alpha, _k in monos]
-    images = {w: ideal.monomial_images(alphas) for w, ideal in ideals.items()}
-    multiples = {w: ideal.multiples(q) for w, ideal in ideals.items()}
-    rows = []
-    width = ncols
+    multiples, fibers, lone = {}, {}, {}
+    for w, ideal in ideals.items():
+        multiples[w], fibers[w] = ideal.multiples(q), {}
+        for j, image in enumerate(ideal.monomial_images(alphas)):
+            for (beta, _k), c in image.items():
+                fibers[w].setdefault(beta, []).append((j, c))
+        lone[w] = [] if multiples[w] else [f[0][0] for f in fibers[w].values() if len(f) == 1]
+    col, k = _tied_columns(graph, n, lone, theory.is_graded_field)
+    rows, nrows, width = [], 0, k
     for edge in graph.edges:
-        # the adapted difference must be G^T y for the multiples G of the
-        # generator, y in one slack column per multiple after the x columns;
-        # with no multiples it must vanish.  Rows are keyed by the u-exponent
-        # beta alone, since q fixes the periodicity exponent at every beta
         rowmap = {}
         for h in multiples[edge.weight]:
             for beta, c in h.items():
                 rowmap.setdefault(beta, {})[width] = -c
             width += 1
-        tail, head = edge.tail * len(monos), edge.head * len(monos)
-        for j, image in enumerate(images[edge.weight]):
-            for (beta, _k), c in image.items():
+        tail, head = edge.tail * n, edge.head * n
+        for beta, fiber in fibers[edge.weight].items():
+            if multiples[edge.weight] or len(fiber) > 1:
                 row = rowmap.setdefault(beta, {})
-                row[tail + j] = c
-                row[head + j] = -c
+                for j, c in fiber:
+                    if (a := col[tail + j]) != (b := col[head + j]):
+                        row[a], row[b] = c, -c
+        nrows += len(rowmap) + len(lone[edge.weight])
         rows.extend(rowmap.values())
-    # the kernel's Hermite rows with a pivot among the x columns come first,
-    # and their x parts are the Hermite basis of the solution lattice, which
-    # is saturated when there are no slack columns: every divisor is 1
-    kernel = integer_kernel(rows, width)
-    basis_rows = [x for v in kernel if (x := {j: c for j, c in v.items() if j < ncols})]
-    divs = [1] * len(basis_rows) if width == ncols else invariant_factors(basis_rows)
-    return len(basis_rows), lambda: basis_rows, len(rows), divs
+    if theory.is_graded_field:
+        p = theory.char
+        echelon = field_echelon(rows, p)
+        rank, divs = k - len(echelon), []
+        finish = lambda: field_echelon_kernel(echelon, range(k), p)
+    else:
+        # the kernel's Hermite rows with a pivot among the class columns come
+        # first, and their class parts are the Hermite basis of the solution
+        # lattice, which is saturated when there are no slack columns
+        kernel = integer_kernel(rows, width)
+        basis = [x for v in kernel if (x := {i: y for i, y in v.items() if i < k})]
+        rank, finish = len(basis), lambda: basis
+        divs = [1] * rank if width == k else invariant_factors(basis)
+
+    @cache
+    def vectors():  # each class entry at every member of its class
+        if k == len(col):
+            return finish()
+        members = [[] for _ in range(k)]
+        for c, i in enumerate(col):
+            members[i].append(c)
+        return [{c: v[col[c]] for c in sorted([c for i in v for c in members[i]])} for v in finish()]
+
+    return rank, vectors, nrows, divs
 
 
-def _solve_field_degree(theory, graph, ideals, monos):
-    """_solve_degree over a graded field, whose generators have no multiples.
-
-    At an edge of weight w, a fiber is the set of monomials whose images
-    hold one adapted exponent.  A monomial alone in a fiber has one
-    coefficient at both ends, so the two columns are tied instead of
-    written as a row.  Each class of tied columns is one column, its last
-    member, the only one of them that can be free; so the rows of the other
-    fibers, written on those columns, have the untied system's free
-    columns, and copying each class column's entry to its class gives the
-    untied kernel vectors.  The row count is the untied system's."""
-    n = len(monos)
-    alphas = [alpha for alpha, _k in monos]
-    lone, shared = {}, {}
-    for w, ideal in ideals.items():
-        fibers = {}
-        for j, image in enumerate(ideal.monomial_images(alphas)):
-            for (beta, _k), c in image.items():
-                fibers.setdefault(beta, []).append((j, c))
-        lone[w] = [f[0][0] for f in fibers.values() if len(f) == 1]
-        shared[w] = [f for f in fibers.values() if len(f) > 1]
-    root = list(range(len(graph.vertices) * n))  # union-find: roots are largest
+def _tied_columns(graph, n, lone, field):
+    """The class of each column i * n + j (vertex i, monomial j) once (tail,
+    j) and (head, j) are tied for each j in lone[w] at every edge of weight
+    w, and the number of classes, numbered in the order of their
+    representatives.  Over a graded field that is the largest member, the
+    only one that can be free in the reduced row-echelon form; over Z and
+    Z[b, b^-1] it is the smallest, where a Hermite row with its pivot in
+    the class has its pivot."""
+    root = list(range(len(graph.vertices) * n))  # union-find
+    if not any(lone.values()):
+        return root, len(root)
 
     def find(a):
         while root[a] != a:
@@ -391,30 +407,10 @@ def _solve_field_degree(theory, graph, ideals, monos):
     for edge in graph.edges:
         for j in lone[edge.weight]:
             a, b = find(edge.tail * n + j), find(edge.head * n + j)
-            root[min(a, b)] = max(a, b)
+            root[a] = root[b] = max(a, b) if field else min(a, b)
     root = [find(c) for c in range(len(root))]
-    rows = []
-    for edge in graph.edges:
-        tail, head = edge.tail * n, edge.head * n
-        for fiber in shared[edge.weight]:
-            row = {}
-            for j, c in fiber:
-                if (a := root[tail + j]) != (b := root[head + j]):
-                    row[a], row[b] = c, -c
-            rows.append(row)
-    p = theory.char
-    echelon = field_echelon(rows, p)
-
-    @cache
-    def vectors():
-        classes = {}
-        for c, r in enumerate(root):
-            classes.setdefault(r, []).append(c)
-        vecs = field_echelon_kernel(echelon, sorted(classes), p)
-        return [dict(sorted((c, x) for r, x in v.items() for c in classes[r])) for v in vecs]
-
-    nrows = sum(len(lone[edge.weight]) + len(shared[edge.weight]) for edge in graph.edges)
-    return len(set(root)) - len(echelon), vectors, nrows, []
+    number = {r: i for i, r in enumerate(sorted(set(root)))}
+    return [number[r] for r in root], len(number)
 
 
 def _class_from_vector(theory, graph, monos, vec, q) -> EquivariantClass:

@@ -16,10 +16,17 @@ which gives the canonical row-Hermite form, and over a field by clearing,
 which gives the reduced row-echelon form.  hermite_basis returns the first;
 kernels, adapted coordinates and invariant factors are read off Hermite
 forms of augmented or transposed matrices, and integer_kernel back-reduces
-only the rows it keeps.  field_kernel reads the second, by its two passes
-field_echelon and field_echelon_kernel, which the solver calls apart.  Both
-normal forms are unique, so every answer is independent of the elimination
-order and downstream golden outputs are reproducible.
+only the rows it keeps.  field_echelon and field_echelon_kernel are the two
+passes that read the second, and the solver calls them apart, so that a rank
+costs the forward pass alone.  Both normal forms are unique, so every answer
+is independent of the elimination order and downstream golden outputs are
+reproducible.  The solver hands either elimination a system whose tied
+columns are one column per class, numbered in the order of the classes'
+representatives: the largest member over a field, the only one that can be
+free in the reduced row-echelon form, and the smallest over the integers,
+where a Hermite row with its pivot in the class has its pivot.  Copying each
+class entry to every member then gives the untied system's kernel basis in
+either normal form.
 """
 
 from __future__ import annotations
@@ -169,16 +176,10 @@ def integer_kernel(rows: list[dict], cols: int) -> list[dict]:
     return [{j - n: x for j, x in sorted(kept[j].items())} for j in sorted(kept)]
 
 
-def field_kernel(rows: list[dict], cols: int, p: int) -> list[dict]:
-    """Basis of the right kernel {x : A @ x = 0} over F_p, or over Q when
-    p = 0, where A is given by sparse rows {column: entry}."""
-    return field_echelon_kernel(field_echelon(rows, p), range(cols), p)
-
-
 def field_echelon(rows: list[dict], p: int) -> dict[int, dict]:
-    """field_kernel's forward pass: the echelon form {pivot column: pivot row
-    scaled to 1} of the distinct rows, whose non-pivot columns count the
-    kernel."""
+    """The forward pass over F_p, or over Q when p = 0: the echelon form
+    {pivot column: pivot row scaled to 1} of the distinct rows, whose
+    non-pivot columns count the kernel; consumes the rows."""
     scalar = (lambda x: x % p) if p else Fraction
 
     def step(j, live):  # the shortest row led at j, scaled to 1, is the pivot
@@ -190,16 +191,18 @@ def field_echelon(rows: list[dict], p: int) -> dict[int, dict]:
             _subtract(r, pivot, r[j], p)
         return pivot, rest
 
-    unique = {}  # the solver's tied columns make many rows repeat
-    for r in rows:
-        r = {j: y for j, x in r.items() if (y := scalar(x))}
-        unique[frozenset(r.items())] = r
-    return _echelon(list(unique.values()), step)
+    # the solver's tied columns make many rows repeat; the rows taken and
+    # the dict keyed by their entries are gone before the pass
+    reduced = ({j: y for j, x in r.items() if (y := scalar(x))} for r in rows)
+    unique = list({frozenset(r.items()): r for r in reduced}.values())
+    rows.clear()
+    return _echelon(unique, step)
 
 
 def field_echelon_kernel(echelon: dict[int, dict], columns, p: int) -> list[dict]:
-    """field_kernel's finish on an echelon whose rows hold only the given
-    increasing columns, which it back-reduces in place.
+    """The finish of field_echelon's pass: the right kernel's basis, on an
+    echelon whose rows hold only the given increasing columns, which it
+    back-reduces in place.
 
     There is one sparse basis vector per free (non-pivot) column f of the
     reduced row-echelon form R, in increasing f: -R[i][f] at the pivot

@@ -24,7 +24,7 @@ from gkmcalc import (
     make_theory,
 )
 from gkmcalc.classifying import _slice_monomials
-from gkmcalc.lattice import hermite_basis
+from gkmcalc.lattice import field_echelon, field_echelon_kernel, hermite_basis
 from gkmcalc.series import monomial_key
 
 
@@ -617,6 +617,14 @@ def hermite_multiples(ideal, q):
     index = {alpha: i for i, alpha in enumerate(monos)}
     rows = [{index[beta]: c for beta, c in h.items()} for h in series_product_multiples(ideal, q)]
     return [{monos[i]: c for i, c in row.items()} for row in hermite_basis(rows)]
+
+
+def field_kernel(rows, cols, p):
+    """Basis of the right kernel {x : A @ x = 0} over F_p, or over Q when
+    p = 0, where A is given by sparse rows {column: entry}: the lattice
+    module's two field passes on the whole system, the reference for the
+    solver's tied field systems."""
+    return field_echelon_kernel(field_echelon(rows, p), range(cols), p)
 
 
 def congruence_rows(graph, ideals, monos, q):

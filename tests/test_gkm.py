@@ -26,10 +26,8 @@ from gkmcalc import (
     mod_p_weight_warnings,
     solve_equivariant_cohomology,
 )
-from gkmcalc.lattice import field_kernel
-
 import helpers
-from helpers import satisfies_congruences
+from helpers import field_kernel, satisfies_congruences
 
 
 def test_validate_cp1():
@@ -700,46 +698,62 @@ SEVEN_THEORIES = [
 @pytest.mark.parametrize("theory", SEVEN_THEORIES)
 @pytest.mark.parametrize("path", GRAPH_FILES, ids=os.path.basename)
 def test_congruence_rows_match_series_product_assembly(monkeypatch, path, theory):
-    # over Z and Z[b, b^-1] the rows the elimination receives, as sorted
-    # (column, entry) tuples, equal the rows built from one series product
-    # per monomial image; over a graded field the solver ties the columns
-    # of lone monomials instead, and its kernel vectors are those of the
-    # untied rows, which provenance still counts
+    # the solver ties the columns of lone monomials before it eliminates,
+    # so its kernels, divisors and provenance, which counts the untied
+    # (columns, rows), must be those of the untied rows built from one
+    # series product per monomial image: over a graded field by the field
+    # passes, which never reach integer_kernel, over Z and Z[b, b^-1] by
+    # integer_kernel with the truncated multiples in slack columns
     import gkmcalc.gkm as gkm_module
 
     from gkmcalc import kernel_ideal
+    from gkmcalc.lattice import integer_kernel, invariant_factors
 
-    systems, rows = [], []
-    real_solve = gkm_module._solve_degree
-
-    def solve_degree(th, graph, ideals, monos, q):
-        systems.append((graph, monos, q))
-        return real_solve(th, graph, ideals, monos, q)
-
-    def capture(real):
-        return lambda matrix, *rest: rows.append([dict(r) for r in matrix]) or real(matrix, *rest)
-
-    monkeypatch.setattr(gkm_module, "_solve_degree", solve_degree)
-    monkeypatch.setattr(gkm_module, "integer_kernel", capture(gkm_module.integer_kernel))
+    calls = []
+    monkeypatch.setattr(
+        gkm_module, "integer_kernel", lambda *a: calls.append(1) or integer_kernel(*a)
+    )
     graph = load_graph_document(path).graph
     sol = solve_equivariant_cohomology(graph, theory, 4)
     fgl = build_fgl(theory)
     ideals = {e.weight: kernel_ideal(fgl, e.weight) for e in graph.edges}
-    assert systems
-    if theory.is_graded_field:
-        assert rows == []
-        for q, (monos, vecs) in sol.kernels.items():
-            expect = helpers.congruence_rows(graph, ideals, monos, q)
-            ncols = len(graph.vertices) * len(monos)
-            assert sol.provenance[q] == (ncols, len(expect)), q
+    assert sol.kernels and (calls == []) == theory.is_graded_field
+    for q, (monos, vecs) in sol.kernels.items():
+        expect = helpers.congruence_rows(graph, ideals, monos, q)
+        ncols = len(graph.vertices) * len(monos)
+        assert sol.provenance[q] == (ncols, len(expect)), q
+        if theory.is_graded_field:
             assert vecs == field_kernel(expect, ncols, theory.char), q
-        return
-    assert len(systems) == len(rows)
-    for (g, monos, q), got in zip(systems, rows):
-        expect = helpers.congruence_rows(g, ideals, monos, q)
-        assert sorted(tuple(sorted(r.items())) for r in got) == sorted(
-            tuple(sorted(r.items())) for r in expect
-        ), q
+            continue
+        slack = sum(len(helpers.series_product_multiples(ideals[e.weight], q)) for e in graph.edges)
+        kernel = integer_kernel(expect, ncols + slack)
+        basis = [x for v in kernel if (x := {j: c for j, c in v.items() if j < ncols})]
+        assert vecs == basis, q
+        assert sol.divisors[q] == invariant_factors(basis), q
+
+
+@pytest.mark.parametrize("theory", [helpers.ordinary(4), helpers.mult(4)], ids=["ordinary", "mult"])
+def test_integer_elimination_receives_no_edge_equality(monkeypatch, theory):
+    # Fl(4)'s weights are primitive, so under ordinary and mult no generator
+    # has truncated multiples, and a monomial alone in its fiber has one
+    # coefficient at both ends of an edge over Z and Z[b, b^-1] as over a
+    # field: the solver ties those columns, and no row c, -c reaches the
+    # Hermite elimination
+    import gkmcalc.gkm as gkm_module
+
+    from gkmcalc.lattice import integer_kernel
+
+    received = []
+    monkeypatch.setattr(
+        gkm_module,
+        "integer_kernel",
+        lambda rows, cols: received.append([dict(r) for r in rows]) or integer_kernel(rows, cols),
+    )
+    sol = solve_equivariant_cohomology(helpers.flag_variety(4), theory, 4)
+    betti = [(2 * i, b) for i, b in enumerate([1, 3, 5, 6, 5, 3, 1])]
+    assert check_formality(betti, sol).passed and received
+    for rows in received:
+        assert not any(len(r) == 2 and sum(r.values()) == 0 for r in rows)
 
 
 def test_field_elimination_receives_no_edge_equality(monkeypatch, tmp_path):

@@ -13,7 +13,6 @@ from sympy.matrices.normalforms import invariant_factors as sympy_invariant_fact
 
 from gkmcalc.lattice import (
     adapted_basis,
-    field_kernel,
     hermite_basis,
     integer_kernel,
     invariant_factors,
@@ -22,6 +21,7 @@ from gkmcalc.lattice import (
 )
 
 import helpers
+from helpers import field_kernel
 
 
 def random_matrices(seed, count=220, max_cols=6):
