@@ -223,18 +223,18 @@ def cmd_solve(args, out, err) -> int:
             variant = solve_equivariant_cohomology(doc.graph.primitive(), theory, args.qmax).ranks
     except ValueError as exc:
         raise _InputError(str(exc)) from exc
+    kernels, divisors = solution.kernels, solution.divisors
     _banner(theory, out)
     for q in sorted(solution.ranks):
         print(f"{q} {solution.ranks[q]}", file=out)
+    # a basis vector holds one slice of coefficients per vertex
     nvert = len(doc.graph.vertices)
-    for q in sorted(solution.kernels):
-        # a basis vector holds one slice of coefficients per vertex
-        monos, vecs = solution.kernels[q]
+    for q, (monos, vecs) in sorted(kernels.items()):
         print(f"basis q={q}", file=out)
         printer = SlicePrinter(theory, monos)
         for vec in vecs:
             print(f"({', '.join(printer(vec, nvert))})", file=out)
-        divs = [d for d in solution.divisors.get(q, []) if d != 1]
+        divs = [d for d in divisors[q] if d != 1]
         if divs:
             print(f"divisors q={q}: {', '.join(map(str, divs))}", file=out)
     if variant is not None and variant != solution.ranks:

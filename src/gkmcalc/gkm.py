@@ -8,17 +8,18 @@ tied first, and the other congruences become sparse rows on the classes of
 tied columns; the elimination lives in the lattice module.  Only a class's
 representative and the finish depend on the ring.  Over a graded field the
 representative is the largest member, the rank is read off the forward pass
-and the kernel vectors off the reduced row-echelon form when first asked for;
-over Z and Z[b, b^-1] it is the smallest member, and Hermite reduction gives
-the solution lattice's canonical basis, its free rank and its elementary
-divisors.
+and the kernel vectors off the reduced row-echelon form; over Z and Z[b, b^-1]
+it is the smallest member, and Hermite reduction gives the solution lattice's
+canonical basis and its free rank, and that basis its elementary divisors.
+Each distinct system is one record: its rank is known once it is solved, and
+its kernel vectors and divisors are made when first asked for.
 """
 
 from __future__ import annotations
 
 import math
 from functools import cache, cached_property
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .classifying import _slice_monomials, kernel_ideal
 from .fgl import build_fgl
@@ -250,34 +251,44 @@ def common_degree(degree_lists) -> int | None:
 # the solver
 
 
-class SolutionModule:
-    """The solution by degree.  ranks maps a degree to its kernel's
-    dimension; kernels maps it to its monomials and sparse kernel vectors
-    {i * len(monomials) + j: the nonzero coefficient of monomial j at vertex
-    i}, keys increasing, finishing a field system's elimination; bases builds
-    classes from them.  Each is made on first read only."""
+class _System(NamedTuple):
+    """A distinct degree system: its rank, read off when it is solved, its
+    untied row count, and calls that make its kernel and divisors once."""
 
-    def __init__(
-        self,
-        theory: Theory,
-        graph: GKMGraph,
-        systems: dict[int, tuple],  # (monomials, rank, kernel vectors on call)
-        divisors: dict[int, list[int]],
-        provenance: dict[int, tuple[int, int]],  # (columns, constraint rows)
-    ):
-        self.theory = theory
-        self.graph = graph
-        self.systems = systems
-        self.divisors = divisors
-        self.provenance = provenance
+    rank: int
+    rows: int
+    vectors: Callable[[], list[dict]]
+    divisors: Callable[[], list[int]]
+
+
+class SolutionModule:
+    """The solution by degree, read off the record of each degree's system.
+    ranks maps a degree to its kernel's dimension; kernels maps it to its
+    monomials and sparse kernel vectors {i * len(monomials) + j: the nonzero
+    coefficient of monomial j at vertex i}, keys increasing; divisors to its
+    lattice's elementary divisors, [] over a field; provenance to its untied
+    (columns, constraint rows); bases builds classes from the kernels.  All
+    but ranks are made on first read, once for degrees sharing a system."""
+
+    def __init__(self, theory: Theory, graph: GKMGraph, systems: dict[int, tuple[list, _System]]):
+        self.theory, self.graph, self.systems = theory, graph, systems
 
     @cached_property
     def ranks(self) -> dict[int, int]:
-        return {q: rank for q, (_monos, rank, _vecs) in self.systems.items()}
+        return {q: system.rank for q, (_monos, system) in self.systems.items()}
 
     @cached_property
     def kernels(self) -> dict[int, tuple[list, list]]:
-        return {q: (monos, vecs()) for q, (monos, _rank, vecs) in self.systems.items()}
+        return {q: (monos, system.vectors()) for q, (monos, system) in self.systems.items()}
+
+    @cached_property
+    def divisors(self) -> dict[int, list[int]]:
+        return {q: system.divisors() for q, (_monos, system) in self.systems.items()}
+
+    @cached_property
+    def provenance(self) -> dict[int, tuple[int, int]]:
+        n = len(self.graph.vertices)
+        return {q: (n * len(monos), system.rows) for q, (monos, system) in self.systems.items()}
 
     @cached_property
     def bases(self) -> dict[int, list[EquivariantClass]]:
@@ -301,31 +312,21 @@ def solve_equivariant_cohomology(graph: GKMGraph, theory: Theory, q_max: int) ->
             f"truncation degree {theory.trunc} too small for q_max {q_max}: "
             f"residues need headroom {need}"
         )
-    solved: dict[int, tuple] = {}
-    divisors: dict[int, list[int]] = {}
-    provenance: dict[int, tuple[int, int]] = {}
-
     # _solve_degree reads only the alpha of each slice key, and multiplying
     # by the periodicity unit maps the degree-q slice onto the degree-(q +
     # |unit|) one: degrees whose slices hold the same monomials share a solve
-    systems: dict[tuple, tuple] = {}
-
+    systems, solved = {}, {}
     for q in range(0, q_max + 1, 2):
         monos = _slice_monomials(theory, graph.rank, q)
         key = tuple(alpha for alpha, _k in monos)
         if key not in systems:
             systems[key] = _solve_degree(theory, graph, ideals, monos, q)
-        rank, vecs, nrows, divs = systems[key]
-        divisors[q] = divs
-        provenance[q] = (len(graph.vertices) * len(monos), nrows)
-        solved[q] = (monos, rank, vecs)
-
-    return SolutionModule(theory, graph, solved, divisors, provenance)
+        solved[q] = (monos, systems[key])
+    return SolutionModule(theory, graph, solved)
 
 
 def _solve_degree(theory, graph, ideals, monos, q):
-    """Rank, kernel basis (a call that makes it), untied row count and
-    elementary divisors of the degree-q congruence system, for every ring.
+    """The record of the degree-q congruence system, for every ring.
 
     At an edge of weight w, the monomials whose images hold one adapted
     exponent beta (q fixes the periodicity exponent there) form a fiber,
@@ -364,7 +365,7 @@ def _solve_degree(theory, graph, ideals, monos, q):
     if theory.is_graded_field:
         p = theory.char
         echelon = field_echelon(rows, p)
-        rank, divs = k - len(echelon), []
+        rank, divisors = k - len(echelon), lambda: []
         finish = lambda: field_echelon_kernel(echelon, range(k), p)
     else:
         # the kernel's Hermite rows with a pivot among the class columns come
@@ -373,9 +374,8 @@ def _solve_degree(theory, graph, ideals, monos, q):
         kernel = integer_kernel(rows, width)
         basis = [x for v in kernel if (x := {i: y for i, y in v.items() if i < k})]
         rank, finish = len(basis), lambda: basis
-        divs = [1] * rank if width == k else invariant_factors(basis)
+        divisors = lambda: [1] * rank if width == k else invariant_factors(basis)
 
-    @cache
     def vectors():  # each class entry at every member of its class
         if k == len(col):
             return finish()
@@ -384,7 +384,7 @@ def _solve_degree(theory, graph, ideals, monos, q):
             members[i].append(c)
         return [{c: v[col[c]] for c in sorted([c for i in v for c in members[i]])} for v in finish()]
 
-    return rank, vectors, nrows, divs
+    return _System(rank, nrows, cache(vectors), cache(divisors))
 
 
 def _tied_columns(graph, n, lone, field):

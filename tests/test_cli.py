@@ -669,19 +669,21 @@ def test_cli_integrate_names_the_vertex_that_exhausts_the_precision(tmp_path):
 def test_cli_integrate_refuses_a_mixed_degree_class_below_the_euler_order(tmp_path):
     # slope (1, 2): vertex A pairs to 1 and 2, so its Euler class is [1]u*[2]u
     # = v2*u^5 + ... under K(2) at p = 2, and a degree-4 truncation loses it;
-    # the class order 4 keeps the need at the Euler order, max(5, 2*5 - 4 - 1)
+    # the class order 4 keeps the need at the Euler order, max(5, 2*5 - 4 - 1);
+    # the file's H2 is refused below it by the same rule
     path = _cp2_with_class(tmp_path, "mixed", ["v2*chi(1,0)^4 + chi(1,0)^4", "0", "0"])
-    argv = ["integrate", path, "--theory", "morava", "--p", "2", "--n", "2", "--class", "mixed"]
-    code, out, err = run_cli(*argv, "--trunc", "4")
-    assert (code, out) == (4, "")
-    assert err == (
-        "error: truncation degree 4 below the Euler order 5 at vertex A, where "
-        "the Euler class would lose its leading term, so the smallest truncation "
-        "degree that keeps it is 5\n"
-    )
-    code, out, _ = run_cli(*argv, "--trunc", "5")
-    assert code == 0
-    assert "euler A: v2*s^5 + O(s^6)" in out
+    for name, trunc in (("mixed", 4), ("H2", 2)):
+        argv = ["integrate", path, "--theory", "morava", "--p", "2", "--n", "2", "--class", name]
+        code, out, err = run_cli(*argv, "--trunc", str(trunc))
+        assert (code, out) == (4, ""), name
+        assert err == (
+            f"error: truncation degree {trunc} below the Euler order 5 at vertex A, where "
+            "the Euler class would lose its leading term, so the smallest truncation "
+            "degree that keeps it is 5\n"
+        ), name
+        code, out, _ = run_cli(*argv, "--trunc", "5")
+        assert code == 0, name
+        assert "euler A: v2*s^5 + O(s^6)" in out, name
 
 
 def _cp2_with_class(tmp_path, name, spec):
@@ -1493,3 +1495,60 @@ def test_cli_out_of_memory_is_refused_without_traceback(argv):
     import sys
 
     assert run_cli(*argv, "--trunc", str(sys.maxsize)) == (2, "", "error: out of memory\n")
+
+
+def test_cli_solve_finishes_its_answer_before_its_first_line(monkeypatch):
+    # the kernel vectors and elementary divisors are made on first read, and
+    # solve reads them before it prints, so a finish that runs out of memory
+    # leaves stdout empty: the field back-reduction on cp2.json, and the
+    # divisors of cp2x2.json's lattice with slack columns over Z
+    import gkmcalc.gkm as gkm_module
+
+    def out_of_memory(*_args):
+        raise MemoryError
+
+    for finish, argv in (
+        ("field_echelon_kernel", ("cp2.json", "--theory", "mod-p", "--p", "3")),
+        ("invariant_factors", ("cp2x2.json", "--theory", "ordinary", "--qmax", "4")),
+    ):
+        with monkeypatch.context() as patch:
+            patch.setattr(gkm_module, finish, out_of_memory)
+            code, out, err = run_cli("solve", graph_path(argv[0]), *argv[1:])
+        assert (code, out, err) == (2, "", "error: out of memory\n"), finish
+
+
+@pytest.mark.parametrize("theory,qmax,stem,solves,computed", [
+    ("ordinary", "4", "solve-cp2x2-ordinary", 3, 2),
+    ("mult", "6", "solve-cp2x2-mult", 1, 1),
+], ids=["ordinary", "mult"])
+def test_cli_divisors_are_computed_once_per_system_and_only_by_solve(
+    monkeypatch, theory, qmax, stem, solves, computed
+):
+    # cp2x2.json's doubled weights give every generator truncated multiples,
+    # slack columns, from degree 2 on: under ordinary degrees 2 and 4 are two
+    # such systems, and under mult every degree shares one system.  Only
+    # solve prints the elementary divisors, so it computes them once per
+    # distinct system with slack columns; check-formality reads only ranks
+    import gkmcalc.gkm as gkm_module
+
+    from gkmcalc import kernel_ideal
+
+    calls, solved = [], []
+    real_factors, real_solve = gkm_module.invariant_factors, gkm_module._solve_degree
+    monkeypatch.setattr(
+        gkm_module, "invariant_factors", lambda basis: calls.append(1) or real_factors(basis)
+    )
+    monkeypatch.setattr(
+        gkm_module, "_solve_degree", lambda *a: solved.append(a[4]) or real_solve(*a)
+    )
+    flags = ("--theory", theory, "--qmax", qmax)
+    code, out, _ = run_cli("check-formality", graph_path("cp2x2.json"), *flags)
+    assert (code, out.splitlines()[-1], calls) == (0, "RESULT PASS", [])
+    solved.clear()
+    code, out, _ = run_cli("solve", graph_path("cp2x2.json"), *flags)
+    with open(os.path.join(GOLDEN, stem + ".txt"), encoding="utf-8") as fh:
+        assert (code, out) == (0, fh.read())
+    fgl = build_fgl(helpers.mult() if theory == "mult" else helpers.ordinary())
+    weights = {e.weight for e in load_graph_document(graph_path("cp2x2.json")).graph.edges}
+    slack = [q for q in solved if any(kernel_ideal(fgl, w).multiples(q) for w in weights)]
+    assert (len(solved), len(calls), len(slack)) == (solves, computed, computed)
