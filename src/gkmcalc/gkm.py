@@ -5,14 +5,16 @@ system block-diagonal by degree, and each block is an exact linear problem on
 the coefficient vectors of the fixed-point tuples.  One routine assembles that
 block for every coefficient ring: the columns that a congruence sets equal are
 tied first, and the other congruences become sparse rows on the classes of
-tied columns; the elimination lives in the lattice module.  Only a class's
-representative and the finish depend on the ring.  Over a graded field the
-representative is the largest member, the rank is read off the forward pass
-and the kernel vectors off the reduced row-echelon form; over Z and Z[b, b^-1]
-it is the smallest member, and Hermite reduction gives the solution lattice's
-canonical basis and its free rank, and that basis its elementary divisors.
-Each distinct system is one record: its rank is known once it is solved, and
-its kernel vectors and divisors are made when first asked for.
+tied columns, each entry in the ring's normal form ([1, p) over F_p) and each
+distinct row once; the elimination lives in the lattice module.  Only a
+class's representative and the finish depend on the ring.  Over a graded
+field the representative is the largest member, the rank is read off the
+forward pass and the kernel vectors off the reduced row-echelon form; over Z
+and Z[b, b^-1] it is the smallest member, and Hermite reduction gives the
+solution lattice's canonical basis and its free rank, and that basis its
+elementary divisors.  Each distinct system is one record: its rank is known
+once it is solved, and its kernel vectors and divisors are made when first
+asked for.
 """
 
 from __future__ import annotations
@@ -346,7 +348,7 @@ def _solve_degree(theory, graph, ideals, monos, q):
                 fibers[w].setdefault(beta, []).append((j, c))
         lone[w] = [] if multiples[w] else [f[0][0] for f in fibers[w].values() if len(f) == 1]
     col, k = _tied_columns(graph, n, lone, theory.is_graded_field)
-    rows, nrows, width = [], 0, k
+    p, distinct, nrows, width = theory.char, {}, 0, k
     for edge in graph.edges:
         rowmap = {}
         for h in multiples[edge.weight]:
@@ -359,11 +361,13 @@ def _solve_degree(theory, graph, ideals, monos, q):
                 row = rowmap.setdefault(beta, {})
                 for j, c in fiber:
                     if (a := col[tail + j]) != (b := col[head + j]):
-                        row[a], row[b] = c, -c
+                        row[a], row[b] = c, p - c if p else -c
         nrows += len(rowmap) + len(lone[edge.weight])
-        rows.extend(rowmap.values())
+        for row in rowmap.values():  # the first copy of each row is kept
+            distinct.setdefault(frozenset(row.items()), row)
+    rows = list(distinct.values())
+    del distinct  # its keys copy every row: gone before the elimination
     if theory.is_graded_field:
-        p = theory.char
         echelon = field_echelon(rows, p)
         rank, divisors = k - len(echelon), lambda: []
         finish = lambda: field_echelon_kernel(echelon, range(k), p)

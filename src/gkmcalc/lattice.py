@@ -20,13 +20,8 @@ only the rows it keeps.  field_echelon and field_echelon_kernel are the two
 passes that read the second, and the solver calls them apart, so that a rank
 costs the forward pass alone.  Both normal forms are unique, so every answer
 is independent of the elimination order and downstream golden outputs are
-reproducible.  The solver hands either elimination a system whose tied
-columns are one column per class, numbered in the order of the classes'
-representatives: the largest member over a field, the only one that can be
-free in the reduced row-echelon form, and the smallest over the integers,
-where a Hermite row with its pivot in the class has its pivot.  Copying each
-class entry to every member then gives the untied system's kernel basis in
-either normal form.
+reproducible.  field_echelon takes its rows as they are: entries in [1, p)
+over F_p, or any nonzero rationals over Q.
 """
 
 from __future__ import annotations
@@ -178,25 +173,20 @@ def integer_kernel(rows: list[dict], cols: int) -> list[dict]:
 
 def field_echelon(rows: list[dict], p: int) -> dict[int, dict]:
     """The forward pass over F_p, or over Q when p = 0: the echelon form
-    {pivot column: pivot row scaled to 1} of the distinct rows, whose
-    non-pivot columns count the kernel; consumes the rows."""
-    scalar = (lambda x: x % p) if p else Fraction
+    {pivot column: pivot row scaled to 1} of the rows, whose entries lie in
+    [1, p), or are any nonzero rationals when p = 0, and whose non-pivot
+    columns count the kernel; consumes the rows."""
 
     def step(j, live):  # the shortest row led at j, scaled to 1, is the pivot
         pivot, *rest = sorted(live, key=len)
-        inv = pow(pivot[j], -1, p) if p else 1 / pivot[j]
+        inv = pow(pivot[j], -1, p) if p else Fraction(1, pivot[j])
         for k in pivot:
             pivot[k] = pivot[k] * inv % p if p else pivot[k] * inv
         for r in rest:
             _subtract(r, pivot, r[j], p)
         return pivot, rest
 
-    # the solver's tied columns make many rows repeat; the rows taken and
-    # the dict keyed by their entries are gone before the pass
-    reduced = ({j: y for j, x in r.items() if (y := scalar(x))} for r in rows)
-    unique = list({frozenset(r.items()): r for r in reduced}.values())
-    rows.clear()
-    return _echelon(unique, step)
+    return _echelon(rows, step)
 
 
 def field_echelon_kernel(echelon: dict[int, dict], columns, p: int) -> list[dict]:

@@ -621,10 +621,13 @@ def hermite_multiples(ideal, q):
 
 def field_kernel(rows, cols, p):
     """Basis of the right kernel {x : A @ x = 0} over F_p, or over Q when
-    p = 0, where A is given by sparse rows {column: entry}: the lattice
-    module's two field passes on the whole system, the reference for the
-    solver's tied field systems."""
-    return field_echelon_kernel(field_echelon(rows, p), range(cols), p)
+    p = 0, where A is given by sparse rows {column: integer or rational
+    entry}: the lattice module's two field passes on the whole system, the
+    reference for the solver's tied field systems.  The entries are reduced
+    mod p first, as the forward pass takes them in [1, p); the rows are not
+    deduplicated, which leaves the kernel as it is."""
+    reduced = [{j: y for j, x in r.items() if (y := x % p if p else x)} for r in rows]
+    return field_echelon_kernel(field_echelon(reduced, p), range(cols), p)
 
 
 def congruence_rows(graph, ideals, monos, q):

@@ -756,12 +756,86 @@ def test_integer_elimination_receives_no_edge_equality(monkeypatch, theory):
         assert not any(len(r) == 2 and sum(r.values()) == 0 for r in rows)
 
 
+def _eliminated_rows(monkeypatch):
+    """The rows each elimination receives from the solver, copied as they
+    arrive."""
+    import gkmcalc.gkm as gkm_module
+
+    received = []
+    for name in ("integer_kernel", "field_echelon"):
+        real = getattr(gkm_module, name)
+        monkeypatch.setattr(
+            gkm_module,
+            name,
+            lambda rows, arg, real=real: received.append([dict(r) for r in rows]) or real(rows, arg),
+        )
+    return received
+
+
+def _assert_distinct_and_normal(received, p):
+    # pairwise distinct rows; over F_p every entry in [1, p), else nonzero
+    for rows in received:
+        assert len({frozenset(r.items()) for r in rows}) == len(rows)
+        assert all(1 <= x < p if p else x for r in rows for x in r.values())
+
+
+@pytest.mark.parametrize(
+    "graph, theory",
+    [
+        *(
+            pytest.param(helpers.flag_variety(4), theory, id=f"Fl4-{name}")
+            for name, theory in [
+                ("ordinary", helpers.ordinary(4)),
+                ("mult", helpers.mult(4)),
+                ("mod3", helpers.modp(3, 4)),
+                ("K1p2", helpers.morava(2, 1, 4)),
+                ("rational", helpers.rational(4)),
+            ]
+        ),
+        # every edge of cp2x2 has truncated multiples: slack rows pass too
+        pytest.param(os.path.join(GRAPHS, "cp2x2.json"), helpers.ordinary(4), id="cp2x2-ordinary"),
+        pytest.param(os.path.join(GRAPHS, "cp2x2.json"), helpers.mult(4), id="cp2x2-mult"),
+    ],
+)
+def test_eliminations_receive_each_distinct_row_once(monkeypatch, graph, theory):
+    # tied columns make many rows of the degree systems repeat, on every
+    # ring: the solver writes each entry in the ring's normal form and
+    # hands each distinct row to the elimination once
+    if isinstance(graph, str):
+        graph = load_graph_document(graph).graph
+    received = _eliminated_rows(monkeypatch)
+    sol = solve_equivariant_cohomology(graph, theory, 6)
+    assert sol.ranks and received
+    _assert_distinct_and_normal(received, theory.char)
+
+
+@pytest.mark.parametrize("theory", [helpers.modp(2, 4), helpers.morava(2, 1, 4)], ids=["mod2", "K1p2"])
+def test_solver_writes_a_row_repeated_mod_p_once(monkeypatch, theory):
+    # Gr(2, 4) with its first edge reversed: that edge writes c, -c where
+    # another edge writes -c, c on the same classes, so those rows agree
+    # mod 2 but not as integers.  The entries are reduced before the rows
+    # are compared, so each such row reaches the forward pass once, and the
+    # passes see as many rows as for the unreversed graph, whose kernels
+    # the reversed one shares
+    graph = helpers.grassmannian(2, 4)
+    first, *rest = graph.edges
+    reversed_first = GKMEdge(first.head, first.tail, tuple(-a for a in first.weight))
+    received, counts, kernels = _eliminated_rows(monkeypatch), [], []
+    for g in (graph, graph._replace(edges=[reversed_first, *rest])):
+        received.clear()
+        kernels.append(solve_equivariant_cohomology(g, theory, 4).kernels)
+        _assert_distinct_and_normal(received, theory.char)
+        counts.append([len(rows) for rows in received])
+    assert counts[0] == counts[1] and kernels[0] == kernels[1]
+
+
 def test_field_elimination_receives_no_edge_equality(monkeypatch, tmp_path):
     # Fl(4) under K(1) at p = 2: most rows of the untied system say that a
     # monomial alone in its fiber has one coefficient at both ends of an
     # edge.  The solver ties those columns instead, so the forward pass
-    # sees one row per fiber of two or more monomials and no row c, -c;
-    # check-formality never back-reduces over the field, and solve
+    # sees distinct rows of fibers of two or more monomials, no more of
+    # them than the untied rows with three or more entries, and no row
+    # c, -c; check-formality never back-reduces over the field, and solve
     # back-reduces each distinct system once
     import gkmcalc.cli as cli_module
     import gkmcalc.gkm as gkm_module
@@ -794,7 +868,8 @@ def test_field_elimination_receives_no_edge_equality(monkeypatch, tmp_path):
     assert systems and len(received) == len(systems) and not finished
     for (monos, q), rows in zip(systems, received):
         untied = helpers.congruence_rows(graph, ideals, monos, q)
-        assert len(rows) == sum(len(r) > 2 for r in untied) < len(untied), q
+        assert len({frozenset(r.items()) for r in rows}) == len(rows), q
+        assert len(rows) <= sum(len(r) > 2 for r in untied) < len(untied), q
         assert not any(len(r) == 2 and sum(r.values()) % theory.p == 0 for r in rows), q
 
     path = tmp_path / "fl4.json"

@@ -220,22 +220,6 @@ def test_field_kernel_reduces_entries_mod_p():
     assert field_kernel([], 2, 2) == [{0: 1}, {1: 1}]
 
 
-def test_field_forward_pass_eliminates_a_repeated_row_once(monkeypatch):
-    # {0: 4, 2: 5} is {0: 1, 2: 2} mod 3, so the pass receives two rows
-    import gkmcalc.lattice as lattice_module
-
-    received = []
-    real = lattice_module._echelon
-    monkeypatch.setattr(
-        lattice_module,
-        "_echelon",
-        lambda rows, step: received.append([dict(r) for r in rows]) or real(rows, step),
-    )
-    rows = [{0: 1, 2: 2}, {1: 1}, {0: 4, 2: 5}, {1: 1}]
-    assert field_kernel(rows, 3, 3) == [{0: 1, 2: 1}]
-    assert received == [[{0: 1, 2: 2}, {1: 1}]]
-
-
 def test_integer_kernel():
     rng = random.Random(43)
     for _ in range(40):
