@@ -372,11 +372,8 @@ def _solve_degree(theory, graph, ideals, monos, q):
         rank, divisors = k - len(echelon), lambda: []
         finish = lambda: field_echelon_kernel(echelon, range(k), p)
     else:
-        # the kernel's Hermite rows with a pivot among the class columns come
-        # first, and their class parts are the Hermite basis of the solution
-        # lattice, which is saturated when there are no slack columns
-        kernel = integer_kernel(rows, width)
-        basis = [x for v in kernel if (x := {i: y for i, y in v.items() if i < k})]
+        # the solution lattice, saturated when there are no slack columns
+        basis = integer_kernel(rows, width, k)
         rank, finish = len(basis), lambda: basis
         divisors = lambda: [1] * rank if width == k else invariant_factors(basis)
 

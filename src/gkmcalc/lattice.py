@@ -5,11 +5,12 @@ Matrices are plain lists of rows.  Every vector the eliminations take or
 return is sparse, {index: nonzero entry}, and every vector they return has
 its keys in increasing order, the format the solver hands on to the printer.
 
-Both eliminations run in two passes.  The forward pass lets rows wait
-under their leading column and fixes one pivot per column in increasing
-order; it never touches a row once it is a pivot row.  Over the integers the
-pivot comes out of a Euclid loop; over the graded fields' degree-0 parts,
-F_p and Q, it is the shortest row, scaled to 1.  One final pass,
+Both eliminations run in two passes.  The forward pass lets rows wait under
+their leading column and fixes one pivot per column in increasing order; it
+never touches a row once it is a pivot row.  Both steps take the shortest
+row as pivot (Markowitz's fill rule): over the integers among the rows with
+the smallest leading entry, in each round of a Euclid loop; over the graded
+fields' degree-0 parts, F_p and Q, among all, scaled to 1.  One final pass,
 _back_reduce, then reduces the kept rows from the last pivot back, each only
 against rows that are already final: over the integers into [0, pivot),
 which gives the canonical row-Hermite form, and over a field by clearing,
@@ -87,10 +88,11 @@ def _echelon(rows: list[dict], step) -> dict[int, dict]:
 
 def _euclid_step(j: int, live: list[dict]) -> tuple[dict, list[dict]]:
     """The integer step: a Euclid loop on the rows led at column j leaves a
-    single pivot row, made positive."""
+    single pivot row, made positive.  Each round reduces the others by the
+    shortest row among those with the smallest entry at j."""
     moved = []
     while len(live) > 1:
-        live.sort(key=lambda r: abs(r[j]))
+        live.sort(key=lambda r: (abs(r[j]), len(r)))
         head, *rest = live
         live = [head]
         for r in rest:
@@ -151,18 +153,18 @@ def _subtract(row: dict, other: dict, q, p: int | None = 0) -> None:
             del row[k]
 
 
-def integer_kernel(rows: list[dict], cols: int) -> list[dict]:
-    """Hermite basis of the right kernel {x in Z^cols : A @ x = 0}, where A is
-    given by sparse rows {column: nonzero entry}.
+def integer_kernel(rows: list[dict], cols: int, k: int | None = None) -> list[dict]:
+    """Hermite basis of {x in Z^k : A @ (x, y) = 0 for some y}, the right
+    kernel of A projected to its first k coordinates (all cols by default).
 
-    Row j of [A^T | I] is (column j of A | e_j).  The rows of its echelon
-    form whose pivot lies past A^T are (0 | k) with A @ k = 0, and they span
-    the kernel.  Each of them reduces only against rows of that same kind,
-    so only these are back-reduced, and their k parts are the kernel's
-    Hermite basis.
+    Row j of [A^T | I] is (column j of A | e_j), with e_j only for j < k, so
+    the rows span {(A @ (x, y), x)}, which meets {0} x Z^k in exactly the
+    (0 | x) above.  Its echelon rows whose pivot lies past A^T are therefore
+    that lattice's basis; each reduces only against rows of the same kind,
+    so only these are back-reduced, and their x parts are the Hermite basis.
     """
-    n = len(rows)
-    aug = [{n + j: 1} for j in range(cols)]
+    n, k = len(rows), cols if k is None else k
+    aug = [{n + j: 1} if j < k else {} for j in range(cols)]
     for i, row in enumerate(rows):
         for j, x in row.items():
             aug[j][i] = x

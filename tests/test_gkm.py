@@ -747,13 +747,28 @@ def test_integer_elimination_receives_no_edge_equality(monkeypatch, theory):
     monkeypatch.setattr(
         gkm_module,
         "integer_kernel",
-        lambda rows, cols: received.append([dict(r) for r in rows]) or integer_kernel(rows, cols),
+        lambda rows, *a: received.append([dict(r) for r in rows]) or integer_kernel(rows, *a),
     )
     sol = solve_equivariant_cohomology(helpers.flag_variety(4), theory, 4)
     betti = [(2 * i, b) for i, b in enumerate([1, 3, 5, 6, 5, 3, 1])]
     assert check_formality(betti, sol).passed and received
     for rows in received:
         assert not any(len(r) == 2 and sum(r.values()) == 0 for r in rows)
+
+
+def test_integer_elimination_work_on_fl4_mult(monkeypatch):
+    # the entries that the Hermite elimination subtracts while solving Fl(4)
+    # under mult at --trunc 4 --qmax 6: 23,816 with the shortest row as each
+    # Euclid pivot and the identity on the class columns only, 35,660 with
+    # the first row of smallest entry and the identity on every column
+    import gkmcalc.lattice as lattice
+
+    real, touched = lattice._subtract, []
+    monkeypatch.setattr(
+        lattice, "_subtract", lambda row, other, *a: touched.append(len(other)) or real(row, other, *a)
+    )
+    solve_equivariant_cohomology(helpers.flag_variety(4), helpers.mult(4), 6)
+    assert 0 < sum(touched) < 30_000
 
 
 def _eliminated_rows(monkeypatch):
@@ -767,7 +782,7 @@ def _eliminated_rows(monkeypatch):
         monkeypatch.setattr(
             gkm_module,
             name,
-            lambda rows, arg, real=real: received.append([dict(r) for r in rows]) or real(rows, arg),
+            lambda rows, *a, real=real: received.append([dict(r) for r in rows]) or real(rows, *a),
         )
     return received
 

@@ -12,6 +12,7 @@ from sympy.matrices.normalforms import hermite_normal_form
 from sympy.matrices.normalforms import invariant_factors as sympy_invariant_factors
 
 from gkmcalc.lattice import (
+    _euclid_step,
     adapted_basis,
     hermite_basis,
     integer_kernel,
@@ -154,6 +155,9 @@ def test_eliminations_match_the_eager_kannan_bachem_loop(monkeypatch):
         kept = [r for r in helpers.eager_hermite_basis(aug) if min(r) >= n]
         expected = [{j - n: x for j, x in r.items()} for r in kept]
         assert integer_kernel(copy(m), width) == expected, m
+        # the class columns alone: the class parts of the full kernel
+        classes = [x for v in expected if (x := {j: c for j, c in v.items() if j < ncols})]
+        assert integer_kernel(copy(m), width, ncols) == classes, m
         slack_pivots.update(next(iter(r.values())) for r in hermite_basis(copy(transpose[ncols:])))
         factors = invariant_factors(copy(m))
         with monkeypatch.context() as patch:
@@ -228,6 +232,16 @@ def test_integer_kernel():
         m = [[rng.randrange(-5, 6) for _ in range(cols)] for _ in range(rows)]
         for vec in integer_kernel(sparse(m), cols):
             assert all(sum(m[i][j] * x for j, x in vec.items()) == 0 for i in range(rows))
+
+
+def test_euclid_step_takes_the_shortest_row_with_the_smallest_entry():
+    # both rows lead with 1: the shorter is the pivot, so the other gains
+    # only its one entry instead of the pivot's two
+    pivot, moved = _euclid_step(0, [{0: 1, 1: 1, 2: 1}, {0: 1, 3: 1}])
+    assert pivot == {0: 1, 3: 1} and moved == [{1: 1, 2: 1, 3: -1}]
+    # a smaller entry at the column still beats a shorter row
+    pivot, moved = _euclid_step(0, [{0: 2, 1: 1}, {0: 1, 1: 1, 2: 1}])
+    assert pivot == {0: 1, 1: 1, 2: 1} and moved == [{1: -1, 2: -2}]
 
 
 def test_hermite_basis_canonical():
